@@ -9,10 +9,10 @@ synthesized supervisor provably confines the closed loop to the spec.
 from pathlib import Path
 
 from descat import (
-    brute_force_large_language,
     check_ca_controllability,
     check_ca_observability_bounded,
     enumerate_language,
+    large_language_automaton,
     load_model,
     synthesize_ca_supervisor,
     verify_large_language_equals,
@@ -44,8 +44,9 @@ def main():
         equal = verify_large_language_equals(g, h, sup, doc.policy())
         print(f"   closed-loop upper bound equals the spec: {equal.status}")
         assert equal.holds
-        assert brute_force_large_language(g, sup, doc.policy(), depth=8) == enumerate_language(h, 8)
-        print("   depth-8 recursion agrees with the product construction")
+        lla = large_language_automaton(g, sup, doc.policy())
+        assert enumerate_language(lla.automaton, 8) == enumerate_language(h, 8)
+        print("   the product construction generates the spec up to depth 8")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .attacks import (
     phi_enumerate,
     phi_omega,
     theta_automaton,
+    transition_based_setup,
     validate_policy,
     validate_strategy,
 )
@@ -83,7 +84,6 @@ from .verification import (
     Counterexample,
     LargeLanguageAutomaton,
     Verdict,
-    brute_force_large_language,
     check_ca_controllability,
     check_ca_observability_bounded,
     large_language_automaton,

@@ -23,6 +23,7 @@ from .automata import (
     bounded_marked_language,
     marked_word_length_bound,
     parallel_compose_pairs,
+    sub_automaton,
 )
 from .automata import validate as validate_automaton
 from .errors import InputError, PreconditionError
@@ -500,3 +501,25 @@ def convert_observation_based(g: Automaton, strategy: ObservationAttackStrategy)
             z = pairs[tr[0]][1]
             entries[tr] = strategy.omega[(z, tr[1])]
     return ObservationConversion(product=product, policy=SensorAttackPolicy(entries=entries), pairs=pairs)
+
+
+def transition_based_setup(
+    g: Automaton,
+    h: Automaton | None,
+    attack: SensorAttackPolicy | ObservationAttackStrategy,
+) -> tuple[Automaton, Automaton | None, SensorAttackPolicy]:
+    """Plant, spec and transition-based policy through which ``attack`` acts.
+
+    A transition-based policy passes through unchanged.  An
+    observation-based strategy is rewritten by
+    :func:`convert_observation_based`: the plant becomes its composition
+    with the attack context, and the spec keeps the composed states whose
+    plant state is in ``h``.  A missing spec (``None``) stays missing.
+    """
+    if not isinstance(attack, ObservationAttackStrategy):
+        return g, h, attack
+    conversion = convert_observation_based(g, attack)
+    if h is not None:
+        safe = frozenset(name for name, (q, _) in conversion.pairs.items() if q in h.states)
+        h = sub_automaton(conversion.product, safe)
+    return conversion.product, h, conversion.policy

@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 
-from .attacks import convert_observation_based
-from .automata import Automaton, sub_automaton
+from .attacks import convert_observation_based, transition_based_setup
+from .automata import Automaton
 from .dot import export_dot
 from .errors import DescatError
 from .estimation import build_ca_observer, build_g_diamond, lift_estimate, state_estimate
@@ -66,16 +66,9 @@ def _synthesize(doc: ModelDocument) -> Supervisor:
     return synthesize_ca_supervisor(g, h, doc.policy())
 
 
-def _verification_setup(doc: ModelDocument):
-    """(plant, spec, transition policy) with observation attacks rewritten."""
-    g, h = doc.plant, doc.spec_automaton()
-    if doc.has_observation_strategy:
-        conversion = convert_observation_based(g, doc.strategy())
-        safe = frozenset(
-            name for name, (q, _) in conversion.pairs.items() if q in h.states
-        )
-        return conversion.product, sub_automaton(conversion.product, safe), conversion.policy
-    return g, h, doc.policy()
+def _attack(doc: ModelDocument):
+    """The document's observation-based strategy if it declares one, else its policy."""
+    return doc.strategy() if doc.has_observation_strategy else doc.policy()
 
 
 def _supervisor_rows(sup: Supervisor) -> list[dict]:
@@ -171,7 +164,7 @@ def _cmd_check_controllability(args) -> int:
 
 def _cmd_check_observability(args) -> int:
     doc = load_model(args.model)
-    g, h, policy = _verification_setup(doc)
+    g, h, policy = transition_based_setup(doc.plant, doc.spec_automaton(), _attack(doc))
     depth = args.depth
     if depth is None:
         observer = build_ca_observer(h, policy.restricted_to(h)[0])
@@ -197,7 +190,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_verify(args) -> int:
     doc = load_model(args.model)
     sup = _synthesize(doc)
-    g, h, policy = _verification_setup(doc)
+    g, h, policy = transition_based_setup(doc.plant, doc.spec_automaton(), _attack(doc))
     attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
     verdict = verify_large_language_equals(g, h, sup, policy, actuator_attackable=attackable)
     return _print_verdict("large-language equality", verdict, args.json)
@@ -206,7 +199,7 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = load_model(args.model)
     sup = _synthesize(doc)
-    g, h, policy = _verification_setup(doc)
+    g, h, policy = transition_based_setup(doc.plant, doc.spec_automaton(), _attack(doc))
     attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
     attacker = AttackerStrategy(kind=args.attacker)
     report = run_campaign(
@@ -243,17 +236,13 @@ def _cmd_convert_obs(args) -> int:
     doc = load_model(args.model)
     if not doc.has_observation_strategy:
         raise DescatError("the model has no observation-based attack sections to convert")
-    conversion = convert_observation_based(doc.plant, doc.strategy())
-    safe = None
-    if doc.safe_states is not None:
-        safe = frozenset(
-            name for name, (q, _) in conversion.pairs.items() if q in doc.safe_states
-        )
+    spec = doc.spec_automaton() if doc.safe_states is not None else None
+    plant, spec, policy = transition_based_setup(doc.plant, spec, doc.strategy())
     converted = ModelDocument(
-        alphabet=conversion.product.alphabet,
-        plant=conversion.product,
-        safe_states=safe,
-        policy_transitions=dict(conversion.policy.entries),
+        alphabet=plant.alphabet,
+        plant=plant,
+        safe_states=spec.states if spec is not None else None,
+        policy_transitions=dict(policy.entries),
     )
     text = serialize_model(converted)
     if args.output:
@@ -276,7 +265,7 @@ def _cmd_export_dot(args) -> int:
             raise DescatError("the model has no attack-context automaton")
         obj = doc.sa
     elif what == "diamond":
-        g, _, policy = _verification_setup(doc)
+        g, _, policy = transition_based_setup(doc.plant, doc.spec_automaton(), _attack(doc))
         obj = build_g_diamond(g, policy)
     else:  # observer
         obj, _ = _observer_for(doc, "plant")

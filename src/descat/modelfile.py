@@ -11,6 +11,7 @@ context automaton plus ``omega`` blocks).  The full grammar lives in
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -19,6 +20,23 @@ from .automata import Automaton, EventAlphabet, Transition, is_subautomaton, sub
 from .errors import InputError, ParseError
 
 _FLAGS = ("controllable", "observable", "sensor-attackable", "actuator-attackable")
+# Derived state names are built from these characters: state sets `{a,b}`,
+# closed-loop states `q|{x}` and product pairs `(q,z)`.  A state name that
+# contains them, other than such a pair, could spell another state's name.
+_RESERVED = re.compile(r"[{}|(),]")
+_PAIR_NAME = re.compile(r"\(([^{}|(),]+),([^{}|(),]+)\)")
+
+
+def _check_state_names(tokens: list[tuple[str, int]], line: int) -> None:
+    """Reject state names, given with their columns, that derived names could alias."""
+    for name, column in tokens:
+        if _RESERVED.search(name) and not _PAIR_NAME.fullmatch(name):
+            raise ParseError(
+                f"state name {name!r} contains a reserved character",
+                line,
+                column,
+                expected="a name without { } | ( ) , other than a pair (NAME,NAME)",
+            )
 
 
 @dataclass(frozen=True)
@@ -173,6 +191,7 @@ def parse_model(text: str) -> ModelDocument:
                 section, current = "automaton", builders["sa"]
             elif head == "attack":
                 if len(words) == 5 and words[1] == "tr":
+                    _check_state_names([(words[2], tokens[2][1]), (words[4], tokens[4][1])], lineno)
                     tr = (words[2], words[3], words[4])
                     attack_tr[tr] = _AutomatonBuilder(lineno, f"attack tr {' '.join(tr)}")
                     section, current = "automaton", attack_tr[tr]
@@ -189,6 +208,7 @@ def parse_model(text: str) -> ModelDocument:
                     raise ParseError(
                         "malformed omega header", lineno, tokens[0][1], expected="'omega <state> <event>:'"
                     )
+                _check_state_names([(words[1], tokens[1][1])], lineno)
                 omega[(words[1], words[2])] = _AutomatonBuilder(lineno, f"omega {words[1]} {words[2]}")
                 section, current = "automaton", omega[(words[1], words[2])]
             else:
@@ -212,6 +232,8 @@ def parse_model(text: str) -> ModelDocument:
                 current.feed(words, lineno)
         else:
             current.feed(words, lineno)
+        if section != "alphabet" and _RESERVED.search(line):
+            _check_state_names([tokens[1], tokens[3]] if words[0] == "transition" else tokens[1:], lineno)
 
     if not alphabet_rows:
         raise ParseError("missing alphabet", 1, expected="an 'alphabet:' section")

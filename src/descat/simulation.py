@@ -13,13 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .attacks import (
-    ObservationAttackStrategy,
-    convert_observation_based,
-    delta_control,
-    ensure_valid_policy,
-)
-from .automata import Automaton, Word, bounded_marked_language, ensure_deterministic, natural_projection, sub_automaton
+from .attacks import delta_control, ensure_valid_policy, transition_based_setup
+from .automata import Automaton, Word, bounded_marked_language, ensure_deterministic, natural_projection
 from .errors import InputError
 
 ATTACKER_KINDS = ("none", "random", "exhaustive")
@@ -134,18 +129,6 @@ def _control_deliveries(issued: frozenset[str], attackable: tuple[str, ...]) -> 
     return sorted(delta_control(issued, attackable), key=lambda c: (len(c), tuple(sorted(c))))
 
 
-def _resolve_setup(g, h, policy_or_strategy):
-    """Normalize an observation-based setup to a transition-based one."""
-    if isinstance(policy_or_strategy, ObservationAttackStrategy):
-        conversion = convert_observation_based(g, policy_or_strategy)
-        product = conversion.product
-        safe_pairs = frozenset(
-            name for name, (q, _) in conversion.pairs.items() if q in h.states
-        )
-        return product, sub_automaton(product, safe_pairs), conversion.policy
-    return g, h, policy_or_strategy
-
-
 def simulate(
     g: Automaton,
     h: Automaton,
@@ -170,7 +153,7 @@ def simulate(
     """
     if max_steps < 0:
         raise InputError("max_steps must be nonnegative")
-    g, h, policy = _resolve_setup(g, h, policy_or_strategy)
+    g, h, policy = transition_based_setup(g, h, policy_or_strategy)
     ensure_deterministic(g)
     ensure_valid_policy(g, policy)
     att = (

@@ -4,26 +4,21 @@ CA-controllability is decided exactly by reachability.  CA-observability
 has no known exact decision procedure, so only a depth-bounded check is
 offered and its positive answer is labelled ``holds-to-depth``.  The large
 language (the upper bound of everything the attacked closed loop can
-generate) is realized both as a product automaton and as a literal,
-exponential recursion used to cross-check it.
+generate) is realized as a product automaton, and its equality with the
+spec is decided on the fly.  Every check is one breadth-first search
+(``_bfs``) over a finite arena; the closed-loop arena pairs a plant state
+with the supervisor-observer states some attacked observation reaches.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping
 
-from .attacks import SensorAttackPolicy, ensure_valid_policy, phi_enumerate
-from .automata import (
-    Automaton,
-    Transition,
-    Word,
-    accessible,
-    bounded_marked_language,
-    ensure_deterministic,
-    is_subautomaton,
-    marked_word_length_bound,
-)
+from .attacks import SensorAttackPolicy, ensure_valid_policy
+from .automata import Automaton, Transition, Word, ensure_deterministic, is_subautomaton
 from .errors import InputError, UnsupportedSupervisorError
 from .estimation import CAObserver, build_ca_observer
 from .synthesis import disabled_set
@@ -69,17 +64,36 @@ class Verdict:
         }
 
 
-def _shortest_strings(h: Automaton) -> dict[str, Word]:
-    """Shortest string of L(h) reaching each reachable state (deterministic h)."""
-    best: dict[str, Word] = {h.initial: ()}
-    queue = [h.initial]
+def _fails(string: Word, event: str, witness: str, depth: int | None = None) -> Verdict:
+    return Verdict("fails", Counterexample(string, event, witness), depth)
+
+
+def _bfs(start, expand):
+    """Breadth-first search of the arena that ``expand`` spans from ``start``.
+
+    ``expand(node)`` lists ``(event, successor)`` pairs in sorted event
+    order, so nodes come out ordered by the length-lexicographically least
+    string reaching them.  Yields ``(node, level, successors, string)``;
+    ``string()`` rebuilds that least string from parent pointers.
+    """
+    parents = {start: None}
+    queue = deque([(start, 0)])
     while queue:
-        q = queue.pop(0)
-        for event, dst in h.outgoing(q):
-            if dst not in best:
-                best[dst] = best[q] + (event,)
-                queue.append(dst)
-    return best
+        node, level = queue.popleft()
+        successors = expand(node)
+        for event, succ in successors:
+            if succ not in parents:
+                parents[succ] = (node, event)
+                queue.append((succ, level + 1))
+        yield node, level, successors, partial(_string_to, parents, node)
+
+
+def _string_to(parents, node) -> Word:
+    out: list[str] = []
+    while parents[node] is not None:
+        node, event = parents[node]
+        out.append(event)
+    return tuple(reversed(out))
 
 
 def check_ca_controllability(
@@ -105,32 +119,11 @@ def check_ca_controllability(
         else g.alphabet.actuator_attackable
     )
     unstoppable = uc | att
-    shortest = _shortest_strings(h)
-    for q in sorted(shortest, key=lambda s: (len(shortest[s]), shortest[s])):
+    for q, _, _, string in _bfs(h.initial, h.outgoing):
         for event, dst in g.outgoing(q):
             if event in unstoppable and dst not in h.states:
-                return Verdict(
-                    status="fails",
-                    counterexample=Counterexample(
-                        string=shortest[q],
-                        event=event,
-                        witness=f"reaches unsafe state {dst!r}",
-                    ),
-                )
+                return _fails(string(), event, f"reaches unsafe state {dst!r}")
     return Verdict(status="holds")
-
-
-def _observation_cap(steps_bound: int, policy: SensorAttackPolicy) -> int:
-    """Length cap for enumerating observations of strings with ``steps_bound`` events.
-
-    Exact for finite attack languages; infinite ones are sampled up to
-    twice their automaton's state count per step.
-    """
-    per_step = 1
-    for _, f in policy.sorted_entries():
-        bound = marked_word_length_bound(f)
-        per_step = max(per_step, 2 * len(f.states) if bound is None else bound)
-    return steps_bound * per_step
 
 
 def check_ca_observability_bounded(
@@ -142,7 +135,9 @@ def check_ca_observability_bounded(
     it (up to ``depth`` events total), some feasible attacked observation
     must have a state estimate from which that event cannot leave the safe
     states.  If every observation's estimate would force the event to be
-    disabled, the pair is a counterexample.  A positive answer only covers
+    disabled, the pair is a counterexample.  The observer states of all
+    observations of a string are tracked exactly, so infinite corruption
+    languages are handled within the depth.  A positive answer only covers
     the explored depth.
     """
     if depth < 1:
@@ -153,7 +148,7 @@ def check_ca_observability_bounded(
     restricted, _ = policy.restricted_to(h)
     ensure_valid_policy(h, restricted)
     observer = build_ca_observer(h, restricted)
-    obs_cap = _observation_cap(depth, restricted)
+    relation = _ObserverStepRelation(observer, restricted, h.alphabet.observable)
 
     disabled_cache: dict[str, frozenset[str]] = {}
 
@@ -163,43 +158,21 @@ def check_ca_observability_bounded(
             disabled_cache[observer_state] = disabled_set(estimate, g, h.states)
         return disabled_cache[observer_state]
 
-    frontier: list[tuple[str, Word]] = [(h.initial, ())]
-    for _ in range(depth):
-        nxt: list[tuple[str, Word]] = []
-        for q, s in frontier:
-            phi = None
-            for event, dst in h.outgoing(q):
-                if phi is None:
-                    phi = phi_enumerate(s, h, restricted, depth=obs_cap)
-                ok = False
-                for t in phi.strings:
-                    x = observer.state_for(t)
-                    if x is not None and event not in disabled_for(x):
-                        ok = True
-                        break
-                if not ok:
-                    return Verdict(
-                        status="fails",
-                        counterexample=Counterexample(
-                            string=s,
-                            event=event,
-                            witness="every feasible observation yields an estimate that must disable the event",
-                        ),
-                        depth=depth,
-                    )
-                nxt.append((dst, s + (event,)))
-        frontier = nxt
-        if not frontier:
+    def expand(node):
+        q, tracked = node
+        return [
+            (event, (dst, relation.advance((q, event, dst), tracked))) for event, dst in h.outgoing(q)
+        ]
+
+    start = (h.initial, frozenset({observer.observer.initial}))
+    for (_, tracked), level, successors, string in _bfs(start, expand):
+        if level == depth:
             break
+        for event, _ in successors:
+            if all(event in disabled_for(x) for x in tracked):
+                witness = "every feasible observation yields an estimate that must disable the event"
+                return _fails(string(), event, witness, depth)
     return Verdict(status="holds-to-depth", depth=depth)
-
-
-def _require_estimate_based(supervisor) -> None:
-    for attr in ("observer", "controls", "control_for", "default_control"):
-        if not hasattr(supervisor, attr):
-            raise UnsupportedSupervisorError(
-                "this operation needs an estimate-based supervisor (observer plus per-state controls)"
-            )
 
 
 @dataclass(frozen=True)
@@ -218,10 +191,6 @@ class LargeLanguageAutomaton:
         object.__setattr__(self, "components", dict(self.components))
 
 
-def _encode_product_state(q: str, tracked: frozenset[str]) -> str:
-    return q + "|{" + ",".join(sorted(tracked)) + "}"
-
-
 class _ObserverStepRelation:
     """Per-plant-transition successor relation on supervisor-observer states.
 
@@ -237,11 +206,12 @@ class _ObserverStepRelation:
         self.observable = observable
         self._memo: dict[tuple[Transition, str], frozenset[str]] = {}
 
-    def successors(self, tr: Transition, w: str) -> frozenset[str]:
-        key = (tr, w)
-        if key not in self._memo:
-            self._memo[key] = self._compute(tr, w)
-        return self._memo[key]
+    def advance(self, tr: Transition, tracked: frozenset[str]) -> frozenset[str]:
+        """Observer states some tracked state steps to across ``tr``."""
+        for w in tracked:
+            if (tr, w) not in self._memo:
+                self._memo[tr, w] = self._compute(tr, w)
+        return frozenset().union(*(self._memo[tr, w] for w in tracked))
 
     def _compute(self, tr: Transition, w: str) -> frozenset[str]:
         f = self.policy.language_automaton(tr)
@@ -270,6 +240,42 @@ class _ObserverStepRelation:
         return frozenset(found)
 
 
+def _closed_loop(g: Automaton, supervisor, policy: SensorAttackPolicy, actuator_attackable):
+    """Start node and ``expand`` function of the attacked closed loop's arena.
+
+    A node pairs a plant state with the supervisor-observer states that
+    some feasible attacked observation of the string so far reaches.  An
+    event fires iff the plant allows it and it is uncontrollable,
+    actuator-attackable, or enabled by the control of some tracked state;
+    the tracked set advances through the per-transition observer relation.
+    """
+    for attr in ("observer", "controls", "control_for", "default_control"):
+        if not hasattr(supervisor, attr):
+            raise UnsupportedSupervisorError(
+                "this operation needs an estimate-based supervisor (observer plus per-state controls)"
+            )
+    ensure_deterministic(g)
+    ensure_valid_policy(g, policy)
+    att = (
+        frozenset(actuator_attackable)
+        if actuator_attackable is not None
+        else g.alphabet.actuator_attackable
+    )
+    free = g.alphabet.uncontrollable | att
+    controls = supervisor.controls
+    relation = _ObserverStepRelation(supervisor.observer, policy, g.alphabet.observable)
+
+    def expand(node):
+        q, tracked = node
+        return [
+            (event, (dst, relation.advance((q, event, dst), tracked)))
+            for event, dst in g.outgoing(q)
+            if event in free or any(event in controls[w] for w in tracked)
+        ]
+
+    return (g.initial, frozenset({supervisor.observer.observer.initial})), expand
+
+
 def large_language_automaton(
     g: Automaton,
     supervisor,
@@ -278,125 +284,26 @@ def large_language_automaton(
 ) -> LargeLanguageAutomaton:
     """Product construction generating exactly the attacked closed loop's large language.
 
-    From a pair (plant state, tracked observer states), an event fires iff
-    the plant allows it and it is uncontrollable, actuator-attackable, or
-    enabled by the control of some tracked observer state.  The tracked
-    set advances through the per-transition observer relation.
+    Its states are the nodes of the closed-loop arena (plant state, tracked
+    observer states), named ``q|{x,...}``; every node is marked.
     """
-    _require_estimate_based(supervisor)
-    ensure_deterministic(g)
-    ensure_valid_policy(g, policy)
-    att = (
-        frozenset(actuator_attackable)
-        if actuator_attackable is not None
-        else g.alphabet.actuator_attackable
-    )
-    free = g.alphabet.uncontrollable | att
-    relation = _ObserverStepRelation(supervisor.observer, policy, g.alphabet.observable)
-    x0 = supervisor.observer.observer.initial
-
-    initial = (g.initial, frozenset({x0}))
-    initial_name = _encode_product_state(*initial)
-    components: dict[str, tuple[str, frozenset[str]]] = {initial_name: initial}
-    transitions: set[Transition] = set()
-    queue = [initial_name]
-    while queue:
-        name = queue.pop(0)
-        q, tracked = components[name]
-        for event, dst in g.outgoing(q):
-            if event not in free and not any(
-                event in supervisor.controls[w] for w in tracked
-            ):
-                continue
-            tr = (q, event, dst)
-            advanced = frozenset()
-            for w in tracked:
-                advanced |= relation.successors(tr, w)
-            target = (dst, advanced)
-            target_name = _encode_product_state(*target)
-            if target_name not in components:
-                components[target_name] = target
-                queue.append(target_name)
-            transitions.add((name, event, target_name))
+    start, expand = _closed_loop(g, supervisor, policy, actuator_attackable)
+    names: dict[tuple[str, frozenset[str]], str] = {}
+    edges = []
+    for node, _, successors, _ in _bfs(start, expand):
+        q, tracked = node
+        names[node] = q + "|{" + ",".join(sorted(tracked)) + "}"
+        edges.extend((node, event, succ) for event, succ in successors)
     automaton = Automaton(
-        states=frozenset(components),
+        states=frozenset(names.values()),
         alphabet=g.alphabet,
-        transitions=frozenset(transitions),
-        initial=initial_name,
-        marked=frozenset(components),
+        transitions=frozenset((names[src], event, names[dst]) for src, event, dst in edges),
+        initial=names[start],
+        marked=frozenset(names.values()),
     )
-    return LargeLanguageAutomaton(automaton=automaton, components=components)
-
-
-def brute_force_large_language(
-    g: Automaton,
-    supervisor,
-    policy: SensorAttackPolicy,
-    depth: int,
-    actuator_attackable: Iterable[str] | None = None,
-) -> frozenset[Word]:
-    """Literal evaluation of the large-language recursion, up to ``depth`` events.
-
-    Exponential; intended as an independent cross-check of
-    :func:`large_language_automaton` on small models.  Observations are
-    enumerated exactly for finite attack languages and sampled up to a
-    documented cap otherwise, so prefer acyclic corruption automata when
-    exactness matters.
-    """
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
-    _require_estimate_based(supervisor)
-    ensure_deterministic(g)
-    ensure_valid_policy(g, policy)
-    att = (
-        frozenset(actuator_attackable)
-        if actuator_attackable is not None
-        else g.alphabet.actuator_attackable
+    return LargeLanguageAutomaton(
+        automaton=automaton, components={name: node for node, name in names.items()}
     )
-    free = g.alphabet.uncontrollable | att
-    observable = g.alphabet.observable
-    obs_cap = _observation_cap(depth, policy)
-
-    control_cache: dict[Word, frozenset[str]] = {}
-
-    def control(t: Word) -> frozenset[str]:
-        if t not in control_cache:
-            control_cache[t] = supervisor.control_for(t)
-        return control_cache[t]
-
-    fragment_cache: dict[tuple[Transition, int], frozenset[Word]] = {}
-
-    def fragments(tr: Transition, budget: int) -> frozenset[Word]:
-        f = policy.language_automaton(tr)
-        if f is None:
-            if tr[1] not in observable:
-                return frozenset({()})
-            return frozenset({(tr[1],)}) if budget >= 1 else frozenset()
-        key = (tr, budget)
-        if key not in fragment_cache:
-            fragment_cache[key] = bounded_marked_language(f, budget)
-        return fragment_cache[key]
-
-    # Per string, carry the plant state and the observation set built by the
-    # per-step concatenation that defines the corrupted-observation map.
-    accepted: set[Word] = {()}
-    frontier: dict[Word, tuple[str, frozenset[Word]]] = {(): (g.initial, frozenset({()}))}
-    for _ in range(depth):
-        nxt: dict[Word, tuple[str, frozenset[Word]]] = {}
-        for s, (q, phi) in frontier.items():
-            for event, dst in g.outgoing(q):
-                if event not in free and not any(event in control(t) for t in phi):
-                    continue
-                tr = (q, event, dst)
-                extended = frozenset(
-                    t + u for t in phi for u in fragments(tr, obs_cap - len(t))
-                )
-                nxt[s + (event,)] = (dst, extended)
-        frontier = nxt
-        if not frontier:
-            break
-        accepted.update(frontier)
-    return frozenset(accepted)
 
 
 def verify_large_language_equals(
@@ -408,46 +315,28 @@ def verify_large_language_equals(
 ) -> Verdict:
     """Exact language equality between the attacked closed loop's upper bound and the spec.
 
-    Both sides are finite deterministic generators, so equality reduces to
-    a product reachability check; a shortest distinguishing string is
-    reported on failure.
+    Walks the closed-loop arena and the spec together, on the fly, and
+    stops at the first event that only one side allows; that string is a
+    shortest distinguishing one.
     """
-    lla = large_language_automaton(g, supervisor, policy, actuator_attackable=actuator_attackable)
-    left = lla.automaton
-    right = accessible(h)
-    start = (left.initial, right.initial)
-    parents: dict[tuple[str, str], tuple[tuple[str, str], str] | None] = {start: None}
-    queue = [start]
-    while queue:
-        pair = queue.pop(0)
-        xl, xr = pair
-        events = {e for e, _ in left.outgoing(xl)} | {e for e, _ in right.outgoing(xr)}
-        for event in sorted(events):
-            nl = left.delta(xl, event)
-            nr = right.delta(xr, event)
-            if (nl is None) != (nr is None):
-                string = _product_trace(parents, pair)
+    start, loop = _closed_loop(g, supervisor, policy, actuator_attackable)
+
+    # A successor with a None side is an event only one side allows; the
+    # walk returns at its source pair, so it is never expanded.
+    def expand(pair):
+        node, r = pair
+        left = dict(loop(node))
+        right = {event: h.delta(r, event) for event, _ in h.outgoing(r)}
+        events = sorted(left.keys() | right.keys())
+        return [(event, (left.get(event), right.get(event))) for event in events]
+
+    for _, _, successors, string in _bfs((start, h.initial), expand):
+        for event, (node, r) in successors:
+            if node is None or r is None:
                 side = (
                     "generated by the closed loop but outside the specification"
-                    if nr is None
+                    if r is None
                     else "in the specification but not generated by the closed loop"
                 )
-                return Verdict(
-                    status="fails",
-                    counterexample=Counterexample(string=string, event=event, witness=side),
-                )
-            if nl is None:
-                continue
-            nxt = (nl, nr)
-            if nxt not in parents:
-                parents[nxt] = (pair, event)
-                queue.append(nxt)
+                return _fails(string(), event, side)
     return Verdict(status="holds")
-
-
-def _product_trace(parents, pair) -> Word:
-    out: list[str] = []
-    while parents[pair] is not None:
-        pair, event = parents[pair]
-        out.append(event)
-    return tuple(reversed(out))

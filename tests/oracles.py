@@ -1,13 +1,34 @@
 """Independent oracles used to cross-check the library's constructions.
 
-Everything here works directly on the raw automaton data (state sets and
-transition triples) with its own breadth-first searches, deliberately
+Most of them work directly on the raw automaton data (state sets and
+transition triples) with their own breadth-first searches, deliberately
 avoiding the library's observer, substitution and enumeration machinery.
+The last two, ``observability_by_enumeration`` and
+``brute_force_large_language``, evaluate verification's definitions
+literally, string by string, on top of the library's observer and
+corruption enumeration.
 """
 
 from __future__ import annotations
 
-from descat import EPSILON, Automaton, SensorAttackPolicy
+from typing import Iterable
+
+from descat import (
+    EPSILON,
+    Automaton,
+    Counterexample,
+    InputError,
+    SensorAttackPolicy,
+    Verdict,
+    bounded_marked_language,
+    build_ca_observer,
+    disabled_set,
+    is_subautomaton,
+    marked_word_length_bound,
+    phi_enumerate,
+)
+from descat.attacks import ensure_valid_policy
+from descat.automata import Transition, Word, ensure_deterministic
 
 
 def _adjacency(a: Automaton) -> dict[str, list[tuple[str, str]]]:
@@ -207,3 +228,146 @@ def projected_marked_words(a: Automaton, depth: int, observable=None) -> frozens
                 seen.add(node)
                 queue.append(node)
     return frozenset(t for q, t in seen if q in a.marked)
+
+
+def _observation_cap(steps_bound: int, policy: SensorAttackPolicy) -> int:
+    """Length cap for enumerating observations of strings with ``steps_bound`` events.
+
+    Exact for finite attack languages; infinite ones are sampled up to
+    twice their automaton's state count per step.
+    """
+    per_step = 1
+    for _, f in policy.sorted_entries():
+        bound = marked_word_length_bound(f)
+        per_step = max(per_step, 2 * len(f.states) if bound is None else bound)
+    return steps_bound * per_step
+
+
+def observability_by_enumeration(
+    g: Automaton, h: Automaton, policy: SensorAttackPolicy, depth: int
+) -> Verdict:
+    """Reference for :func:`check_ca_observability_bounded`, string by string.
+
+    Walks every string of the safety language up to ``depth`` events,
+    enumerates its attacked observations with ``phi_enumerate`` (up to
+    :func:`_observation_cap`) and replays each one through the observer.
+    Agrees with the library check whenever the corruption languages are
+    finite.
+    """
+    if depth < 1:
+        raise InputError("depth must be at least 1")
+    ensure_deterministic(g)
+    if not is_subautomaton(h, g):
+        raise InputError("the specification must be a sub-automaton of the plant")
+    restricted, _ = policy.restricted_to(h)
+    ensure_valid_policy(h, restricted)
+    observer = build_ca_observer(h, restricted)
+    obs_cap = _observation_cap(depth, restricted)
+
+    disabled_cache: dict[str, frozenset[str]] = {}
+
+    def disabled_for(observer_state: str) -> frozenset[str]:
+        if observer_state not in disabled_cache:
+            estimate = observer.plant_projection(observer_state)
+            disabled_cache[observer_state] = disabled_set(estimate, g, h.states)
+        return disabled_cache[observer_state]
+
+    frontier: list[tuple[str, Word]] = [(h.initial, ())]
+    for _ in range(depth):
+        nxt: list[tuple[str, Word]] = []
+        for q, s in frontier:
+            phi = None
+            for event, dst in h.outgoing(q):
+                if phi is None:
+                    phi = phi_enumerate(s, h, restricted, depth=obs_cap)
+                ok = False
+                for t in phi.strings:
+                    x = observer.state_for(t)
+                    if x is not None and event not in disabled_for(x):
+                        ok = True
+                        break
+                if not ok:
+                    return Verdict(
+                        status="fails",
+                        counterexample=Counterexample(
+                            string=s,
+                            event=event,
+                            witness="every feasible observation yields an estimate that must disable the event",
+                        ),
+                        depth=depth,
+                    )
+                nxt.append((dst, s + (event,)))
+        frontier = nxt
+        if not frontier:
+            break
+    return Verdict(status="holds-to-depth", depth=depth)
+
+
+def brute_force_large_language(
+    g: Automaton,
+    supervisor,
+    policy: SensorAttackPolicy,
+    depth: int,
+    actuator_attackable: Iterable[str] | None = None,
+) -> frozenset[Word]:
+    """Literal evaluation of the large-language recursion, up to ``depth`` events.
+
+    Exponential; intended as an independent cross-check of
+    :func:`large_language_automaton` on small models.  Observations are
+    enumerated exactly for finite attack languages and sampled up to a
+    documented cap otherwise, so prefer acyclic corruption automata when
+    exactness matters.
+    """
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
+    ensure_deterministic(g)
+    ensure_valid_policy(g, policy)
+    att = (
+        frozenset(actuator_attackable)
+        if actuator_attackable is not None
+        else g.alphabet.actuator_attackable
+    )
+    free = g.alphabet.uncontrollable | att
+    observable = g.alphabet.observable
+    obs_cap = _observation_cap(depth, policy)
+
+    control_cache: dict[Word, frozenset[str]] = {}
+
+    def control(t: Word) -> frozenset[str]:
+        if t not in control_cache:
+            control_cache[t] = supervisor.control_for(t)
+        return control_cache[t]
+
+    fragment_cache: dict[tuple[Transition, int], frozenset[Word]] = {}
+
+    def fragments(tr: Transition, budget: int) -> frozenset[Word]:
+        f = policy.language_automaton(tr)
+        if f is None:
+            if tr[1] not in observable:
+                return frozenset({()})
+            return frozenset({(tr[1],)}) if budget >= 1 else frozenset()
+        key = (tr, budget)
+        if key not in fragment_cache:
+            fragment_cache[key] = bounded_marked_language(f, budget)
+        return fragment_cache[key]
+
+    # Per string, carry the plant state and the observation set built by the
+    # per-step concatenation that defines the corrupted-observation map.
+    accepted: set[Word] = {()}
+    frontier: dict[Word, tuple[str, frozenset[Word]]] = {(): (g.initial, frozenset({()}))}
+    for _ in range(depth):
+        nxt: dict[Word, tuple[str, frozenset[Word]]] = {}
+        for s, (q, phi) in frontier.items():
+            for event, dst in g.outgoing(q):
+                if event not in free and not any(event in control(t) for t in phi):
+                    continue
+                tr = (q, event, dst)
+                extended = frozenset(
+                    t + u for t in phi for u in fragments(tr, obs_cap - len(t))
+                )
+                nxt[s + (event,)] = (dst, extended)
+        frontier = nxt
+        if not frontier:
+            break
+        accepted.update(frontier)
+    return frozenset(accepted)

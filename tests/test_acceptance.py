@@ -13,7 +13,6 @@ import pytest
 
 from descat import (
     AttackerStrategy,
-    brute_force_large_language,
     check_ca_controllability,
     check_ca_observability_bounded,
     build_ca_observer,
@@ -38,7 +37,7 @@ from conftest import (
     random_spec,
     random_supervisor,
 )
-from oracles import phi_language_oracle
+from oracles import brute_force_large_language, phi_language_oracle
 
 W = lambda text: tuple(text.split())
 

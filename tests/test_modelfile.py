@@ -121,6 +121,39 @@ class TestParseErrors:
             parse_model(text)
         assert "deterministic" in str(err.value)
 
+    def test_state_name_that_aliases_a_state_set_rejected(self):
+        # The observer would merge the subsets {"a,b"} and {a,b} into one
+        # state named {a,b}, and the synthesized supervisor would enable z
+        # after y although y u z leaves the safe states.
+        text = (
+            "alphabet:\n"
+            "  x controllable observable\n"
+            "  y controllable observable\n"
+            "  u\n"
+            "  z controllable observable\n"
+            "plant:\n"
+            "  initial 0\n"
+            "  transition 0 x a,b\n"
+            "  transition 0 y a\n"
+            "  transition a u b\n"
+            "  transition b z bad\n"
+            "spec:\n"
+            "  safe-states 0 a,b a b\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert (err.value.line, err.value.column) == (8, 18)
+        assert "a,b" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["{p}", "p|q", "p(", "(p,q", "(p,q,r)", "((p,q),r)"])
+    def test_reserved_characters_in_state_names_rejected(self, name):
+        with pytest.raises(ParseError):
+            parse_model(MINIMAL.replace(" p", f" {name}"))
+
+    def test_product_pair_state_names_accepted(self):
+        doc = parse_model(MINIMAL.replace(" p", " (p,z)"))
+        assert doc.plant.initial == "(p,z)"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["cycle.des", "cycle_beta_only.des", "cycle_obs.des"])

@@ -4,7 +4,6 @@ import random
 
 from descat import (
     AttackerStrategy,
-    brute_force_large_language,
     delta_control,
     enumerate_language,
     run_campaign,
@@ -13,6 +12,7 @@ from descat import (
     synthesize_obs_based,
     verify_large_language_equals,
 )
+from oracles import brute_force_large_language
 from conftest import random_model, random_spec
 
 W = lambda text: tuple(text.split())

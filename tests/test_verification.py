@@ -11,7 +11,6 @@ from descat import (
     InputError,
     SensorAttackPolicy,
     UnsupportedSupervisorError,
-    brute_force_large_language,
     check_ca_controllability,
     check_ca_observability_bounded,
     enumerate_language,
@@ -20,6 +19,7 @@ from descat import (
     synthesize_ca_supervisor,
     verify_large_language_equals,
 )
+from oracles import brute_force_large_language, observability_by_enumeration
 from conftest import random_model, random_spec, random_supervisor
 
 W = lambda text: tuple(text.split())
@@ -212,6 +212,17 @@ class TestObservability:
             )
             assert verdict.holds == literal
 
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_matches_enumeration_on_random_models(self, depth):
+        rng = random.Random(500 + depth)
+        for _ in range(150):
+            g, policy = random_model(rng, acyclic_attacks=True)
+            h = random_spec(rng, g)
+            assert (
+                check_ca_observability_bounded(g, h, policy, depth).as_dict()
+                == observability_by_enumeration(g, h, policy, depth).as_dict()
+            )
+
 
 class TestLargeLanguage:
     def test_corpus_closed_loop_generates_exactly_the_spec(self, cycle_beta):
@@ -306,6 +317,34 @@ class TestVerifyEquality:
                 g, g, sup, SensorAttackPolicy.empty(), actuator_attackable=frozenset()
             )
             assert verdict.holds
+
+    @pytest.mark.parametrize("actuator_attackable", [None, frozenset()])
+    def test_counterexamples_are_shortest_against_brute_force(self, actuator_attackable):
+        rng = random.Random(718)
+        for _ in range(100):
+            g, policy = random_model(rng)
+            h = random_spec(rng, g)
+            sup = random_supervisor(rng, g, h, policy)
+            verdict = verify_large_language_equals(
+                g, h, sup, policy, actuator_attackable=actuator_attackable
+            )
+            depth = 6 if verdict.holds else len(verdict.counterexample.string) + 1
+            large = brute_force_large_language(
+                g, sup, policy, depth, actuator_attackable=actuator_attackable
+            )
+            spec = enumerate_language(h, depth)
+            if verdict.holds:
+                assert large == spec
+                continue
+            ce = verdict.counterexample
+            extended = ce.string + (ce.event,)
+            assert ce.string in large and ce.string in spec
+            if ce.witness.startswith("generated by the closed loop"):
+                assert extended in large and extended not in spec
+            else:
+                assert extended in spec and extended not in large
+            shorter = len(ce.string)
+            assert {s for s in large if len(s) <= shorter} == {s for s in spec if len(s) <= shorter}
 
 
 class TestSimulationAgreement:
