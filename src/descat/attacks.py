@@ -11,6 +11,7 @@ issued control.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -108,6 +109,25 @@ class SensorAttackPolicy:
         return SensorAttackPolicy(entries=kept), dropped
 
 
+def _corruption_defects(
+    f: Automaton, observable: frozenset[str], memo: dict
+) -> tuple[tuple[str, ...], tuple[str, ...], bool]:
+    """Structural problems, non-observable labels and emptiness of a corruption automaton.
+
+    The labels come one per offending transition, in sorted transition
+    order.  Policies reuse a few automata across many entries, so each
+    distinct automaton is checked once per ``memo``.
+    """
+    if f not in memo:
+        memo[f] = (
+            tuple(validate_automaton(f)),
+            tuple(label for _, label, _ in sorted(f.transitions) if label == EPSILON or label not in observable),
+            # A nonempty regular language has a witness no longer than the state count.
+            not bounded_marked_language(f, len(f.states)),
+        )
+    return memo[f]
+
+
 def validate_policy(g: Automaton, policy: SensorAttackPolicy) -> list[str]:
     """Report every way ``policy`` fails to be a valid attack map for ``g``."""
     problems = []
@@ -121,16 +141,16 @@ def validate_policy(g: Automaton, policy: SensorAttackPolicy) -> list[str]:
     for tr in sorted(g.transitions):
         if tr[1] in attackable and tr not in policy.entries:
             problems.append(f"transition {tr!r} carries attackable event {tr[1]!r} but has no attack language")
+    memo: dict = {}
     for tr, f in policy.sorted_entries():
-        for problem in validate_automaton(f):
+        structural, bad_labels, empty = _corruption_defects(f, observable, memo)
+        for problem in structural:
             problems.append(f"attack automaton for {tr!r}: {problem}")
-        for src, label, dst in sorted(f.transitions):
-            if label == EPSILON or label not in observable:
-                problems.append(
-                    f"attack automaton for {tr!r}: transition label {label!r} is not an observable event"
-                )
-        if not bounded_marked_language(f, len(f.states)):
-            # A nonempty regular language has a witness no longer than the state count.
+        for label in bad_labels:
+            problems.append(
+                f"attack automaton for {tr!r}: transition label {label!r} is not an observable event"
+            )
+        if empty:
             problems.append(f"attack automaton for {tr!r} has an empty corruption language")
     return problems
 
@@ -350,9 +370,9 @@ def check_projection_containment(g: Automaton, sa: Automaton) -> Word | None:
     observable = g.alphabet.observable
     start = (g.initial, sa.initial)
     parents: dict[tuple[str, str], tuple[tuple[str, str], str] | None] = {start: None}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        pair = queue.pop(0)
+        pair = queue.popleft()
         q, z = pair
         for event, q2 in g.outgoing(q):
             if event == EPSILON or event not in observable:
@@ -399,19 +419,20 @@ def validate_strategy(g: Automaton, strategy: ObservationAttackStrategy) -> list
                 f"witness observation: {' '.join(witness) or 'ε'}"
             )
     attackable = g.alphabet.sensor_attackable
+    memo: dict = {}
     for (z, event), f in sorted(strategy.omega.items(), key=lambda kv: kv[0]):
         if z not in sa.states:
             problems.append(f"corruption entry for unknown context state {z!r}")
         if event not in attackable:
             problems.append(f"corruption entry for non-attackable event {event!r}")
-        for problem in validate_automaton(f):
+        structural, bad_labels, empty = _corruption_defects(f, observable, memo)
+        for problem in structural:
             problems.append(f"corruption automaton for ({z!r}, {event!r}): {problem}")
-        for src, label, dst in sorted(f.transitions):
-            if label == EPSILON or label not in observable:
-                problems.append(
-                    f"corruption automaton for ({z!r}, {event!r}): label {label!r} is not observable"
-                )
-        if not bounded_marked_language(f, len(f.states)):
+        for label in bad_labels:
+            problems.append(
+                f"corruption automaton for ({z!r}, {event!r}): label {label!r} is not observable"
+            )
+        if empty:
             problems.append(f"corruption automaton for ({z!r}, {event!r}) has an empty language")
     # Every reachable attacked (context, event) pair needs a corruption language.
     if sa.is_deterministic and witness is None:

@@ -8,6 +8,7 @@ operations are pure functions; nothing in this module mutates its inputs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -272,9 +273,9 @@ def subset_construction(a: Automaton) -> tuple[Automaton, dict[str, frozenset[st
     initial_name = encode_state_set(initial_set)
     members: dict[str, frozenset[str]] = {initial_name: initial_set}
     transitions: set[Transition] = set()
-    queue = [initial_name]
+    queue = deque([initial_name])
     while queue:
-        name = queue.pop(0)
+        name = queue.popleft()
         current = members[name]
         for label in a.used_labels:
             target = _step(a, current, label)
@@ -319,7 +320,7 @@ def parallel_compose_pairs(a: Automaton, b: Automaton) -> tuple[Automaton, dict[
     initial_name = encode_pair(*initial_pair)
     pairs: dict[str, tuple[str, str]] = {initial_name: initial_pair}
     transitions: set[Transition] = set()
-    queue = [initial_name]
+    queue = deque([initial_name])
 
     def visit(pair: tuple[str, str]) -> str:
         name = encode_pair(*pair)
@@ -329,7 +330,7 @@ def parallel_compose_pairs(a: Automaton, b: Automaton) -> tuple[Automaton, dict[
         return name
 
     while queue:
-        name = queue.pop(0)
+        name = queue.popleft()
         qa, qb = pairs[name]
         for label, qa2 in a.outgoing(qa):
             if label != EPSILON and label in shared:

@@ -265,7 +265,7 @@ def _cmd_export_dot(args) -> int:
             raise DescatError("the model has no attack-context automaton")
         obj = doc.sa
     elif what == "diamond":
-        g, _, policy = transition_based_setup(doc.plant, doc.spec_automaton(), _attack(doc))
+        g, _, policy = transition_based_setup(doc.plant, None, _attack(doc))
         obj = build_g_diamond(g, policy)
     else:  # observer
         obj, _ = _observer_for(doc, "plant")

@@ -41,6 +41,28 @@ class DiamondAutomaton:
         object.__setattr__(self, "provenance", dict(self.provenance))
 
 
+def _splice(
+    taken: frozenset[str], transitions: set[Transition], tr: Transition, f: Automaton, prefix: str
+) -> dict[str, str]:
+    """Swap ``tr`` in ``transitions`` for a copy of ``f``, as :func:`replace_transition` describes.
+
+    Returns the map from ``f``'s states to their copies; raises
+    :class:`InputError` when a copy's name is already in ``taken``.
+    """
+    rename = {s: f"{prefix}/{s}" for s in f.states}
+    clash = set(rename.values()) & taken
+    if clash:
+        raise InputError(f"injected state names {sorted(clash)} collide with existing states")
+    src, _, dst = tr
+    transitions.remove(tr)
+    for fsrc, label, fdst in f.transitions:
+        transitions.add((rename[fsrc], label, rename[fdst]))
+    transitions.add((src, EPSILON, rename[f.initial]))
+    for m in f.marked:
+        transitions.add((rename[m], EPSILON, dst))
+    return rename
+
+
 def replace_transition(a: Automaton, tr: Transition, f: Automaton, prefix: str | None = None) -> Automaton:
     """Replace one transition by an automaton accepting its corruption language.
 
@@ -53,20 +75,10 @@ def replace_transition(a: Automaton, tr: Transition, f: Automaton, prefix: str |
     tr = tuple(tr)
     if tr not in a.transitions:
         raise InputError(f"transition {tr!r} does not exist")
-    src, _, dst = tr
     if prefix is None:
-        prefix = f"{src}.{tr[1]}.{dst}"
-    rename = {s: f"{prefix}/{s}" for s in f.states}
-    clash = set(rename.values()) & a.states
-    if clash:
-        raise InputError(f"injected state names {sorted(clash)} collide with existing states")
+        prefix = f"{tr[0]}.{tr[1]}.{tr[2]}"
     transitions = set(a.transitions)
-    transitions.remove(tr)
-    for fsrc, label, fdst in f.transitions:
-        transitions.add((rename[fsrc], label, rename[fdst]))
-    transitions.add((src, EPSILON, rename[f.initial]))
-    for m in f.marked:
-        transitions.add((rename[m], EPSILON, dst))
+    rename = _splice(a.states, transitions, tr, f, prefix)
     return Automaton(
         states=a.states | frozenset(rename.values()),
         alphabet=a.alphabet,
@@ -79,24 +91,30 @@ def replace_transition(a: Automaton, tr: Transition, f: Automaton, prefix: str |
 def build_g_diamond(g: Automaton, policy: SensorAttackPolicy) -> DiamondAutomaton:
     """Substitute every attacked transition of ``g`` by its corruption automaton.
 
+    Equivalent to applying :func:`replace_transition` to each policy entry
+    in turn, but the automaton is built once rather than once per entry.
     Injected states are named ``tr<i>/<state>`` where ``i`` indexes the
     policy entries in sorted transition order, which keeps derived
-    constructions byte-stable across runs.  The marked set of the result
-    is the full original state set.
+    constructions byte-stable across runs.  Names of different entries
+    cannot meet (their prefixes differ), so only clashes with plant states
+    are possible; the first entry in sorted order that has one raises
+    :class:`InputError`.  The marked set of the result is the full
+    original state set.
     """
     ensure_valid_policy(g, policy)
-    current = g
+    states = set(g.states)
+    transitions = set(g.transitions)
     provenance: dict[str, tuple[Transition, str]] = {}
     for i, (tr, f) in enumerate(policy.sorted_entries()):
-        prefix = f"tr{i}"
-        current = replace_transition(current, tr, f, prefix=prefix)
-        for s in f.states:
-            provenance[f"{prefix}/{s}"] = (tr, s)
+        rename = _splice(g.states, transitions, tr, f, f"tr{i}")
+        states.update(rename.values())
+        for s, name in rename.items():
+            provenance[name] = (tr, s)
     diamond = Automaton(
-        states=current.states,
-        alphabet=current.alphabet,
-        transitions=current.transitions,
-        initial=current.initial,
+        states=frozenset(states),
+        alphabet=g.alphabet,
+        transitions=frozenset(transitions),
+        initial=g.initial,
         marked=g.states,
     )
     return DiamondAutomaton(

@@ -151,6 +151,12 @@ def simulate(
     argument; under ``exhaustive`` the run is deterministic and returns a
     shortest violating trace when one exists within the bound.
     """
+    g, h, policy, att = _prepare(g, h, policy_or_strategy, actuator_attackable, max_steps)
+    return _run(g, h, policy, att, supervisor, attacker, max_steps, seed)
+
+
+def _prepare(g, h, policy_or_strategy, actuator_attackable, max_steps):
+    """Checked plant, spec, transition-based policy and actuator-attackable events of a run."""
     if max_steps < 0:
         raise InputError("max_steps must be nonnegative")
     g, h, policy = transition_based_setup(g, h, policy_or_strategy)
@@ -161,6 +167,11 @@ def simulate(
         if actuator_attackable is not None
         else tuple(sorted(g.alphabet.actuator_attackable))
     )
+    return g, h, policy, att
+
+
+def _run(g, h, policy, att, supervisor, attacker: AttackerStrategy, max_steps: int, seed: int | None) -> Trace:
+    """One run of :func:`simulate` on the output of :func:`_prepare`."""
     cap = attacker.fragment_cap
     effective_seed = attacker.seed if attacker.seed is not None else seed
     if attacker.kind == "exhaustive":
@@ -338,18 +349,10 @@ def run_campaign(
     visited: set[str | None] = set()
     violation_count = 0
     runs = 1 if attacker.kind == "exhaustive" else trials
+    g, h, policy, att = _prepare(g, h, policy_or_strategy, actuator_attackable, max_steps)
     for i in range(runs):
         seed = None if base_seed is None else base_seed + i
-        trace = simulate(
-            g,
-            h,
-            supervisor,
-            policy_or_strategy,
-            actuator_attackable=actuator_attackable,
-            attacker=attacker,
-            max_steps=max_steps,
-            seed=seed,
-        )
+        trace = _run(g, h, policy, att, supervisor, attacker, max_steps, seed)
         prefix: Word = ()
         visited.add(supervisor.observer_state_for(prefix))
         for step in trace.steps:

@@ -168,9 +168,9 @@ def random_model(
     events = list(EVENT_POOL[: rng.randint(2, 4)])
     states = [f"q{i}" for i in range(rng.randint(2, max_states))]
     observable = frozenset(e for e in events if rng.random() < 0.8)
-    sensor = frozenset(sorted(e for e in observable if rng.random() < 0.5)[:2])
+    sensor = frozenset(sorted(e for e in sorted(observable) if rng.random() < 0.5)[:2])
     controllable = frozenset(e for e in events if rng.random() < 0.7)
-    actuator = frozenset(e for e in controllable if rng.random() < 0.4)
+    actuator = frozenset(e for e in sorted(controllable) if rng.random() < 0.4)
     alphabet = EventAlphabet(
         events=frozenset(events),
         controllable=controllable,
@@ -213,7 +213,7 @@ def random_model(
 
 
 def random_spec(rng: random.Random, g: Automaton) -> Automaton:
-    safe = {g.initial} | {q for q in g.states if rng.random() < 0.7}
+    safe = {g.initial} | {q for q in sorted(g.states) if rng.random() < 0.7}
     return sub_automaton(g, safe)
 
 

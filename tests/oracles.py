@@ -3,10 +3,11 @@
 Most of them work directly on the raw automaton data (state sets and
 transition triples) with their own breadth-first searches, deliberately
 avoiding the library's observer, substitution and enumeration machinery.
-The last two, ``observability_by_enumeration`` and
-``brute_force_large_language``, evaluate verification's definitions
-literally, string by string, on top of the library's observer and
-corruption enumeration.
+``diamond_by_replacement`` builds the attack-substituted plant by folding
+the one-transition substitution over the policy entries.  The last two,
+``observability_by_enumeration`` and ``brute_force_large_language``,
+evaluate verification's definitions literally, string by string, on top
+of the library's observer and corruption enumeration.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from descat import (
     EPSILON,
     Automaton,
     Counterexample,
+    DiamondAutomaton,
     InputError,
     SensorAttackPolicy,
     Verdict,
@@ -26,6 +28,7 @@ from descat import (
     is_subautomaton,
     marked_word_length_bound,
     phi_enumerate,
+    replace_transition,
 )
 from descat.attacks import ensure_valid_policy
 from descat.automata import Transition, Word, ensure_deterministic
@@ -228,6 +231,35 @@ def projected_marked_words(a: Automaton, depth: int, observable=None) -> frozens
                 seen.add(node)
                 queue.append(node)
     return frozenset(t for q, t in seen if q in a.marked)
+
+
+def diamond_by_replacement(g: Automaton, policy: SensorAttackPolicy) -> DiamondAutomaton:
+    """Reference for :func:`build_g_diamond`: one :func:`replace_transition` per entry.
+
+    Rebuilds the whole automaton for every policy entry, so it is
+    quadratic in the number of entries.
+    """
+    ensure_valid_policy(g, policy)
+    current = g
+    provenance: dict[str, tuple[Transition, str]] = {}
+    for i, (tr, f) in enumerate(policy.sorted_entries()):
+        prefix = f"tr{i}"
+        current = replace_transition(current, tr, f, prefix=prefix)
+        for s in f.states:
+            provenance[f"{prefix}/{s}"] = (tr, s)
+    diamond = Automaton(
+        states=current.states,
+        alphabet=current.alphabet,
+        transitions=current.transitions,
+        initial=current.initial,
+        marked=g.states,
+    )
+    return DiamondAutomaton(
+        automaton=diamond,
+        original_states=g.states,
+        injected_states=diamond.states - g.states,
+        provenance=provenance,
+    )
 
 
 def _observation_cap(steps_bound: int, policy: SensorAttackPolicy) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from descat import (
     Automaton,
     InputError,
+    ObservationAttackStrategy,
     PreconditionError,
     SensorAttackPolicy,
     bounded_marked_language,
@@ -21,6 +22,7 @@ from descat import (
     phi_omega,
     theta_automaton,
     validate_policy,
+    validate_strategy,
 )
 from conftest import make_cycle, random_model
 
@@ -86,6 +88,34 @@ class TestPolicyValidation:
             {**model.policy.entries, ("2", "lambda", "3"): dead}
         )
         assert any("empty corruption language" in p for p in validate_policy(model.plant, policy))
+
+    def test_shared_invalid_automaton_reported_per_use(self, cycle_strategy):
+        model = make_cycle(("beta",))
+        bad = Automaton(
+            states={"X"}, alphabet=model.alphabet, transitions={("X", "nope", "Y")}, initial="X"
+        )
+        defects = [
+            ": transition ('X', 'nope', 'Y') enters unknown state 'Y'",
+            ": transition ('X', 'nope', 'Y') uses undeclared event 'nope'",
+        ]
+        policy = SensorAttackPolicy.from_transitions({tr: bad for tr in model.policy.entries})
+        expected = []
+        for tr in (("2", "lambda", "3"), ("3", "mu", "1")):
+            head = f"attack automaton for {tr!r}"
+            expected += [head + d for d in defects] + [
+                head + ": transition label 'nope' is not an observable event",
+                head + " has an empty corruption language",
+            ]
+        assert validate_policy(model.plant, policy) == expected
+        strategy = ObservationAttackStrategy(sa=cycle_strategy.sa, omega={k: bad for k in cycle_strategy.omega})
+        expected = []
+        for z, event in (("z2", "lambda"), ("z3", "mu")):
+            head = f"corruption automaton for ({z!r}, {event!r})"
+            expected += [head + d for d in defects] + [
+                head + ": label 'nope' is not observable",
+                head + " has an empty language",
+            ]
+        assert validate_strategy(model.plant, strategy) == expected
 
     def test_uniform_expansion_covers_every_matching_transition(self):
         model = make_cycle()

@@ -174,6 +174,16 @@ class TestConvertAndDot:
         assert code == 0
 
 
+    def test_export_dot_diamond_needs_no_spec(self, capsys, tmp_path):
+        text = Path(CYCLE_OBS).read_text()
+        no_spec = tmp_path / "nospec.des"
+        no_spec.write_text(text.replace("spec:\n  safe-states 1 2 3\n", ""))
+        assert "spec:" not in no_spec.read_text()
+        _, with_spec, _ = run_cli(capsys, "export-dot", CYCLE_OBS, "--what", "diamond")
+        code, out, err = run_cli(capsys, "export-dot", str(no_spec), "--what", "diamond")
+        assert (code, err) == (0, "")
+        assert out == with_spec
+
 class TestErrors:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "no/such/file.des", "--obs", "alpha")

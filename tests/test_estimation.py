@@ -14,14 +14,16 @@ from descat import (
     build_ca_observer,
     build_g_diamond,
     bounded_marked_language,
+    convert_observation_based,
     enumerate_language,
     erase_unobservable,
+    export_dot,
     lift_estimate,
     replace_transition,
     state_estimate,
 )
-from conftest import random_model
-from oracles import estimate_oracle, phi_language_oracle, projected_marked_words
+from conftest import random_model, random_strategy
+from oracles import diamond_by_replacement, estimate_oracle, phi_language_oracle, projected_marked_words
 
 W = lambda text: tuple(text.split())
 
@@ -89,6 +91,43 @@ class TestDiamond:
         assert diamond.automaton.transitions == plant.transitions
         assert diamond.automaton.marked == plant.states
         assert diamond.injected_states == frozenset()
+
+    def test_equals_sequential_replacement_on_random_models(self):
+        rng = random.Random(4040)
+        converted = 0
+        for _ in range(120):
+            g, policy = random_model(rng, acyclic_attacks=False)
+            setups = [(g, policy)]
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                conversion = convert_observation_based(g, strategy)
+                setups.append((conversion.product, conversion.policy))
+                converted += 1
+            for plant, pol in setups:
+                fast, slow = build_g_diamond(plant, pol), diamond_by_replacement(plant, pol)
+                assert fast.automaton == slow.automaton
+                assert fast.injected_states == slow.injected_states
+                assert list(fast.provenance.items()) == list(slow.provenance.items())
+                assert export_dot(fast, name="diamond") == export_dot(slow, name="diamond")
+        assert converted > 30
+
+    @pytest.mark.parametrize("taken", [("tr1/E",), ("tr1/E", "tr0/B")])
+    def test_name_clash_error_matches_sequential_replacement(self, cycle, taken):
+        # Plant states named like injected copies: the first entry in sorted
+        # order whose copy clashes is the one reported.
+        plant = Automaton(
+            states=cycle.plant.states | set(taken),
+            alphabet=cycle.alphabet,
+            transitions=cycle.plant.transitions | {("4", "beta", name) for name in taken},
+            initial="1",
+        )
+        messages = []
+        for build in (build_g_diamond, diamond_by_replacement):
+            with pytest.raises(InputError) as err:
+                build(plant, cycle.policy)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert repr([min(taken)]) in messages[0]
 
     def test_marked_language_is_corruption_image(self, cycle):
         diamond = build_g_diamond(cycle.plant, cycle.policy)

@@ -2,8 +2,12 @@
 
 import random
 
+import pytest
+
 from descat import (
     AttackerStrategy,
+    InputError,
+    SensorAttackPolicy,
     delta_control,
     enumerate_language,
     run_campaign,
@@ -199,6 +203,39 @@ class TestCampaign:
             assert report.violating[0] == direct
         else:
             assert direct.safe
+
+    def test_trials_reproduce_simulate_per_seed(self, cycle_beta, cycle_strategy):
+        sup = synthesize_obs_based(cycle_beta.plant, cycle_beta.spec, cycle_strategy)
+        attackable = {"alpha", "beta"}
+        report = run_campaign(
+            cycle_beta.plant, cycle_beta.spec, sup, cycle_strategy,
+            actuator_attackable=attackable, trials=30, max_steps=8, base_seed=5,
+        )
+        traces = [
+            simulate(
+                cycle_beta.plant, cycle_beta.spec, sup, cycle_strategy,
+                actuator_attackable=attackable, max_steps=8, seed=5 + i,
+            )
+            for i in range(30)
+        ]
+        first: dict = {}
+        for trace in traces:
+            if not trace.safe:
+                first.setdefault(trace.plant_string, trace)
+        assert report.violation_count == sum(not t.safe for t in traces) > 0
+        assert report.violating == tuple(first.values())
+
+    def test_invalid_input_raises_before_any_trial(self, cycle_beta):
+        class NeverAsked:
+            def control_for(self, observation):
+                raise AssertionError("a trial ran")
+
+        for policy, max_steps in ((SensorAttackPolicy.empty(), 5), (cycle_beta.policy, -1)):
+            with pytest.raises(InputError):
+                run_campaign(
+                    cycle_beta.plant, cycle_beta.spec, NeverAsked(), policy,
+                    trials=3, max_steps=max_steps,
+                )
 
 
 class TestObservationBasedSimulation:
