@@ -402,7 +402,20 @@ def _trace_back(parents, pair) -> Word:
 
 def validate_strategy(g: Automaton, strategy: ObservationAttackStrategy) -> list[str]:
     """Report every defect of an observation-based attack strategy for ``g``."""
+    return _strategy_problems(g, strategy)[0]
+
+
+def _strategy_problems(
+    g: Automaton, strategy: ObservationAttackStrategy
+) -> tuple[list[str], tuple[Automaton, dict[str, tuple[str, str]]] | None]:
+    """:func:`validate_strategy`'s problems, with ``parallel_compose_pairs(g, strategy.sa)``.
+
+    The composition is built to check the reachable context pairs, so it
+    is returned for reuse; it is ``None`` only when there are problems
+    (the context automaton is not deterministic or does not cover the plant).
+    """
     problems = []
+    composed = None
     sa = strategy.sa
     observable = g.alphabet.observable
     if not sa.is_deterministic:
@@ -436,7 +449,7 @@ def validate_strategy(g: Automaton, strategy: ObservationAttackStrategy) -> list
             problems.append(f"corruption automaton for ({z!r}, {event!r}) has an empty language")
     # Every reachable attacked (context, event) pair needs a corruption language.
     if sa.is_deterministic and witness is None:
-        product, pairs = parallel_compose_pairs(g, sa)
+        composed = product, pairs = parallel_compose_pairs(g, sa)
         for name, label, _ in sorted(product.transitions):
             if label in attackable:
                 z = pairs[name][1]
@@ -444,13 +457,17 @@ def validate_strategy(g: Automaton, strategy: ObservationAttackStrategy) -> list
                     problems.append(
                         f"no corruption language for reachable context pair ({z!r}, {label!r})"
                     )
-    return problems
+    return problems, composed
 
 
-def ensure_valid_strategy(g: Automaton, strategy: ObservationAttackStrategy) -> None:
-    problems = validate_strategy(g, strategy)
+def ensure_valid_strategy(
+    g: Automaton, strategy: ObservationAttackStrategy
+) -> tuple[Automaton, dict[str, tuple[str, str]]]:
+    """Raise :class:`PreconditionError` on any defect; else ``parallel_compose_pairs(g, strategy.sa)``."""
+    problems, composed = _strategy_problems(g, strategy)
     if problems:
         raise PreconditionError("invalid observation attack strategy: " + "; ".join(problems))
+    return composed
 
 
 def phi_omega(
@@ -513,8 +530,7 @@ def convert_observation_based(g: Automaton, strategy: ObservationAttackStrategy)
     witness) when the context automaton does not cover the projected plant
     language.
     """
-    ensure_valid_strategy(g, strategy)
-    product, pairs = parallel_compose_pairs(g, strategy.sa)
+    product, pairs = ensure_valid_strategy(g, strategy)
     attackable = g.alphabet.sensor_attackable
     entries: dict[Transition, Automaton] = {}
     for tr in sorted(product.transitions):

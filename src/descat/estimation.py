@@ -170,17 +170,25 @@ class CAObserver:
             raise InputError(f"unknown observer state {state!r}")
         return self.members[state] & self.plant_states
 
-    def state_for(self, observation: Iterable[str]) -> str | None:
-        """Observer state reached by an observation, or None when infeasible."""
-        current = self.observer.initial
-        for event in observation:
+    def advance(self, state: str | None, events: Iterable[str]) -> str | None:
+        """Observer state reached from ``state`` by ``events``, or None when infeasible.
+
+        ``None`` (an infeasible observation so far) stays ``None``, so
+        ``advance(state_for(u), v) == state_for(u + v)``.  The cost is
+        linear in ``events`` alone, which lets a caller follow a growing
+        observation one fragment at a time.
+        """
+        for event in events:
+            if state is None:
+                return None
             if event not in self.observer.alphabet.events:
                 raise InputError(f"unknown event {event!r}")
-            nxt = self.observer.delta(current, event)
-            if nxt is None:
-                return None
-            current = nxt
-        return current
+            state = self.observer.delta(state, event)
+        return state
+
+    def state_for(self, observation: Iterable[str]) -> str | None:
+        """Observer state reached by an observation, or None when infeasible."""
+        return self.advance(self.observer.initial, observation)
 
 
 def build_ca_observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:

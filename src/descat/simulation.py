@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .attacks import delta_control, ensure_valid_policy, transition_based_setup
-from .automata import Automaton, Word, bounded_marked_language, ensure_deterministic, natural_projection
+from .automata import Automaton, Transition, Word, bounded_marked_language, ensure_deterministic, natural_projection
 from .errors import InputError
+from .synthesis import ensure_estimate_based
 
 ATTACKER_KINDS = ("none", "random", "exhaustive")
 
@@ -119,16 +120,6 @@ class Trace:
         }
 
 
-def _fragment_choices(f: Automaton, cap: int | None) -> list[Word]:
-    limit = cap if cap is not None else 2 * len(f.states)
-    words = bounded_marked_language(f, limit)
-    return sorted(words, key=lambda w: (len(w), w))
-
-
-def _control_deliveries(issued: frozenset[str], attackable: tuple[str, ...]) -> list[frozenset[str]]:
-    return sorted(delta_control(issued, attackable), key=lambda c: (len(c), tuple(sorted(c))))
-
-
 def simulate(
     g: Automaton,
     h: Automaton,
@@ -147,152 +138,187 @@ def simulate(
     the emitted observation fragment for attacked transitions.  The trace
     flags each prefix's membership in the safety language.
 
+    The supervisor must be estimate-based (see :class:`Supervisor`);
+    anything else raises :class:`UnsupportedSupervisorError` once the
+    other inputs have been checked.  Its observer state is carried
+    through the run and advanced by each fragment, so a step costs
+    O(fragment), not O(observation so far).
+
     The attacker's own ``seed`` takes precedence over the ``seed``
     argument; under ``exhaustive`` the run is deterministic and returns a
     shortest violating trace when one exists within the bound.
     """
-    g, h, policy, att = _prepare(g, h, policy_or_strategy, actuator_attackable, max_steps)
-    return _run(g, h, policy, att, supervisor, attacker, max_steps, seed)
+    return _PreparedRun(g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps).run(seed)
 
 
-def _prepare(g, h, policy_or_strategy, actuator_attackable, max_steps):
-    """Checked plant, spec, transition-based policy and actuator-attackable events of a run."""
-    if max_steps < 0:
-        raise InputError("max_steps must be nonnegative")
-    g, h, policy = transition_based_setup(g, h, policy_or_strategy)
-    ensure_deterministic(g)
-    ensure_valid_policy(g, policy)
-    att = (
-        tuple(sorted(actuator_attackable))
-        if actuator_attackable is not None
-        else tuple(sorted(g.alphabet.actuator_attackable))
-    )
-    return g, h, policy, att
+class _PreparedRun:
+    """The checked inputs of :func:`simulate`, ready to run once per seed.
 
-
-def _run(g, h, policy, att, supervisor, attacker: AttackerStrategy, max_steps: int, seed: int | None) -> Trace:
-    """One run of :func:`simulate` on the output of :func:`_prepare`."""
-    cap = attacker.fragment_cap
-    effective_seed = attacker.seed if attacker.seed is not None else seed
-    if attacker.kind == "exhaustive":
-        return _simulate_exhaustive(g, h, supervisor, policy, att, max_steps, cap)
-    rng = random.Random(effective_seed)
-    uncontrollable = g.alphabet.uncontrollable
-
-    steps: list[TraceStep] = []
-    q = g.initial
-    observation: Word = ()
-    safe = q in h.states
-    for index in range(1, max_steps + 1):
-        issued = supervisor.control_for(observation)
-        if attacker.kind == "none":
-            received = issued
-        else:
-            received = rng.choice(_control_deliveries(issued, att))
-        enabled = sorted(
-            event
-            for event, _ in g.outgoing(q)
-            if event in uncontrollable or event in received
-        )
-        if not enabled:
-            break
-        event = rng.choice(enabled)
-        dst = g.delta(q, event)
-        tr = (q, event, dst)
-        f = policy.language_automaton(tr)
-        if f is None or attacker.kind == "none":
-            fragment = natural_projection((event,), g.alphabet)
-        else:
-            fragment = rng.choice(_fragment_choices(f, cap))
-        q = dst
-        observation = observation + fragment
-        safe = safe and q in h.states
-        steps.append(
-            TraceStep(
-                index=index,
-                event=event,
-                issued=tuple(sorted(issued)),
-                received=tuple(sorted(received)),
-                fragment=fragment,
-                safe=safe,
-            )
-        )
-    return Trace(
-        steps=tuple(steps),
-        safe=all(s.safe for s in steps) if steps else g.initial in h.states,
-        attacker=attacker.kind,
-        seed=effective_seed,
-        fragment_cap=cap if cap is not None else max((2 * len(f.states) for _, f in policy.sorted_entries()), default=0),
-    )
-
-
-def _simulate_exhaustive(g, h, supervisor, policy, att, max_steps, cap) -> Trace:
-    """Breadth-first search over all attacker and plant choices.
-
-    Returns a shortest violating trace if the adversary can force one
-    within ``max_steps`` events, otherwise a deterministic maximal safe
-    run (first branch everywhere).
+    What stays fixed across the trials of a campaign is worked out once:
+    the transition-based setup, the trace's fragment cap, and (as they are
+    first needed) the fragments the attacker may emit on each attacked
+    transition and the deliveries of each issued control.
     """
-    uncontrollable = g.alphabet.uncontrollable
-    effective_cap = cap if cap is not None else max(
-        (2 * len(f.states) for _, f in policy.sorted_entries()), default=0
-    )
 
-    def make_trace(steps: tuple[TraceStep, ...]) -> Trace:
+    def __init__(self, g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps):
+        if max_steps < 0:
+            raise InputError("max_steps must be nonnegative")
+        g, h, policy = transition_based_setup(g, h, policy_or_strategy)
+        ensure_deterministic(g)
+        ensure_valid_policy(g, policy)
+        ensure_estimate_based(supervisor)
+        self.g, self.h, self.policy, self.supervisor = g, h, policy, supervisor
+        self.attacker, self.max_steps = attacker, max_steps
+        self.att = (
+            tuple(sorted(actuator_attackable))
+            if actuator_attackable is not None
+            else tuple(sorted(g.alphabet.actuator_attackable))
+        )
+        cap = attacker.fragment_cap
+        self.fragment_cap = (
+            cap if cap is not None else max((2 * len(f.states) for _, f in policy.sorted_entries()), default=0)
+        )
+        self._fragments: dict[Transition, list[Word] | None] = {}
+        self._deliveries: dict[frozenset[str], list[frozenset[str]]] = {}
+
+    def fragment_choices(self, tr: Transition) -> list[Word] | None:
+        """Corruption words for ``tr``, shortest first; None when ``tr`` is not attacked."""
+        if tr not in self._fragments:
+            f = self.policy.language_automaton(tr)
+            if f is None:
+                self._fragments[tr] = None
+            else:
+                cap = self.attacker.fragment_cap
+                words = bounded_marked_language(f, cap if cap is not None else 2 * len(f.states))
+                self._fragments[tr] = sorted(words, key=lambda w: (len(w), w))
+        return self._fragments[tr]
+
+    def deliveries(self, issued: frozenset[str]) -> list[frozenset[str]]:
+        """Controls the plant may receive for ``issued``, in a fixed order."""
+        if issued not in self._deliveries:
+            self._deliveries[issued] = sorted(
+                delta_control(issued, self.att), key=lambda c: (len(c), tuple(sorted(c)))
+            )
+        return self._deliveries[issued]
+
+    def trace(self, steps: tuple[TraceStep, ...], seed: int | None) -> Trace:
         return Trace(
             steps=steps,
-            safe=all(s.safe for s in steps) if steps else g.initial in h.states,
-            attacker="exhaustive",
-            seed=None,
-            fragment_cap=effective_cap,
+            safe=all(s.safe for s in steps) if steps else self.g.initial in self.h.states,
+            attacker=self.attacker.kind,
+            seed=seed,
+            fragment_cap=self.fragment_cap,
         )
 
-    start = (g.initial, (), ())  # plant state, observation, trace steps
-    frontier = [start]
-    seen = {(g.initial, ())}
-    fallback: tuple[TraceStep, ...] = ()
-    for _ in range(max_steps):
-        nxt = []
-        for q, observation, steps in frontier:
-            issued = supervisor.control_for(observation)
-            for received in _control_deliveries(issued, att):
-                enabled = sorted(
-                    event
-                    for event, _ in g.outgoing(q)
-                    if event in uncontrollable or event in received
+    def run(self, seed: int | None) -> Trace:
+        """One run of :func:`simulate`."""
+        attacker = self.attacker
+        if attacker.kind == "exhaustive":
+            return self._exhaustive()
+        effective_seed = attacker.seed if attacker.seed is not None else seed
+        rng = random.Random(effective_seed)
+        g, h, supervisor = self.g, self.h, self.supervisor
+        observer = supervisor.observer
+        uncontrollable = g.alphabet.uncontrollable
+
+        steps: list[TraceStep] = []
+        q = g.initial
+        # A fragment is read only when a later step needs a control, so
+        # the last one of a run is never read (nor checked for unknown events).
+        x = observer.observer.initial
+        fragment: Word = ()
+        safe = q in h.states
+        for index in range(1, self.max_steps + 1):
+            x = observer.advance(x, fragment)
+            issued = supervisor.control_at(x)
+            if attacker.kind == "none":
+                received = issued
+            else:
+                received = rng.choice(self.deliveries(issued))
+            enabled = sorted(
+                event
+                for event, _ in g.outgoing(q)
+                if event in uncontrollable or event in received
+            )
+            if not enabled:
+                break
+            event = rng.choice(enabled)
+            dst = g.delta(q, event)
+            choices = None if attacker.kind == "none" else self.fragment_choices((q, event, dst))
+            if choices is None:
+                fragment = natural_projection((event,), g.alphabet)
+            else:
+                fragment = rng.choice(choices)
+            q = dst
+            safe = safe and q in h.states
+            steps.append(
+                TraceStep(
+                    index=index,
+                    event=event,
+                    issued=tuple(sorted(issued)),
+                    received=tuple(sorted(received)),
+                    fragment=fragment,
+                    safe=safe,
                 )
-                for event in enabled:
-                    dst = g.delta(q, event)
-                    f = policy.language_automaton((q, event, dst))
-                    fragments = (
-                        [natural_projection((event,), g.alphabet)]
-                        if f is None
-                        else _fragment_choices(f, cap)
+            )
+        return self.trace(tuple(steps), effective_seed)
+
+    def _exhaustive(self) -> Trace:
+        """Breadth-first search over all attacker and plant choices.
+
+        Returns a shortest violating trace if the adversary can force one
+        within ``max_steps`` events, otherwise a deterministic maximal safe
+        run (first branch everywhere).
+        """
+        g, h, supervisor = self.g, self.h, self.supervisor
+        observer = supervisor.observer
+        uncontrollable = g.alphabet.uncontrollable
+
+        # plant state, observer state before the last fragment, that
+        # fragment, observation, trace steps
+        frontier = [(g.initial, observer.observer.initial, (), (), ())]
+        seen = {(g.initial, ())}
+        fallback: tuple[TraceStep, ...] = ()
+        for _ in range(self.max_steps):
+            nxt = []
+            for q, x, last, observation, steps in frontier:
+                x = observer.advance(x, last)
+                issued = supervisor.control_at(x)
+                for received in self.deliveries(issued):
+                    enabled = sorted(
+                        event
+                        for event, _ in g.outgoing(q)
+                        if event in uncontrollable or event in received
                     )
-                    for fragment in fragments:
-                        new_obs = observation + fragment
-                        step = TraceStep(
-                            index=len(steps) + 1,
-                            event=event,
-                            issued=tuple(sorted(issued)),
-                            received=tuple(sorted(received)),
-                            fragment=fragment,
-                            safe=dst in h.states and (not steps or steps[-1].safe),
-                        )
-                        new_steps = steps + (step,)
-                        if not step.safe:
-                            return make_trace(new_steps)
-                        key = (dst, new_obs)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        nxt.append((dst, new_obs, new_steps))
-        if not nxt:
-            break
-        frontier = nxt
-        if len(frontier[0][2]) > len(fallback):
-            fallback = frontier[0][2]
-    return make_trace(fallback)
+                    for event in enabled:
+                        dst = g.delta(q, event)
+                        fragments = self.fragment_choices((q, event, dst))
+                        if fragments is None:
+                            fragments = [natural_projection((event,), g.alphabet)]
+                        for fragment in fragments:
+                            new_obs = observation + fragment
+                            step = TraceStep(
+                                index=len(steps) + 1,
+                                event=event,
+                                issued=tuple(sorted(issued)),
+                                received=tuple(sorted(received)),
+                                fragment=fragment,
+                                safe=dst in h.states and (not steps or steps[-1].safe),
+                            )
+                            new_steps = steps + (step,)
+                            if not step.safe:
+                                return self.trace(new_steps, None)
+                            key = (dst, new_obs)
+                            if key in seen:
+                                continue
+                            seen.add(key)
+                            nxt.append((dst, x, fragment, new_obs, new_steps))
+            if not nxt:
+                break
+            frontier = nxt
+            if len(frontier[0][4]) > len(fallback):
+                fallback = frontier[0][4]
+        return self.trace(fallback, None)
 
 
 @dataclass(frozen=True)
@@ -340,7 +366,10 @@ def run_campaign(
 
     Trial ``i`` uses seed ``base_seed + i``; a single trial therefore
     reproduces :func:`simulate` with ``base_seed``.  An exhaustive
-    attacker ignores the trial count (one deterministic search).
+    attacker ignores the trial count (one deterministic search).  The
+    supervisor must be estimate-based, as for :func:`simulate`; the
+    inputs are checked and converted once, before the first trial, and a
+    step costs O(fragment), coverage included.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
@@ -349,15 +378,16 @@ def run_campaign(
     visited: set[str | None] = set()
     violation_count = 0
     runs = 1 if attacker.kind == "exhaustive" else trials
-    g, h, policy, att = _prepare(g, h, policy_or_strategy, actuator_attackable, max_steps)
+    prepared = _PreparedRun(g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps)
+    observer = supervisor.observer
     for i in range(runs):
         seed = None if base_seed is None else base_seed + i
-        trace = _run(g, h, policy, att, supervisor, attacker, max_steps, seed)
-        prefix: Word = ()
-        visited.add(supervisor.observer_state_for(prefix))
+        trace = prepared.run(seed)
+        x = observer.observer.initial
+        visited.add(x)
         for step in trace.steps:
-            prefix = prefix + step.fragment
-            visited.add(supervisor.observer_state_for(prefix))
+            x = observer.advance(x, step.fragment)
+            visited.add(x)
         if not trace.safe:
             violation_count += 1
             if trace.plant_string not in seen_violations:
@@ -372,5 +402,5 @@ def run_campaign(
         violation_count=violation_count,
         violating=tuple(violating),
         observer_states_visited=len(visited),
-        observer_states_total=len(supervisor.observer.observer.states),
+        observer_states_total=len(observer.observer.states),
     )

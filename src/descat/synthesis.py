@@ -14,7 +14,7 @@ from .attacks import (
     ensure_valid_policy,
 )
 from .automata import Automaton, EventAlphabet, ensure_deterministic, is_subautomaton
-from .errors import InputError
+from .errors import InputError, UnsupportedSupervisorError
 from .estimation import CAObserver, build_ca_observer, lift_estimate
 
 
@@ -49,12 +49,15 @@ class Supervisor:
     def observer_state_for(self, observation: Iterable[str]) -> str | None:
         return self.observer.state_for(tuple(observation))
 
-    def control_for(self, observation: Iterable[str]) -> frozenset[str]:
-        """Enabled events after an observation; the default outside the observer."""
-        state = self.observer_state_for(observation)
+    def control_at(self, state: str | None) -> frozenset[str]:
+        """Enabled events at an observer state; the default for ``None`` (outside the observer)."""
         if state is None:
             return self.default_control
         return self.controls[state]
+
+    def control_for(self, observation: Iterable[str]) -> frozenset[str]:
+        """Enabled events after an observation; the default outside the observer."""
+        return self.control_at(self.observer_state_for(observation))
 
     def estimate_for(self, observation: Iterable[str]) -> frozenset[str]:
         state = self.observer_state_for(observation)
@@ -69,6 +72,19 @@ class Supervisor:
         controls = dict(self.controls)
         controls[state] = frozenset(control)
         return dataclasses.replace(self, controls=controls)
+
+
+def ensure_estimate_based(supervisor) -> None:
+    """Raise :class:`UnsupportedSupervisorError` unless ``supervisor`` works like a :class:`Supervisor`.
+
+    Verification and simulation read the observer and the per-state
+    controls directly, so a bare ``control_for`` is not enough.
+    """
+    for attr in ("observer", "controls", "control_at", "default_control"):
+        if not hasattr(supervisor, attr):
+            raise UnsupportedSupervisorError(
+                "this operation needs an estimate-based supervisor (observer plus per-state controls)"
+            )
 
 
 def disabled_set(estimate: Iterable[str], g: Automaton, safe_states: Iterable[str]) -> frozenset[str]:

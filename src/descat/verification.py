@@ -19,9 +19,9 @@ from typing import Iterable, Mapping
 
 from .attacks import SensorAttackPolicy, ensure_valid_policy
 from .automata import Automaton, Transition, Word, ensure_deterministic, is_subautomaton
-from .errors import InputError, UnsupportedSupervisorError
+from .errors import InputError
 from .estimation import CAObserver, build_ca_observer
-from .synthesis import disabled_set
+from .synthesis import disabled_set, ensure_estimate_based
 
 
 @dataclass(frozen=True)
@@ -249,11 +249,7 @@ def _closed_loop(g: Automaton, supervisor, policy: SensorAttackPolicy, actuator_
     actuator-attackable, or enabled by the control of some tracked state;
     the tracked set advances through the per-transition observer relation.
     """
-    for attr in ("observer", "controls", "control_for", "default_control"):
-        if not hasattr(supervisor, attr):
-            raise UnsupportedSupervisorError(
-                "this operation needs an estimate-based supervisor (observer plus per-state controls)"
-            )
+    ensure_estimate_based(supervisor)
     ensure_deterministic(g)
     ensure_valid_policy(g, policy)
     att = (

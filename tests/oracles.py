@@ -4,31 +4,42 @@ Most of them work directly on the raw automaton data (state sets and
 transition triples) with their own breadth-first searches, deliberately
 avoiding the library's observer, substitution and enumeration machinery.
 ``diamond_by_replacement`` builds the attack-substituted plant by folding
-the one-transition substitution over the policy entries.  The last two,
-``observability_by_enumeration`` and ``brute_force_large_language``,
+the one-transition substitution over the policy entries.
+``observability_by_enumeration`` and ``brute_force_large_language``
 evaluate verification's definitions literally, string by string, on top
-of the library's observer and corruption enumeration.
+of the library's observer and corruption enumeration.  The last two,
+``simulate_by_rewalk`` and ``campaign_by_rewalk``, run the closed loop by
+asking ``control_for`` for the whole observation at every step and by
+re-walking every observation prefix for coverage.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable
 
 from descat import (
     EPSILON,
+    AttackerStrategy,
     Automaton,
+    CampaignReport,
     Counterexample,
     DiamondAutomaton,
     InputError,
     SensorAttackPolicy,
+    Trace,
+    TraceStep,
     Verdict,
     bounded_marked_language,
     build_ca_observer,
+    delta_control,
     disabled_set,
     is_subautomaton,
     marked_word_length_bound,
+    natural_projection,
     phi_enumerate,
     replace_transition,
+    transition_based_setup,
 )
 from descat.attacks import ensure_valid_policy
 from descat.automata import Transition, Word, ensure_deterministic
@@ -403,3 +414,160 @@ def brute_force_large_language(
             break
         accepted.update(frontier)
     return frozenset(accepted)
+
+
+def _rewalk_setup(g, h, policy_or_strategy, actuator_attackable, attacker, max_steps):
+    if max_steps < 0:
+        raise InputError("max_steps must be nonnegative")
+    g, h, policy = transition_based_setup(g, h, policy_or_strategy)
+    ensure_deterministic(g)
+    ensure_valid_policy(g, policy)
+    att = tuple(sorted(actuator_attackable if actuator_attackable is not None else g.alphabet.actuator_attackable))
+    cap = attacker.fragment_cap
+    trace_cap = cap if cap is not None else max((2 * len(f.states) for _, f in policy.sorted_entries()), default=0)
+    return g, h, policy, att, trace_cap
+
+
+def _rewalk_fragments(f: Automaton, cap: int | None) -> list[Word]:
+    words = bounded_marked_language(f, cap if cap is not None else 2 * len(f.states))
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def _rewalk_deliveries(issued: frozenset[str], att: tuple[str, ...]) -> list[frozenset[str]]:
+    return sorted(delta_control(issued, att), key=lambda c: (len(c), tuple(sorted(c))))
+
+
+def simulate_by_rewalk(
+    g: Automaton,
+    h: Automaton,
+    supervisor,
+    policy_or_strategy,
+    actuator_attackable: Iterable[str] | None = None,
+    attacker: AttackerStrategy = AttackerStrategy(),
+    max_steps: int = 50,
+    seed: int | None = None,
+) -> Trace:
+    """``simulate`` with the control asked for the whole observation at every step.
+
+    Draws the same random numbers in the same order as ``simulate``;
+    under the exhaustive attacker it searches breadth-first over
+    (plant state, observation) as ``simulate`` does.
+    """
+    g, h, policy, att, trace_cap = _rewalk_setup(g, h, policy_or_strategy, actuator_attackable, attacker, max_steps)
+    cap = attacker.fragment_cap
+    uncontrollable = g.alphabet.uncontrollable
+
+    def make_trace(steps, seed):
+        return Trace(
+            steps=tuple(steps),
+            safe=all(s.safe for s in steps) if steps else g.initial in h.states,
+            attacker=attacker.kind,
+            seed=seed,
+            fragment_cap=trace_cap,
+        )
+
+    def enabled_at(q, received):
+        return sorted(e for e, _ in g.outgoing(q) if e in uncontrollable or e in received)
+
+    if attacker.kind == "exhaustive":
+        frontier = [(g.initial, (), ())]
+        seen = {(g.initial, ())}
+        fallback: tuple = ()
+        for _ in range(max_steps):
+            nxt = []
+            for q, observation, steps in frontier:
+                issued = supervisor.control_for(observation)
+                for received in _rewalk_deliveries(issued, att):
+                    for event in enabled_at(q, received):
+                        dst = g.delta(q, event)
+                        f = policy.language_automaton((q, event, dst))
+                        fragments = (
+                            [natural_projection((event,), g.alphabet)] if f is None else _rewalk_fragments(f, cap)
+                        )
+                        for fragment in fragments:
+                            step = TraceStep(
+                                index=len(steps) + 1,
+                                event=event,
+                                issued=tuple(sorted(issued)),
+                                received=tuple(sorted(received)),
+                                fragment=fragment,
+                                safe=dst in h.states and (not steps or steps[-1].safe),
+                            )
+                            if not step.safe:
+                                return make_trace(steps + (step,), None)
+                            key = (dst, observation + fragment)
+                            if key not in seen:
+                                seen.add(key)
+                                nxt.append((dst, observation + fragment, steps + (step,)))
+            if not nxt:
+                break
+            frontier = nxt
+            if len(frontier[0][2]) > len(fallback):
+                fallback = frontier[0][2]
+        return make_trace(fallback, None)
+
+    effective_seed = attacker.seed if attacker.seed is not None else seed
+    rng = random.Random(effective_seed)
+    steps: list[TraceStep] = []
+    q = g.initial
+    observation: Word = ()
+    safe = q in h.states
+    for index in range(1, max_steps + 1):
+        issued = supervisor.control_for(observation)
+        received = issued if attacker.kind == "none" else rng.choice(_rewalk_deliveries(issued, att))
+        enabled = enabled_at(q, received)
+        if not enabled:
+            break
+        event = rng.choice(enabled)
+        dst = g.delta(q, event)
+        f = policy.language_automaton((q, event, dst))
+        if f is None or attacker.kind == "none":
+            fragment = natural_projection((event,), g.alphabet)
+        else:
+            fragment = rng.choice(_rewalk_fragments(f, cap))
+        q = dst
+        observation = observation + fragment
+        safe = safe and q in h.states
+        steps.append(TraceStep(index, event, tuple(sorted(issued)), tuple(sorted(received)), fragment, safe))
+    return make_trace(steps, effective_seed)
+
+
+def campaign_by_rewalk(
+    g: Automaton,
+    h: Automaton,
+    supervisor,
+    policy_or_strategy,
+    actuator_attackable: Iterable[str] | None = None,
+    trials: int = 100,
+    max_steps: int = 50,
+    base_seed: int | None = 0,
+    attacker: AttackerStrategy = AttackerStrategy(),
+) -> CampaignReport:
+    """``run_campaign`` on :func:`simulate_by_rewalk`, with coverage from every prefix re-walked."""
+    runs = 1 if attacker.kind == "exhaustive" else trials
+    violating: list[Trace] = []
+    visited: set = set()
+    count = 0
+    for i in range(runs):
+        seed = None if base_seed is None else base_seed + i
+        trace = simulate_by_rewalk(g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps, seed)
+        prefix: Word = ()
+        visited.add(supervisor.observer_state_for(prefix))
+        for step in trace.steps:
+            prefix = prefix + step.fragment
+            visited.add(supervisor.observer_state_for(prefix))
+        if not trace.safe:
+            count += 1
+            if all(t.plant_string != trace.plant_string for t in violating):
+                violating.append(trace)
+    visited.discard(None)
+    return CampaignReport(
+        trials=runs,
+        max_steps=max_steps,
+        base_seed=base_seed,
+        attacker=attacker.kind,
+        violation_count=count,
+        violating=tuple(violating),
+        observer_states_visited=len(visited),
+        observer_states_total=len(supervisor.observer.observer.states),
+    )

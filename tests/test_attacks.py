@@ -24,7 +24,7 @@ from descat import (
     validate_policy,
     validate_strategy,
 )
-from conftest import make_cycle, random_model
+from conftest import make_cycle, make_cycle_strategy, random_model, random_strategy
 
 W = lambda text: tuple(text.split())
 
@@ -360,3 +360,23 @@ class TestConversion:
                 observation = natural_projection(word, g.alphabet)
                 via_omega = phi_omega(observation, strategy, g.alphabet, depth=12)
                 assert via_policy.strings == via_omega.strings
+
+    def test_conversion_composes_once(self, monkeypatch):
+        import descat.attacks
+
+        compose = descat.attacks.parallel_compose_pairs
+        calls = []
+        monkeypatch.setattr(
+            descat.attacks, "parallel_compose_pairs", lambda a, b: calls.append(1) or compose(a, b)
+        )
+        model = make_cycle(("beta",))
+        setups = [(model.plant, make_cycle_strategy(model))]
+        rng = random.Random(616)
+        while len(setups) < 10:
+            g, _ = random_model(rng)
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                setups.append((g, strategy))
+        for n, (g, strategy) in enumerate(setups, 1):
+            convert_observation_based(g, strategy)
+            assert len(calls) == n

@@ -233,6 +233,42 @@ class TestObserver:
                 assert (state in obs.observer.marked) == bool(obs.plant_projection(state))
 
 
+class TestAdvance:
+    def test_advance_continues_state_for(self):
+        """advance(state_for(u), v) == state_for(u + v), infeasible and unknown events included."""
+
+        def outcome(f):
+            try:
+                return f()
+            except InputError:
+                return "InputError"
+
+        rng = random.Random(4242)
+        seen = {"feasible": 0, "infeasible": 0, "unknown": 0}
+        for _ in range(30):
+            g, policy = random_model(rng, acyclic_attacks=rng.random() < 0.5)
+            obs = build_ca_observer(g, policy)
+            pool = sorted(g.alphabet.events) + ["zz"]
+            for _ in range(40):
+                word = tuple(rng.choice(pool) for _ in range(rng.randint(0, 7)))
+                cut = rng.randint(0, len(word))
+                u, v = word[:cut], word[cut:]
+                expected = outcome(lambda: obs.state_for(u + v))
+                prefix = outcome(lambda: obs.state_for(u))
+                if prefix == "InputError":
+                    assert expected == "InputError"
+                else:
+                    assert outcome(lambda: obs.advance(prefix, v)) == expected
+                seen["unknown" if expected == "InputError" else "infeasible" if expected is None else "feasible"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_none_stays_none(self, cycle):
+        obs = build_ca_observer(cycle.plant, cycle.policy)
+        assert obs.advance(None, W("alpha zz")) is None
+        with pytest.raises(InputError):
+            obs.advance(obs.observer.initial, W("zz"))
+
+
 class TestStateEstimate:
     def test_corpus_estimate_for_alpha_lambda_mu(self, cycle):
         obs = build_ca_observer(cycle.plant, cycle.policy)

@@ -1,13 +1,16 @@
 """Closed-loop simulation: trace soundness, reproducibility and campaigns."""
 
+import dataclasses
 import random
 
 import pytest
 
 from descat import (
     AttackerStrategy,
+    CAObserver,
     InputError,
     SensorAttackPolicy,
+    UnsupportedSupervisorError,
     delta_control,
     enumerate_language,
     run_campaign,
@@ -16,8 +19,8 @@ from descat import (
     synthesize_obs_based,
     verify_large_language_equals,
 )
-from oracles import brute_force_large_language
-from conftest import random_model, random_spec
+from oracles import brute_force_large_language, campaign_by_rewalk, simulate_by_rewalk
+from conftest import random_model, random_spec, random_strategy, random_supervisor
 
 W = lambda text: tuple(text.split())
 
@@ -246,3 +249,99 @@ class TestObservationBasedSimulation:
             trials=100, max_steps=15, base_seed=0,
         )
         assert report.violation_count == 0
+
+
+def outcome(run, *args, **kwargs):
+    """The result of ``run``, or the exception it raised."""
+    try:
+        return run(*args, **kwargs)
+    except Exception as exc:  # compared as a value: both sides must fail alike
+        return exc
+
+
+class TestIncrementalObserver:
+    """The observer state carried through a run against re-walking the observation."""
+
+    ATTACKERS = (
+        AttackerStrategy.none(),
+        AttackerStrategy.random_choices(),
+        AttackerStrategy(kind="random", fragment_cap=1),
+        AttackerStrategy.exhaustive(),
+        AttackerStrategy(kind="exhaustive", fragment_cap=1),
+    )
+
+    @staticmethod
+    def cases(cycle_beta):
+        """(kind, plant, spec, supervisor, attack) on random models and on the cycle.
+
+        The cycle's lambda is corrupted only to ``lambda mu``, so every
+        run carries two-event fragments into the following controls.
+        """
+        two_events = dataclasses.replace(cycle_beta.f1, marked=frozenset({"B"}))
+        policy = SensorAttackPolicy.from_transitions(
+            {("2", "lambda", "3"): two_events, ("3", "mu", "1"): cycle_beta.f2}
+        )
+        g, h = cycle_beta.plant, cycle_beta.spec
+        yield "transition", g, h, synthesize_ca_supervisor(g, h, policy), policy
+        rng = random.Random(808)
+        for _ in range(30):
+            g, policy = random_model(rng, acyclic_attacks=rng.random() < 0.5)
+            h = random_spec(rng, g)
+            yield "transition", g, h, random_supervisor(rng, g, h, policy), policy
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                yield "observation", g, h, synthesize_obs_based(g, h, strategy), strategy
+
+    def test_matches_rewalk_on_random_models(self, cycle_beta):
+        rng = random.Random(809)
+        compared = {"transition": 0, "observation": 0, "unsafe": 0}
+        for kind, g, h, sup, attack in self.cases(cycle_beta):
+            for attacker in self.ATTACKERS:
+                steps = 5 if attacker.kind == "exhaustive" else 25
+                seed = rng.randrange(1000)
+                trace = outcome(simulate, g, h, sup, attack, attacker=attacker, max_steps=steps, seed=seed)
+                ref = outcome(simulate_by_rewalk, g, h, sup, attack, attacker=attacker, max_steps=steps, seed=seed)
+                report = outcome(
+                    run_campaign, g, h, sup, attack, trials=4, max_steps=steps, base_seed=seed, attacker=attacker
+                )
+                expected = outcome(
+                    campaign_by_rewalk, g, h, sup, attack, trials=4, max_steps=steps, base_seed=seed, attacker=attacker
+                )
+                assert type(trace) is type(ref) and type(report) is type(expected)
+                if isinstance(ref, Exception):
+                    assert (repr(trace), repr(report)) == (repr(ref), repr(expected))
+                    continue
+                assert trace.to_text() == ref.to_text()
+                assert trace.as_dict() == ref.as_dict()
+                assert report.as_dict() == expected.as_dict()
+                compared[kind] += 1
+                compared["unsafe"] += not trace.safe
+        assert min(compared.values()) >= 10, compared
+
+    def test_runs_never_rewalk_the_observation(self, cycle_beta, monkeypatch):
+        sup = corpus_supervisor(cycle_beta)
+        state_for = CAObserver.state_for
+        calls = []
+        monkeypatch.setattr(CAObserver, "state_for", lambda self, obs: calls.append(1) or state_for(self, obs))
+        report = run_campaign(
+            cycle_beta.plant, cycle_beta.spec, sup, cycle_beta.policy,
+            trials=3, max_steps=400, base_seed=0,
+        )
+        assert report.observer_states_visited == len(sup.observer.observer.states)
+        trace = simulate(
+            cycle_beta.plant, cycle_beta.spec, sup, cycle_beta.policy,
+            attacker=AttackerStrategy.exhaustive(), max_steps=8,
+        )
+        assert len(trace.steps) == 8
+        assert calls == []
+
+    def test_supervisor_without_observer_is_rejected(self, cycle_beta, cycle_strategy):
+        class ControlOnly:
+            def control_for(self, observation):
+                return cycle_beta.alphabet.events
+
+        for attack in (cycle_beta.policy, cycle_strategy):
+            with pytest.raises(UnsupportedSupervisorError):
+                simulate(cycle_beta.plant, cycle_beta.spec, ControlOnly(), attack, max_steps=5)
+            with pytest.raises(UnsupportedSupervisorError):
+                run_campaign(cycle_beta.plant, cycle_beta.spec, ControlOnly(), attack, trials=2, max_steps=5)
