@@ -364,8 +364,10 @@ class ObservationAttackStrategy:
 def check_projection_containment(g: Automaton, sa: Automaton) -> Word | None:
     """Exact check that every projected plant string is accepted by ``sa``.
 
-    Returns None when the containment holds, otherwise a shortest witness
-    observation that ``sa`` cannot follow.
+    Returns None when the containment holds, otherwise the observation of
+    a shortest plant string (counted in plant events, unobservable ones
+    included) whose projection ``sa`` cannot follow.  That observation is
+    not always the shortest one ``sa`` rejects.
     """
     observable = g.alphabet.observable
     start = (g.initial, sa.initial)
@@ -545,15 +547,18 @@ def transition_based_setup(
     h: Automaton | None,
     attack: SensorAttackPolicy | ObservationAttackStrategy,
 ) -> tuple[Automaton, Automaton | None, SensorAttackPolicy]:
-    """Plant, spec and transition-based policy through which ``attack`` acts.
+    """Plant, spec and valid transition-based policy through which ``attack`` acts.
 
-    A transition-based policy passes through unchanged.  An
+    A transition-based policy passes through unchanged once
+    :func:`ensure_valid_policy` accepts it for ``g``.  An
     observation-based strategy is rewritten by
-    :func:`convert_observation_based`: the plant becomes its composition
-    with the attack context, and the spec keeps the composed states whose
-    plant state is in ``h``.  A missing spec (``None``) stays missing.
+    :func:`convert_observation_based` (valid by construction): the plant
+    becomes its composition with the attack context, and the spec keeps
+    the composed states whose plant state is in ``h``.  A missing spec
+    (``None``) stays missing.
     """
     if not isinstance(attack, ObservationAttackStrategy):
+        ensure_valid_policy(g, attack)
         return g, h, attack
     conversion = convert_observation_based(g, attack)
     if h is not None:

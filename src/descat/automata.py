@@ -9,7 +9,8 @@ operations are pure functions; nothing in this module mutates its inputs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable
 
 from .errors import InputError
@@ -64,10 +65,6 @@ class EventAlphabet:
     @property
     def unobservable(self) -> frozenset[str]:
         return self.events - self.observable
-
-    def with_actuator_attackable(self, events: Iterable[str]) -> "EventAlphabet":
-        """Copy of this alphabet with a different actuator-attackable set."""
-        return replace(self, actuator_attackable=frozenset(events))
 
     def observable_restriction(self) -> "EventAlphabet":
         """Alphabet restricted to the observable events (used for attack-context automata)."""
@@ -135,10 +132,6 @@ class Automaton:
         """All ``(label, dst)`` pairs leaving ``state``, in sorted order."""
         return self._out.get(state, ())
 
-    def enabled_events(self, state: str) -> frozenset[str]:
-        """Non-epsilon labels with a transition defined at ``state``."""
-        return frozenset(l for l, _ in self.outgoing(state) if l != EPSILON)
-
     def delta(self, state: str, event: str) -> str | None:
         """Deterministic step: the unique successor, or None when undefined.
 
@@ -182,13 +175,6 @@ def validate(a: Automaton) -> list[str]:
     return problems
 
 
-def ensure_valid(a: Automaton, what: str = "automaton") -> None:
-    """Raise :class:`InputError` when ``a`` fails :func:`validate`."""
-    problems = validate(a)
-    if problems:
-        raise InputError(f"invalid {what}: " + "; ".join(problems))
-
-
 def ensure_deterministic(a: Automaton, what: str = "plant") -> None:
     """Raise :class:`InputError` when ``a`` is not deterministic."""
     if not a.is_deterministic:
@@ -218,17 +204,38 @@ def _step(a: Automaton, states: frozenset[str], label: str) -> frozenset[str]:
     return unobservable_reach(a, hit)
 
 
+def breadth_first(start, expand):
+    """Breadth-first search of the graph that ``expand`` spans from ``start``.
+
+    ``expand(node)`` lists ``(label, successor)`` pairs in the order the
+    caller wants ties broken (sorted by label, say), so nodes come out
+    ordered by the least label string reaching them under that order.
+    Yields ``(node, level, successors, string)``; ``string()`` rebuilds
+    that least string from parent pointers.
+    """
+    parents = {start: None}
+    queue = deque([(start, 0)])
+    while queue:
+        node, level = queue.popleft()
+        successors = expand(node)
+        for label, succ in successors:
+            if succ not in parents:
+                parents[succ] = (node, label)
+                queue.append((succ, level + 1))
+        yield node, level, successors, partial(_string_to, parents, node)
+
+
+def _string_to(parents, node) -> tuple:
+    out = []
+    while parents[node] is not None:
+        node, label = parents[node]
+        out.append(label)
+    return tuple(reversed(out))
+
+
 def accessible(a: Automaton) -> Automaton:
     """Restriction of ``a`` to the states reachable from its initial state."""
-    seen = {a.initial}
-    stack = [a.initial]
-    while stack:
-        q = stack.pop()
-        for _, dst in a.outgoing(q):
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    reachable = frozenset(seen)
+    reachable = frozenset(node for node, *_ in breadth_first(a.initial, a.outgoing))
     return Automaton(
         states=reachable,
         alphabet=a.alphabet,
@@ -272,25 +279,28 @@ def subset_construction(a: Automaton) -> tuple[Automaton, dict[str, frozenset[st
     initial_set = unobservable_reach(a, {a.initial})
     initial_name = encode_state_set(initial_set)
     members: dict[str, frozenset[str]] = {initial_name: initial_set}
-    transitions: set[Transition] = set()
-    queue = deque([initial_name])
-    while queue:
-        name = queue.popleft()
+
+    def expand(name: str) -> list[tuple[str, str]]:
         current = members[name]
+        out = []
         for label in a.used_labels:
             target = _step(a, current, label)
-            if not target:
-                continue
-            target_name = encode_state_set(target)
-            if target_name not in members:
-                members[target_name] = target
-                queue.append(target_name)
-            transitions.add((name, label, target_name))
+            if target:
+                target_name = encode_state_set(target)
+                members.setdefault(target_name, target)
+                out.append((label, target_name))
+        return out
+
+    transitions = frozenset(
+        (name, label, target)
+        for name, _, successors, _ in breadth_first(initial_name, expand)
+        for label, target in successors
+    )
     marked = frozenset(name for name, content in members.items() if content & a.marked)
     observer = Automaton(
         states=frozenset(members),
         alphabet=a.alphabet,
-        transitions=frozenset(transitions),
+        transitions=transitions,
         initial=initial_name,
         marked=marked,
     )

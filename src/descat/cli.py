@@ -11,14 +11,14 @@ import argparse
 import json
 import sys
 
-from .attacks import convert_observation_based, transition_based_setup
+from .attacks import transition_based_setup
 from .automata import Automaton
 from .dot import export_dot
 from .errors import DescatError
-from .estimation import build_ca_observer, build_g_diamond, lift_estimate, state_estimate
+from .estimation import attacked_observer, build_g_diamond, state_estimate
 from .modelfile import ModelDocument, load_model, serialize_model
 from .simulation import AttackerStrategy, run_campaign
-from .synthesis import Supervisor, synthesize_ca_supervisor, synthesize_obs_based
+from .synthesis import Supervisor, synthesize_ca_supervisor
 from .verification import (
     Verdict,
     check_ca_controllability,
@@ -47,28 +47,13 @@ def _target(doc: ModelDocument, which: str) -> Automaton:
     return doc.plant if which == "plant" else doc.spec_automaton()
 
 
-def _observer_for(doc: ModelDocument, which: str):
-    """Observer plus estimate lift for the chosen target automaton."""
-    target = _target(doc, which)
-    if doc.has_observation_strategy:
-        conversion = convert_observation_based(target, doc.strategy())
-        observer = build_ca_observer(conversion.product, conversion.policy)
-        pairs = conversion.pairs
-        return observer, (lambda est: lift_estimate(est, pairs))
-    policy, _ = doc.policy().restricted_to(target)
-    return build_ca_observer(target, policy), (lambda est: est)
-
-
-def _synthesize(doc: ModelDocument) -> Supervisor:
-    g, h = doc.plant, doc.spec_automaton()
-    if doc.has_observation_strategy:
-        return synthesize_obs_based(g, h, doc.strategy())
-    return synthesize_ca_supervisor(g, h, doc.policy())
-
-
 def _attack(doc: ModelDocument):
     """The document's observation-based strategy if it declares one, else its policy."""
     return doc.strategy() if doc.has_observation_strategy else doc.policy()
+
+
+def _synthesize(doc: ModelDocument) -> Supervisor:
+    return synthesize_ca_supervisor(doc.plant, doc.spec_automaton(), _attack(doc))
 
 
 def _supervisor_rows(sup: Supervisor) -> list[dict]:
@@ -103,7 +88,7 @@ def _print_verdict(name: str, verdict: Verdict, as_json: bool) -> int:
 
 def _cmd_observer(args) -> int:
     doc = load_model(args.model)
-    observer, lift = _observer_for(doc, args.target)
+    observer, lift = attacked_observer(_target(doc, args.target), _attack(doc))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(export_dot(observer, name="observer"))
@@ -139,7 +124,7 @@ def _cmd_observer(args) -> int:
 
 def _cmd_estimate(args) -> int:
     doc = load_model(args.model)
-    observer, lift = _observer_for(doc, args.target)
+    observer, lift = attacked_observer(_target(doc, args.target), _attack(doc))
     observation = _parse_observation(args.obs)
     estimate = sorted(lift(state_estimate(observer, observation)))
     if args.json:
@@ -167,7 +152,7 @@ def _cmd_check_observability(args) -> int:
     g, h, policy = transition_based_setup(doc.plant, doc.spec_automaton(), _attack(doc))
     depth = args.depth
     if depth is None:
-        observer = build_ca_observer(h, policy.restricted_to(h)[0])
+        observer, _ = attacked_observer(h, policy)
         depth = 2 * (len(observer.observer.states) + len(g.states))
     verdict = check_ca_observability_bounded(g, h, policy, depth=depth)
     return _print_verdict("CA-observability", verdict, args.json)
@@ -268,7 +253,7 @@ def _cmd_export_dot(args) -> int:
         g, _, policy = transition_based_setup(doc.plant, None, _attack(doc))
         obj = build_g_diamond(g, policy)
     else:  # observer
-        obj, _ = _observer_for(doc, "plant")
+        obj, _ = attacked_observer(doc.plant, _attack(doc))
     text = export_dot(obj, name=what)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -10,9 +10,9 @@ may currently be in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .attacks import SensorAttackPolicy, ensure_valid_policy
+from .attacks import ObservationAttackStrategy, SensorAttackPolicy, convert_observation_based, ensure_valid_policy
 from .automata import (
     EPSILON,
     Automaton,
@@ -201,6 +201,24 @@ def build_ca_observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
     erased = erase_unobservable(build_g_diamond(g, policy))
     observer, members = subset_construction(erased.automaton)
     return CAObserver(observer=observer, members=members, plant_states=g.states)
+
+
+def attacked_observer(
+    a: Automaton, attack: SensorAttackPolicy | ObservationAttackStrategy
+) -> tuple[CAObserver, Callable[[frozenset[str]], frozenset[str]]]:
+    """Observer of ``a`` under ``attack``, plus the lift of its estimates onto states of ``a``.
+
+    A transition-based policy is restricted to the transitions of ``a``
+    and the lift is the identity.  An observation-based strategy is
+    converted on ``a`` (see :func:`convert_observation_based`), the
+    observer is built on the composition, and the lift projects each
+    estimate through the composition's pairs.
+    """
+    if isinstance(attack, ObservationAttackStrategy):
+        conversion = convert_observation_based(a, attack)
+        pairs = conversion.pairs
+        return build_ca_observer(conversion.product, conversion.policy), (lambda est: lift_estimate(est, pairs))
+    return build_ca_observer(a, attack.restricted_to(a)[0]), (lambda est: est)
 
 
 def state_estimate(obs: CAObserver, observation: Iterable[str]) -> frozenset[str]:

@@ -13,8 +13,16 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .attacks import delta_control, ensure_valid_policy, transition_based_setup
-from .automata import Automaton, Transition, Word, bounded_marked_language, ensure_deterministic, natural_projection
+from .attacks import delta_control, transition_based_setup
+from .automata import (
+    Automaton,
+    Transition,
+    Word,
+    bounded_marked_language,
+    breadth_first,
+    ensure_deterministic,
+    natural_projection,
+)
 from .errors import InputError
 from .synthesis import ensure_estimate_based
 
@@ -30,7 +38,9 @@ class AttackerStrategy:
     breadth-first up to the step bound and surfaces a violating run when
     one exists.  ``fragment_cap`` bounds the corruption words considered
     for attack languages with cycles (default: twice the corruption
-    automaton's state count, which covers all simple accepting paths).
+    automaton's state count, which covers all simple accepting paths); a
+    cap below the shortest word of some attack language is an
+    :class:`InputError`.
     """
 
     kind: str = "random"
@@ -165,16 +175,28 @@ class _PreparedRun:
             raise InputError("max_steps must be nonnegative")
         g, h, policy = transition_based_setup(g, h, policy_or_strategy)
         ensure_deterministic(g)
-        ensure_valid_policy(g, policy)
         ensure_estimate_based(supervisor)
         self.g, self.h, self.policy, self.supervisor = g, h, policy, supervisor
         self.attacker, self.max_steps = attacker, max_steps
+        self.uncontrollable = g.alphabet.uncontrollable
         self.att = (
             tuple(sorted(actuator_attackable))
             if actuator_attackable is not None
             else tuple(sorted(g.alphabet.actuator_attackable))
         )
         cap = attacker.fragment_cap
+        if cap is not None and attacker.kind != "none":
+            # The attacker only emits words within the cap: a transition
+            # without one could never fire.  Each distinct automaton is searched once.
+            shortest = {
+                f: next(level for s, level, _, _ in breadth_first(f.initial, f.outgoing) if s in f.marked)
+                for f in set(policy.entries.values())
+            }
+            short = [tr for tr, f in policy.sorted_entries() if shortest[f] > cap]
+            if short:
+                raise InputError(
+                    "; ".join(f"fragment_cap {cap} admits no corruption word for transition {tr!r}" for tr in short)
+                )
         self.fragment_cap = (
             cap if cap is not None else max((2 * len(f.states) for _, f in policy.sorted_entries()), default=0)
         )
@@ -201,6 +223,11 @@ class _PreparedRun:
             )
         return self._deliveries[issued]
 
+    def enabled(self, q: str, received: frozenset[str]) -> list[str]:
+        """Plant events that may fire at ``q`` under the received control, sorted."""
+        uncontrollable = self.uncontrollable
+        return sorted(e for e, _ in self.g.outgoing(q) if e in uncontrollable or e in received)
+
     def trace(self, steps: tuple[TraceStep, ...], seed: int | None) -> Trace:
         return Trace(
             steps=steps,
@@ -219,7 +246,6 @@ class _PreparedRun:
         rng = random.Random(effective_seed)
         g, h, supervisor = self.g, self.h, self.supervisor
         observer = supervisor.observer
-        uncontrollable = g.alphabet.uncontrollable
 
         steps: list[TraceStep] = []
         q = g.initial
@@ -235,11 +261,7 @@ class _PreparedRun:
                 received = issued
             else:
                 received = rng.choice(self.deliveries(issued))
-            enabled = sorted(
-                event
-                for event, _ in g.outgoing(q)
-                if event in uncontrollable or event in received
-            )
+            enabled = self.enabled(q, received)
             if not enabled:
                 break
             event = rng.choice(enabled)
@@ -266,59 +288,59 @@ class _PreparedRun:
     def _exhaustive(self) -> Trace:
         """Breadth-first search over all attacker and plant choices.
 
-        Returns a shortest violating trace if the adversary can force one
-        within ``max_steps`` events, otherwise a deterministic maximal safe
-        run (first branch everywhere).
+        A node is (plant state, observation so far) and an edge is labelled
+        (event, issued control, received control, fragment).  Returns a
+        shortest violating trace if the adversary can force one within
+        ``max_steps`` events, otherwise the first run to the deepest level
+        reached (first branch everywhere).
         """
         g, h, supervisor = self.g, self.h, self.supervisor
         observer = supervisor.observer
-        uncontrollable = g.alphabet.uncontrollable
+        start = (g.initial, ())
+        # Per node, as first discovered: the observer state before its last
+        # fragment, that fragment and the node's level.  Nodes at the bound
+        # are not expanded, so the last fragment of a run is never read.
+        carried = {start: (observer.observer.initial, (), 0)}
 
-        # plant state, observer state before the last fragment, that
-        # fragment, observation, trace steps
-        frontier = [(g.initial, observer.observer.initial, (), (), ())]
-        seen = {(g.initial, ())}
-        fallback: tuple[TraceStep, ...] = ()
-        for _ in range(self.max_steps):
-            nxt = []
-            for q, x, last, observation, steps in frontier:
-                x = observer.advance(x, last)
-                issued = supervisor.control_at(x)
-                for received in self.deliveries(issued):
-                    enabled = sorted(
-                        event
-                        for event, _ in g.outgoing(q)
-                        if event in uncontrollable or event in received
-                    )
-                    for event in enabled:
-                        dst = g.delta(q, event)
-                        fragments = self.fragment_choices((q, event, dst))
-                        if fragments is None:
-                            fragments = [natural_projection((event,), g.alphabet)]
-                        for fragment in fragments:
-                            new_obs = observation + fragment
-                            step = TraceStep(
-                                index=len(steps) + 1,
-                                event=event,
-                                issued=tuple(sorted(issued)),
-                                received=tuple(sorted(received)),
-                                fragment=fragment,
-                                safe=dst in h.states and (not steps or steps[-1].safe),
-                            )
-                            new_steps = steps + (step,)
-                            if not step.safe:
-                                return self.trace(new_steps, None)
-                            key = (dst, new_obs)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            nxt.append((dst, x, fragment, new_obs, new_steps))
-            if not nxt:
+        def expand(node):
+            q, observation = node
+            x, last, level = carried[node]
+            if level == self.max_steps:
+                return ()
+            x = observer.advance(x, last)
+            issued = supervisor.control_at(x)
+            out = []
+            for received in self.deliveries(issued):
+                for event in self.enabled(q, received):
+                    dst = g.delta(q, event)
+                    fragments = self.fragment_choices((q, event, dst))
+                    if fragments is None:
+                        fragments = [natural_projection((event,), g.alphabet)]
+                    for fragment in fragments:
+                        succ = (dst, observation + fragment)
+                        carried.setdefault(succ, (x, fragment, level + 1))
+                        out.append(((event, issued, received, fragment), succ))
+            return out
+
+        deepest = -1
+        for _, level, successors, string in breadth_first(start, expand):
+            if level > deepest:
+                deepest, fallback = level, string
+            if level == self.max_steps:
                 break
-            frontier = nxt
-            if len(frontier[0][4]) > len(fallback):
-                fallback = frontier[0][4]
-        return self.trace(fallback, None)
+            for label, (dst, _) in successors:
+                if dst not in h.states:
+                    return self._trace_along(string() + (label,), last_safe=False)
+        return self._trace_along(fallback(), last_safe=True)
+
+    def _trace_along(self, labels: tuple, last_safe: bool) -> Trace:
+        """The exhaustive trace through the search's edge ``labels``; only the last step may be unsafe."""
+        n = len(labels)
+        steps = tuple(
+            TraceStep(i, event, tuple(sorted(issued)), tuple(sorted(received)), fragment, last_safe or i < n)
+            for i, (event, issued, received, fragment) in enumerate(labels, 1)
+        )
+        return self.trace(steps, None)
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .attacks import (
-    ObservationAttackStrategy,
-    SensorAttackPolicy,
-    convert_observation_based,
-    ensure_valid_policy,
-)
+from .attacks import ObservationAttackStrategy, SensorAttackPolicy
 from .automata import Automaton, EventAlphabet, ensure_deterministic, is_subautomaton
 from .errors import InputError, UnsupportedSupervisorError
-from .estimation import CAObserver, build_ca_observer, lift_estimate
+from .estimation import CAObserver, attacked_observer
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,9 @@ def _controls_from_observer(
     return controls
 
 
-def synthesize_ca_supervisor(g: Automaton, h: Automaton, policy: SensorAttackPolicy) -> Supervisor:
+def synthesize_ca_supervisor(
+    g: Automaton, h: Automaton, attack: SensorAttackPolicy | ObservationAttackStrategy
+) -> Supervisor:
     """Maximally-permissive estimate-based supervisor for a safety sub-automaton.
 
     Builds the observer on the spec automaton ``h`` (closed-loop states
@@ -124,21 +121,25 @@ def synthesize_ca_supervisor(g: Automaton, h: Automaton, policy: SensorAttackPol
     leave the safe states from the current estimate.  Observations outside
     the feasible set get the uncontrollable events only.
 
-    Policy entries on transitions outside ``h`` cannot occur in the closed
-    loop; they are dropped with a warning.
+    ``attack`` is a transition-based policy or an observation-based
+    strategy (see :func:`~descat.estimation.attacked_observer`); under a
+    strategy the observer is built on the spec composed with the attack
+    context and every estimate is lifted back to plant states.  Policy
+    entries on transitions outside ``h`` cannot occur in the closed loop;
+    they are dropped with a warning.
     """
     ensure_deterministic(g)
     if not is_subautomaton(h, g):
         raise InputError("the specification must be a sub-automaton of the plant")
-    restricted, dropped = policy.restricted_to(h)
-    if dropped:
-        warnings.warn(
-            f"attack policy entries for transitions outside the specification were ignored: {list(dropped)}",
-            stacklevel=2,
-        )
-    ensure_valid_policy(h, restricted)
-    obs = build_ca_observer(h, restricted)
-    estimates = {state: obs.plant_projection(state) for state in obs.observer.states}
+    if isinstance(attack, SensorAttackPolicy):
+        dropped = attack.restricted_to(h)[1]
+        if dropped:
+            warnings.warn(
+                f"attack policy entries for transitions outside the specification were ignored: {list(dropped)}",
+                stacklevel=2,
+            )
+    obs, lift = attacked_observer(h, attack)
+    estimates = {state: lift(obs.plant_projection(state)) for state in obs.observer.states}
     controls = _controls_from_observer(obs, estimates, g, h.states)
     return Supervisor(
         observer=obs,
@@ -152,27 +153,12 @@ def synthesize_ca_supervisor(g: Automaton, h: Automaton, policy: SensorAttackPol
 def synthesize_obs_based(g: Automaton, h: Automaton, strategy: ObservationAttackStrategy) -> Supervisor:
     """Estimate-based supervisor against an observation-based sensor attack.
 
-    Composes the spec with the attack context, rewrites the attack as a
-    transition-based policy on the composition, builds the observer there,
-    and lifts every estimate back to plant states before deriving controls.
+    The same as :func:`synthesize_ca_supervisor` with the strategy as its
+    attack: the spec is composed with the attack context, the attack is
+    rewritten as a transition-based policy there, and every estimate is
+    lifted back to plant states before the controls are derived.
     """
-    ensure_deterministic(g)
-    if not is_subautomaton(h, g):
-        raise InputError("the specification must be a sub-automaton of the plant")
-    conversion = convert_observation_based(h, strategy)
-    obs = build_ca_observer(conversion.product, conversion.policy)
-    estimates = {
-        state: lift_estimate(obs.plant_projection(state), conversion.pairs)
-        for state in obs.observer.states
-    }
-    controls = _controls_from_observer(obs, estimates, g, h.states)
-    return Supervisor(
-        observer=obs,
-        controls=controls,
-        estimates=estimates,
-        default_control=g.alphabet.uncontrollable,
-        alphabet=g.alphabet,
-    )
+    return synthesize_ca_supervisor(g, h, strategy)
 
 
 def _require_same_observer(s1: Supervisor, s2: Supervisor) -> None:

@@ -6,19 +6,18 @@ offered and its positive answer is labelled ``holds-to-depth``.  The large
 language (the upper bound of everything the attacked closed loop can
 generate) is realized as a product automaton, and its equality with the
 spec is decided on the fly.  Every check is one breadth-first search
-(``_bfs``) over a finite arena; the closed-loop arena pairs a plant state
-with the supervisor-observer states some attacked observation reaches.
+(``automata.breadth_first``) over a finite arena; the closed-loop arena
+pairs a plant state with the supervisor-observer states some attacked
+observation reaches.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Mapping
 
 from .attacks import SensorAttackPolicy, ensure_valid_policy
-from .automata import Automaton, Transition, Word, ensure_deterministic, is_subautomaton
+from .automata import Automaton, Transition, Word, breadth_first, ensure_deterministic, is_subautomaton
 from .errors import InputError
 from .estimation import CAObserver, build_ca_observer
 from .synthesis import disabled_set, ensure_estimate_based
@@ -68,34 +67,6 @@ def _fails(string: Word, event: str, witness: str, depth: int | None = None) -> 
     return Verdict("fails", Counterexample(string, event, witness), depth)
 
 
-def _bfs(start, expand):
-    """Breadth-first search of the arena that ``expand`` spans from ``start``.
-
-    ``expand(node)`` lists ``(event, successor)`` pairs in sorted event
-    order, so nodes come out ordered by the length-lexicographically least
-    string reaching them.  Yields ``(node, level, successors, string)``;
-    ``string()`` rebuilds that least string from parent pointers.
-    """
-    parents = {start: None}
-    queue = deque([(start, 0)])
-    while queue:
-        node, level = queue.popleft()
-        successors = expand(node)
-        for event, succ in successors:
-            if succ not in parents:
-                parents[succ] = (node, event)
-                queue.append((succ, level + 1))
-        yield node, level, successors, partial(_string_to, parents, node)
-
-
-def _string_to(parents, node) -> Word:
-    out: list[str] = []
-    while parents[node] is not None:
-        node, event = parents[node]
-        out.append(event)
-    return tuple(reversed(out))
-
-
 def check_ca_controllability(
     g: Automaton,
     h: Automaton,
@@ -119,7 +90,7 @@ def check_ca_controllability(
         else g.alphabet.actuator_attackable
     )
     unstoppable = uc | att
-    for q, _, _, string in _bfs(h.initial, h.outgoing):
+    for q, _, _, string in breadth_first(h.initial, h.outgoing):
         for event, dst in g.outgoing(q):
             if event in unstoppable and dst not in h.states:
                 return _fails(string(), event, f"reaches unsafe state {dst!r}")
@@ -146,7 +117,6 @@ def check_ca_observability_bounded(
     if not is_subautomaton(h, g):
         raise InputError("the specification must be a sub-automaton of the plant")
     restricted, _ = policy.restricted_to(h)
-    ensure_valid_policy(h, restricted)
     observer = build_ca_observer(h, restricted)
     relation = _ObserverStepRelation(observer, restricted, h.alphabet.observable)
 
@@ -165,7 +135,7 @@ def check_ca_observability_bounded(
         ]
 
     start = (h.initial, frozenset({observer.observer.initial}))
-    for (_, tracked), level, successors, string in _bfs(start, expand):
+    for (_, tracked), level, successors, string in breadth_first(start, expand):
         if level == depth:
             break
         for event, _ in successors:
@@ -286,7 +256,7 @@ def large_language_automaton(
     start, expand = _closed_loop(g, supervisor, policy, actuator_attackable)
     names: dict[tuple[str, frozenset[str]], str] = {}
     edges = []
-    for node, _, successors, _ in _bfs(start, expand):
+    for node, _, successors, _ in breadth_first(start, expand):
         q, tracked = node
         names[node] = q + "|{" + ",".join(sorted(tracked)) + "}"
         edges.extend((node, event, succ) for event, succ in successors)
@@ -326,7 +296,7 @@ def verify_large_language_equals(
         events = sorted(left.keys() | right.keys())
         return [(event, (left.get(event), right.get(event))) for event in events]
 
-    for _, _, successors, string in _bfs((start, h.initial), expand):
+    for _, _, successors, string in breadth_first((start, h.initial), expand):
         for event, (node, r) in successors:
             if node is None or r is None:
                 side = (

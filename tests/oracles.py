@@ -244,6 +244,44 @@ def projected_marked_words(a: Automaton, depth: int, observable=None) -> frozens
     return frozenset(t for q, t in seen if q in a.marked)
 
 
+def shortest_uncovered_observation(g: Automaton, sa: Automaton) -> tuple[str, ...] | None:
+    """A shortest observation of ``g`` that the deterministic ``sa`` cannot follow, or None.
+
+    Searches pairs (plant states some observation leads to, ``sa`` state),
+    so it counts observed events, not plant events.
+    """
+    adj = _adjacency(g)
+    observable = g.alphabet.observable
+
+    def silent_closure(states) -> frozenset[str]:
+        out = set(states)
+        stack = list(out)
+        while stack:
+            for label, dst in adj.get(stack.pop(), ()):
+                if (label == EPSILON or label not in observable) and dst not in out:
+                    out.add(dst)
+                    stack.append(dst)
+        return frozenset(out)
+
+    start = (silent_closure({g.initial}), sa.initial)
+    seen = {start}
+    queue = [(start, ())]
+    while queue:
+        (states, z), word = queue.pop(0)
+        for event in sorted(observable):
+            reached = silent_closure({dst for q in states for label, dst in adj.get(q, ()) if label == event})
+            if not reached:
+                continue
+            z2 = [dst for src, label, dst in sa.transitions if src == z and label == event]
+            if not z2:
+                return word + (event,)
+            node = (reached, z2[0])
+            if node not in seen:
+                seen.add(node)
+                queue.append((node, word + (event,)))
+    return None
+
+
 def diamond_by_replacement(g: Automaton, policy: SensorAttackPolicy) -> DiamondAutomaton:
     """Reference for :func:`build_g_diamond`: one :func:`replace_transition` per entry.
 
@@ -424,6 +462,14 @@ def _rewalk_setup(g, h, policy_or_strategy, actuator_attackable, attacker, max_s
     ensure_valid_policy(g, policy)
     att = tuple(sorted(actuator_attackable if actuator_attackable is not None else g.alphabet.actuator_attackable))
     cap = attacker.fragment_cap
+    if cap is not None and attacker.kind != "none":
+        problems = [
+            f"fragment_cap {cap} admits no corruption word for transition {tr!r}"
+            for tr, f in policy.sorted_entries()
+            if not marked_words(f, cap)
+        ]
+        if problems:
+            raise InputError("; ".join(problems))
     trace_cap = cap if cap is not None else max((2 * len(f.states) for _, f in policy.sorted_entries()), default=0)
     return g, h, policy, att, trace_cap
 

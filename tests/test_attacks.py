@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descat import (
+    EPSILON,
     Automaton,
+    EventAlphabet,
     InputError,
     ObservationAttackStrategy,
     PreconditionError,
@@ -24,7 +26,9 @@ from descat import (
     validate_policy,
     validate_strategy,
 )
+from descat.attacks import check_projection_containment
 from conftest import make_cycle, make_cycle_strategy, random_model, random_strategy
+from oracles import accepts, shortest_uncovered_observation
 
 W = lambda text: tuple(text.split())
 
@@ -380,3 +384,54 @@ class TestConversion:
         for n, (g, strategy) in enumerate(setups, 1):
             convert_observation_based(g, strategy)
             assert len(calls) == n
+
+
+class TestProjectionContainment:
+    def test_witness_is_shortest_in_plant_events_not_in_observations(self):
+        alphabet = EventAlphabet(
+            events={"a", "b", "c", "u"}, observable={"a", "b", "c"}, controllable={"a", "b", "c", "u"}
+        )
+        g = Automaton(
+            states={str(i) for i in range(7)},
+            alphabet=alphabet,
+            transitions={
+                ("0", "b", "1"), ("1", "c", "2"),
+                ("0", "u", "3"), ("3", "u", "4"), ("4", "u", "5"), ("5", "a", "6"),
+            },
+            initial="0",
+        )
+        sa = Automaton(
+            states={"z0", "z1"},
+            alphabet=alphabet.observable_restriction(),
+            transitions={("z0", "b", "z1")},
+            initial="z0",
+        )
+        assert check_projection_containment(g, sa) == W("b c")
+        assert shortest_uncovered_observation(g, sa) == W("a")
+
+    def test_matches_enumeration_on_random_models(self):
+        rng = random.Random(717)
+        outcomes = {"holds": 0, "fails": 0}
+        while min(outcomes.values()) < 40:
+            g, _ = random_model(rng)
+            strategy = random_strategy(rng, g)
+            if strategy is None:
+                continue
+            sa = strategy.sa
+            kept = frozenset(t for t in sa.transitions if rng.random() < 0.7)
+            broken = Automaton(states=sa.states, alphabet=sa.alphabet, transitions=kept, initial=sa.initial)
+            for context in (sa, broken):
+                witness = check_projection_containment(g, context)
+                assert (witness is None) == (shortest_uncovered_observation(g, context) is None)
+                outcomes["holds" if witness is None else "fails"] += 1
+                if witness is None:
+                    continue
+                erased = Automaton(
+                    states=g.states,
+                    alphabet=g.alphabet,
+                    transitions={(s, l if l in g.alphabet.observable else EPSILON, d) for s, l, d in g.transitions},
+                    initial=g.initial,
+                )
+                assert accepts(erased, witness)
+                assert not accepts(context, witness)
+                assert all(accepts(context, witness[:k]) for k in range(len(witness)))

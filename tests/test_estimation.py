@@ -372,6 +372,7 @@ class TestLiftEstimate:
         import random
 
         from descat import convert_observation_based
+        from descat.estimation import attacked_observer
         from conftest import random_strategy
         from oracles import omega_estimate_oracle
 
@@ -385,11 +386,14 @@ class TestLiftEstimate:
             checked += 1
             conv = convert_observation_based(g, strategy)
             obs = build_ca_observer(conv.product, conv.policy)
+            helper_obs, lift = attacked_observer(g, strategy)
+            assert helper_obs == obs
             observations = enumerate_language(obs.observer, 5, marked_only=True)
             prefixes = {t[:k] for t in observations for k in range(len(t) + 1)}
             for t in sorted(prefixes):
                 lifted = lift_estimate(state_estimate(obs, t), conv.pairs)
                 assert lifted == omega_estimate_oracle(g, strategy, t)
+                assert lift(state_estimate(obs, t)) == lifted
 
     def test_empty_estimate_lifts_to_empty(self):
         assert lift_estimate(frozenset(), {}) == frozenset()

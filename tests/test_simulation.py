@@ -345,3 +345,95 @@ class TestIncrementalObserver:
                 simulate(cycle_beta.plant, cycle_beta.spec, ControlOnly(), attack, max_steps=5)
             with pytest.raises(UnsupportedSupervisorError):
                 run_campaign(cycle_beta.plant, cycle_beta.spec, ControlOnly(), attack, trials=2, max_steps=5)
+
+
+class TestDeepExhaustive:
+    """The exhaustive attacker against the re-walking oracle beyond depth 5."""
+
+    def test_deep_runs_on_the_cycle(self, cycle_beta, cycle_strategy):
+        g, h = cycle_beta.plant, cycle_beta.spec
+        setups = (
+            (corpus_supervisor(cycle_beta), cycle_beta.policy, 14),
+            (synthesize_obs_based(g, h, cycle_strategy), cycle_strategy, 12),
+        )
+        for sup, attack, depth in setups:
+            args = (g, h, sup, attack)
+            kwargs = dict(attacker=AttackerStrategy.exhaustive(), max_steps=depth)
+            trace = simulate(*args, **kwargs)
+            ref = simulate_by_rewalk(*args, **kwargs)
+            assert trace.safe and len(trace.steps) == depth
+            assert (trace.to_text(), trace.as_dict()) == (ref.to_text(), ref.as_dict())
+
+    def test_searches_that_empty_before_the_bound(self):
+        rng = random.Random(5)
+        emptied = 0
+        for _ in range(100):
+            g, policy = random_model(rng)
+            h = random_spec(rng, g)
+            args = (g, h, random_supervisor(rng, g, h, policy), policy)
+            kwargs = dict(attacker=AttackerStrategy.exhaustive(), max_steps=12)
+            trace = simulate(*args, **kwargs)
+            ref = simulate_by_rewalk(*args, **kwargs)
+            assert (trace.to_text(), trace.as_dict()) == (ref.to_text(), ref.as_dict())
+            emptied += trace.safe and len(trace.steps) < 12
+        assert emptied >= 10
+
+
+class TestFragmentCap:
+    """A cap below the shortest word of an attack language is rejected before any trial."""
+
+    @staticmethod
+    def two_event_lambda(cycle_beta):
+        """The cycle with lambda corrupted only to ``lambda mu``."""
+        two_events = dataclasses.replace(cycle_beta.f1, marked=frozenset({"B"}))
+        return SensorAttackPolicy.from_transitions(
+            {("2", "lambda", "3"): two_events, ("3", "mu", "1"): cycle_beta.f2}
+        )
+
+    @pytest.mark.parametrize("kind", ["random", "exhaustive"])
+    def test_cap_one_raises_and_cap_two_runs(self, cycle_beta, kind):
+        policy = self.two_event_lambda(cycle_beta)
+        g, h = cycle_beta.plant, cycle_beta.spec
+        args = (g, h, synthesize_ca_supervisor(g, h, policy), policy)
+        message = r"fragment_cap 1 admits no corruption word for transition \('2', 'lambda', '3'\)"
+        with pytest.raises(InputError, match=message):
+            simulate(*args, attacker=AttackerStrategy(kind=kind, fragment_cap=1), max_steps=10)
+        with pytest.raises(InputError, match=message):
+            run_campaign(*args, attacker=AttackerStrategy(kind=kind, fragment_cap=1), trials=3, max_steps=10)
+        attacker = AttackerStrategy(kind=kind, fragment_cap=2)
+        trace = simulate(*args, attacker=attacker, max_steps=10, seed=1)
+        assert len(trace.steps) == 10 and trace.fragment_cap == 2
+        assert all(s.fragment == W("lambda mu") for s in trace.steps if s.event == "lambda")
+        report = run_campaign(*args, attacker=attacker, trials=3, max_steps=10)
+        assert report.violation_count == 0
+
+    def test_cap_is_ignored_without_corruption(self, cycle_beta):
+        policy = self.two_event_lambda(cycle_beta)
+        g, h = cycle_beta.plant, cycle_beta.spec
+        sup = synthesize_ca_supervisor(g, h, policy)
+        trace = simulate(g, h, sup, policy, attacker=AttackerStrategy(kind="none", fragment_cap=1), max_steps=6)
+        assert trace.fragment_cap == 1 and trace.plant_string == W("alpha lambda")
+
+
+class TestPolicyValidatedOnce:
+    def test_one_validation_per_call(self, cycle_beta, cycle_strategy, monkeypatch):
+        import descat.attacks
+
+        validate = descat.attacks.validate_policy
+        calls = []
+        monkeypatch.setattr(descat.attacks, "validate_policy", lambda g, p: calls.append(1) or validate(g, p))
+        g, h, policy = cycle_beta.plant, cycle_beta.spec, cycle_beta.policy
+        sup = synthesize_ca_supervisor(g, h, policy)
+        assert len(calls) == 1
+        run_campaign(g, h, sup, policy, trials=3, max_steps=5)
+        assert len(calls) == 2
+        obs_sup = synthesize_obs_based(g, h, cycle_strategy)
+        run_campaign(g, h, obs_sup, cycle_strategy, trials=3, max_steps=5)
+        simulate(g, h, obs_sup, cycle_strategy, attacker=AttackerStrategy.exhaustive(), max_steps=5)
+        assert len(calls) == 3
+
+    def test_policy_is_reported_before_nondeterminism(self, cycle_beta):
+        g = dataclasses.replace(cycle_beta.plant, transitions=cycle_beta.plant.transitions | {("1", "alpha", "4")})
+        sup = corpus_supervisor(cycle_beta)
+        with pytest.raises(InputError, match="invalid sensor attack policy"):
+            simulate(g, cycle_beta.spec, sup, SensorAttackPolicy.empty(), max_steps=5)

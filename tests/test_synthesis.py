@@ -81,8 +81,9 @@ class TestSynthesize:
         policy = SensorAttackPolicy.from_transitions(
             {**extra.entries, ("4", "lambda", "4"): cycle_beta.f1}
         )
-        with pytest.warns(UserWarning, match="outside the specification"):
+        with pytest.warns(UserWarning, match="outside the specification") as record:
             sup = synthesize_ca_supervisor(plant, spec, policy)
+        assert record[0].filename == __file__
         assert sup.control_for(W("alpha")) == {"beta", "lambda", "mu"}
 
     def test_every_control_contains_uncontrollables(self):
@@ -149,6 +150,9 @@ class TestObservationBasedSynthesis:
         assert sup.estimate_for(W("alpha")) == {"2", "3"}
         assert sup.control_for(W("alpha")) == {"beta", "lambda", "mu"}
         assert sup.control_for(()) == SIGMA
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_strategy) == sup
 
     def test_single_state_context_matches_transition_based(self, cycle_beta):
         alphabet = cycle_beta.alphabet
