@@ -184,14 +184,13 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = load_model(args.model)
     sup = _synthesize(doc)
-    g, h, policy = transition_based_setup(doc.plant, doc.spec_automaton(), _attack(doc))
     attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
     attacker = AttackerStrategy(kind=args.attacker)
     report = run_campaign(
-        g,
-        h,
+        doc.plant,
+        doc.spec_automaton(),
         sup,
-        policy,
+        _attack(doc),
         actuator_attackable=attackable,
         trials=args.trials,
         max_steps=args.max_steps,

@@ -34,13 +34,13 @@ class AttackerStrategy:
     """How the adversary resolves its choices during a run.
 
     ``none`` performs no corruption at all; ``random`` draws every choice
-    from a seeded generator; ``exhaustive`` explores all choices
-    breadth-first up to the step bound and surfaces a violating run when
-    one exists.  ``fragment_cap`` bounds the corruption words considered
-    for attack languages with cycles (default: twice the corruption
-    automaton's state count, which covers all simple accepting paths); a
-    cap below the shortest word of some attack language is an
-    :class:`InputError`.
+    from a seeded generator; ``exhaustive`` explores all choices up to the
+    step bound on the finite arena of plant and observer states and
+    surfaces a shortest violating run when one exists.  ``fragment_cap``
+    bounds the corruption words considered for attack languages with
+    cycles (default: twice the corruption automaton's state count, which
+    covers all simple accepting paths); a cap below the shortest word of
+    some attack language is an :class:`InputError`.
     """
 
     kind: str = "random"
@@ -156,7 +156,11 @@ def simulate(
 
     The attacker's own ``seed`` takes precedence over the ``seed``
     argument; under ``exhaustive`` the run is deterministic and returns a
-    shortest violating trace when one exists within the bound.
+    shortest violating trace when one exists within the bound, otherwise
+    the first run of the deepest level of a breadth-first search over
+    (plant state, observation).  Both are found on the finite arena of
+    plant and observer states, so the nodes expanded stop growing with
+    ``max_steps`` once that arena is saturated.
     """
     return _PreparedRun(g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps).run(seed)
 
@@ -286,30 +290,44 @@ class _PreparedRun:
         return self.trace(tuple(steps), effective_seed)
 
     def _exhaustive(self) -> Trace:
-        """Breadth-first search over all attacker and plant choices.
+        """Search all attacker and plant choices on a finite arena.
 
-        A node is (plant state, observation so far) and an edge is labelled
-        (event, issued control, received control, fragment).  Returns a
-        shortest violating trace if the adversary can force one within
-        ``max_steps`` events, otherwise the first run to the deepest level
-        reached (first branch everywhere).
+        The supervisor is estimate-based, so what a run can do next depends
+        only on the plant state ``q`` and the supervisor's observer state.
+        An arena node is (``q``, observer state before the last fragment,
+        that fragment): the last fragment is read only when its node is
+        expanded, and nodes at ``max_steps`` are not expanded.  An edge is
+        labelled (event, issued control, received control, fragment), and
+        a node's edges are listed once, deliveries, then enabled events,
+        then fragments.  A walk is a sequence of labels from the start;
+        "least" means least in that emission order.
+
+        *Violation.*  Breadth-first search finds the least shortest walk
+        whose last edge leaves the specification.  A walk's future depends
+        only on its arena node, so this is the least shortest violating
+        walk among all label sequences, which is the run returned.
+
+        *Safe fallback.*  With no violation within ``max_steps``, the run
+        returned is the least walk of length ``D`` whose end (plant state,
+        observation) no shorter walk reaches; call such a walk *tight*.
+        ``D`` is the greatest length at most ``max_steps`` of a tight walk:
+        the last level of a breadth-first search over (plant state,
+        observation), whose first node it is.  Every prefix of a tight
+        walk is tight, so :func:`_tight_walk` finds the walk depth first.
         """
         g, h, supervisor = self.g, self.h, self.supervisor
         observer = supervisor.observer
-        start = (g.initial, ())
-        # Per node, as first discovered: the observer state before its last
-        # fragment, that fragment and the node's level.  Nodes at the bound
-        # are not expanded, so the last fragment of a run is never read.
-        carried = {start: (observer.observer.initial, (), 0)}
+        start = (g.initial, observer.observer.initial, ())
+        level = {start: 0}
+        edges: dict[tuple, list] = {}
 
         def expand(node):
-            q, observation = node
-            x, last, level = carried[node]
-            if level == self.max_steps:
+            if level[node] == self.max_steps:
                 return ()
+            q, x, last = node
             x = observer.advance(x, last)
             issued = supervisor.control_at(x)
-            out = []
+            out = edges[node] = []
             for received in self.deliveries(issued):
                 for event in self.enabled(q, received):
                     dst = g.delta(q, event)
@@ -317,21 +335,23 @@ class _PreparedRun:
                     if fragments is None:
                         fragments = [natural_projection((event,), g.alphabet)]
                     for fragment in fragments:
-                        succ = (dst, observation + fragment)
-                        carried.setdefault(succ, (x, fragment, level + 1))
+                        succ = (dst, x, fragment)
+                        level.setdefault(succ, level[node] + 1)
                         out.append(((event, issued, received, fragment), succ))
             return out
 
-        deepest = -1
-        for _, level, successors, string in breadth_first(start, expand):
-            if level > deepest:
-                deepest, fallback = level, string
-            if level == self.max_steps:
+        for _, depth, successors, string in breadth_first(start, expand):
+            if depth == self.max_steps:
                 break
-            for label, (dst, _) in successors:
+            for label, (dst, _, _) in successors:
                 if dst not in h.states:
                     return self._trace_along(string() + (label,), last_safe=False)
-        return self._trace_along(fallback(), last_safe=True)
+        height = _heights(edges)
+        goal = min(self.max_steps, height.get(start, self.max_steps))
+        walk = _tight_walk(start, edges, height, goal, floor=goal)
+        if len(walk) < goal:
+            walk = _tight_walk(start, edges, height, goal, floor=0)
+        return self._trace_along(walk, last_safe=True)
 
     def _trace_along(self, labels: tuple, last_safe: bool) -> Trace:
         """The exhaustive trace through the search's edge ``labels``; only the last step may be unsafe."""
@@ -341,6 +361,86 @@ class _PreparedRun:
             for i, (event, issued, received, fragment) in enumerate(labels, 1)
         )
         return self.trace(steps, None)
+
+
+def _heights(edges: dict) -> dict:
+    """Length of the longest walk from each arena node that reaches no cycle.
+
+    Nodes that reach a cycle can walk forever and are left out.  A node
+    without edges, a dead end or one at the step bound, has height 0.
+    """
+    parents: dict = {}
+    for node, out in edges.items():
+        for _, child in out:
+            parents.setdefault(child, []).append(node)
+    waiting = {node: len(out) for node, out in edges.items()}
+    ready = [node for node in edges.keys() | parents.keys() if not waiting.get(node)]
+    height = {}
+    while ready:
+        node = ready.pop()
+        height[node] = max((height[child] + 1 for _, child in edges.get(node, ())), default=0)
+        for parent in parents.get(node, ()):
+            waiting[parent] -= 1
+            if not waiting[parent]:
+                ready.append(parent)
+    return height
+
+
+def _tight_walk(start, edges: dict, height: dict, goal: int, floor: int) -> tuple:
+    """Labels of the least of the longest tight walks of length at most ``goal``.
+
+    Depth first in emission order, so walks are met least first.  A child
+    is skipped when its (plant state, observation) was entered before (a
+    later walk there has the same futures and is not less), when it
+    cannot walk on to depth ``floor`` or past the longest walk found so
+    far, or when a shorter walk reaches its plant state with its
+    observation.  With ``floor=goal`` the search gives up early when no
+    tight walk reaches ``goal``.
+    """
+    best: tuple = ()
+    labels: list = []
+    entered = {(start[0], ())}
+    stack = [(start, (), iter(edges.get(start, ())))]
+    while stack and len(best) < goal:
+        _, observation, out = stack[-1]
+        depth = len(stack)
+        need = max(floor, len(best) + 1) - depth
+        for label, child in out:
+            key = (child[0], observation + label[3])
+            if key in entered or height.get(child, goal) < need or _shortest(start, edges, key, depth) < depth:
+                continue
+            entered.add(key)
+            labels.append(label)
+            if depth > len(best):
+                best = tuple(labels)
+            stack.append((child, key[1], iter(edges.get(child, ()))))
+            break
+        else:
+            stack.pop()
+            if labels:
+                labels.pop()
+    return best
+
+
+def _shortest(start, edges: dict, key: tuple, bound: int) -> int:
+    """Fewest steps in which a walk reaches the (plant state, observation) ``key``, or ``bound`` if no fewer.
+
+    Breadth first over (arena node, length of the observation read).
+    """
+    q, observation = key
+
+    def expand(pair):
+        node, i = pair
+        return [
+            (None, (child, i + len(fragment)))
+            for (*_, fragment), child in edges.get(node, ())
+            if observation[i : i + len(fragment)] == fragment
+        ]
+
+    for (node, i), level, _, _ in breadth_first((start, 0), expand):
+        if level == bound or (node[0] == q and i == len(observation)):
+            return level
+    return bound
 
 
 @dataclass(frozen=True)

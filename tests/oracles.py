@@ -496,8 +496,10 @@ def simulate_by_rewalk(
     """``simulate`` with the control asked for the whole observation at every step.
 
     Draws the same random numbers in the same order as ``simulate``;
-    under the exhaustive attacker it searches breadth-first over
-    (plant state, observation) as ``simulate`` does.
+    under the exhaustive attacker it searches breadth-first over (plant
+    state, observation) and keeps the first run of the deepest level,
+    which ``simulate`` rebuilds on the finite arena of plant and
+    observer states without enumerating the levels.
     """
     g, h, policy, att, trace_cap = _rewalk_setup(g, h, policy_or_strategy, actuator_attackable, attacker, max_steps)
     cap = attacker.fragment_cap

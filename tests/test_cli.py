@@ -147,6 +147,28 @@ class TestSimulate:
         assert payload["violations"] == 0
         assert payload["trials"] == 5
 
+    def test_exhaustive_at_the_default_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", CYCLE_BETA, "--attacker", "exhaustive")
+        assert code == 0
+        assert "max-steps=50" in out and "violations: 0" in out
+
+    def test_campaign_validates_the_policy_once(self, capsys, monkeypatch):
+        """Only the campaign checks the policy beyond what synthesis checks; a converted strategy needs no check."""
+        import descat.attacks
+
+        validate = descat.attacks.validate_policy
+        calls = []
+        monkeypatch.setattr(descat.attacks, "validate_policy", lambda g, p: calls.append(1) or validate(g, p))
+
+        def validations(*argv):
+            calls.clear()
+            run_cli(capsys, *argv)
+            return len(calls)
+
+        for model, extra in ((CYCLE_BETA, 1), (CYCLE_OBS, 0)):
+            synthesis = validations("synthesize", model)
+            assert validations("simulate", model, "--trials", "2", "--max-steps", "3") == synthesis + extra
+
 
 class TestConvertAndDot:
     def test_convert_obs_round_trips_as_model(self, capsys, tmp_path):

@@ -10,6 +10,7 @@ from descat import (
     CAObserver,
     InputError,
     SensorAttackPolicy,
+    Supervisor,
     UnsupportedSupervisorError,
     delta_control,
     enumerate_language,
@@ -377,6 +378,51 @@ class TestDeepExhaustive:
             assert (trace.to_text(), trace.as_dict()) == (ref.to_text(), ref.as_dict())
             emptied += trace.safe and len(trace.steps) < 12
         assert emptied >= 10
+
+    def test_cyclic_corruption_languages(self):
+        """Seed 2 keeps the oracle quick: about one random model in 40 takes it minutes at depth 6."""
+        rng = random.Random(2)
+        ends = {"unsafe": 0, "emptied": 0, "full": 0}
+        for _ in range(40):
+            g, policy = random_model(rng, acyclic_attacks=False)
+            h = random_spec(rng, g)
+            args = (g, h, random_supervisor(rng, g, h, policy), policy)
+            for cap in (None, 2):
+                for depth in (3, 6):
+                    kwargs = dict(attacker=AttackerStrategy(kind="exhaustive", fragment_cap=cap), max_steps=depth)
+                    trace = outcome(simulate, *args, **kwargs)
+                    ref = outcome(simulate_by_rewalk, *args, **kwargs)
+                    assert type(trace) is type(ref)
+                    if isinstance(ref, Exception):
+                        assert repr(trace) == repr(ref)
+                        continue
+                    assert (trace.to_text(), trace.as_dict()) == (ref.to_text(), ref.as_dict())
+                    ends["unsafe" if not trace.safe else "emptied" if len(trace.steps) < depth else "full"] += 1
+        assert min(ends.values()) >= 20, ends
+
+    def test_depth_sixteen_on_the_cycle(self, cycle_beta):
+        args = (cycle_beta.plant, cycle_beta.spec, corpus_supervisor(cycle_beta), cycle_beta.policy)
+        kwargs = dict(attacker=AttackerStrategy.exhaustive(), max_steps=16)
+        trace = simulate(*args, **kwargs)
+        ref = simulate_by_rewalk(*args, **kwargs)
+        assert trace.safe and len(trace.steps) == 16
+        assert (trace.to_text(), trace.as_dict()) == (ref.to_text(), ref.as_dict())
+
+    def test_cost_is_flat_once_the_arena_saturates(self, cycle_beta, monkeypatch):
+        sup = corpus_supervisor(cycle_beta)
+        control_at = Supervisor.control_at
+        calls = []
+        monkeypatch.setattr(Supervisor, "control_at", lambda self, x: calls.append(x) or control_at(self, x))
+        counts = {}
+        for depth in (50, 400):
+            calls.clear()
+            trace = simulate(
+                cycle_beta.plant, cycle_beta.spec, sup, cycle_beta.policy,
+                attacker=AttackerStrategy.exhaustive(), max_steps=depth,
+            )
+            counts[depth] = len(calls)
+        assert counts[50] == counts[400] > 0
+        assert trace.safe and len(trace.steps) == 400
 
 
 class TestFragmentCap:
