@@ -9,6 +9,7 @@ that context reduces everything to the transition-based machinery.
 from pathlib import Path
 
 from descat import (
+    ModelDocument,
     convert_observation_based,
     load_model,
     natural_projection,
@@ -17,6 +18,8 @@ from descat import (
     serialize_model,
     synthesize_obs_based,
     enumerate_language,
+    transition_based_setup,
+    verify_large_language_equals,
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -51,16 +54,19 @@ def main():
     print("   control  after 'alpha':", "{" + ",".join(sorted(sup.control_for(("alpha",)))) + "}")
     assert sup.estimate_for(("alpha",)) == {"2", "3"}
     assert sup.control_for(("alpha",)) == {"beta", "lambda", "mu"}
+    verdict = verify_large_language_equals(g, h, sup, strategy)
+    print("   closed loop against the strategy generates exactly the spec:", verdict.status)
+    assert verdict.holds
 
-    out = Path(__file__).resolve().parent / "cycle_converted.des"
-    from descat import ModelDocument
-
+    # The same rewrite as `descat convert-obs`: plant and spec composed with the context.
+    plant, spec, policy = transition_based_setup(g, h, strategy)
     converted = ModelDocument(
-        alphabet=conv.product.alphabet,
-        plant=conv.product,
-        safe_states=frozenset(n for n, (q, _) in conv.pairs.items() if q in h.states),
-        policy_transitions=dict(conv.policy.entries),
+        alphabet=plant.alphabet,
+        plant=plant,
+        safe_states=spec.states,
+        policy_transitions=dict(policy.entries),
     )
+    out = Path(__file__).resolve().parent / "cycle_converted.des"
     out.write_text(serialize_model(converted))
     print(f"\nwrote the rewritten model to {out.name}")
 

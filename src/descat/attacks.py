@@ -24,6 +24,7 @@ from .automata import (
     bounded_marked_language,
     marked_word_length_bound,
     parallel_compose_pairs,
+    shortest_marked_length,
     sub_automaton,
 )
 from .automata import validate as validate_automaton
@@ -122,8 +123,7 @@ def _corruption_defects(
         memo[f] = (
             tuple(validate_automaton(f)),
             tuple(label for _, label, _ in sorted(f.transitions) if label == EPSILON or label not in observable),
-            # A nonempty regular language has a witness no longer than the state count.
-            not bounded_marked_language(f, len(f.states)),
+            shortest_marked_length(f) is None,
         )
     return memo[f]
 

@@ -181,6 +181,13 @@ def ensure_deterministic(a: Automaton, what: str = "plant") -> None:
         raise InputError(f"the {what} must be deterministic")
 
 
+def ensure_plant_and_spec(g: Automaton, h: Automaton) -> None:
+    """Raise :class:`InputError` unless ``g`` is deterministic and ``h`` a sub-automaton of it."""
+    ensure_deterministic(g)
+    if not is_subautomaton(h, g):
+        raise InputError("the specification must be a sub-automaton of the plant")
+
+
 def unobservable_reach(a: Automaton, states: Iterable[str]) -> frozenset[str]:
     """Smallest superset of ``states`` closed under epsilon transitions."""
     reach = set(states)
@@ -413,6 +420,11 @@ def enumerate_language(a: Automaton, depth: int, marked_only: bool = False) -> f
 def bounded_marked_language(a: Automaton, bound: int) -> frozenset[Word]:
     """Marked words of length at most ``bound``."""
     return enumerate_language(a, bound, marked_only=True)
+
+
+def shortest_marked_length(a: Automaton) -> int | None:
+    """Fewest transitions from the initial state to a marked state; None iff Lm(a) is empty."""
+    return next((level for s, level, _, _ in breadth_first(a.initial, a.outgoing) if s in a.marked), None)
 
 
 def marked_word_length_bound(a: Automaton) -> int | None:

@@ -141,20 +141,14 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_check_controllability(args) -> int:
     doc = load_model(args.model)
-    g, h = doc.plant, doc.spec_automaton()
     attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
-    verdict = check_ca_controllability(g, h, actuator_attackable=attackable)
+    verdict = check_ca_controllability(doc.plant, doc.spec_automaton(), actuator_attackable=attackable)
     return _print_verdict("CA-controllability", verdict, args.json)
 
 
 def _cmd_check_observability(args) -> int:
     doc = load_model(args.model)
-    g, h, policy = transition_based_setup(doc.plant, doc.spec_automaton(), _attack(doc))
-    depth = args.depth
-    if depth is None:
-        observer, _ = attacked_observer(h, policy)
-        depth = 2 * (len(observer.observer.states) + len(g.states))
-    verdict = check_ca_observability_bounded(g, h, policy, depth=depth)
+    verdict = check_ca_observability_bounded(doc.plant, doc.spec_automaton(), _attack(doc), depth=args.depth)
     return _print_verdict("CA-observability", verdict, args.json)
 
 
@@ -175,9 +169,8 @@ def _cmd_synthesize(args) -> int:
 def _cmd_verify(args) -> int:
     doc = load_model(args.model)
     sup = _synthesize(doc)
-    g, h, policy = transition_based_setup(doc.plant, doc.spec_automaton(), _attack(doc))
     attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
-    verdict = verify_large_language_equals(g, h, sup, policy, actuator_attackable=attackable)
+    verdict = verify_large_language_equals(doc.plant, doc.spec_automaton(), sup, _attack(doc), attackable)
     return _print_verdict("large-language equality", verdict, args.json)
 
 

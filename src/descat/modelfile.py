@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .attacks import ObservationAttackStrategy, SensorAttackPolicy, validate_policy, validate_strategy
-from .automata import Automaton, EventAlphabet, Transition, is_subautomaton, sub_automaton, validate
+from .automata import Automaton, EventAlphabet, Transition, ensure_deterministic, is_subautomaton, sub_automaton, validate
 from .errors import InputError, ParseError
 
 _FLAGS = ("controllable", "observable", "sensor-attackable", "actuator-attackable")
@@ -303,8 +303,7 @@ def _validate_document(doc: ModelDocument) -> None:
     problems = validate(doc.plant)
     if problems:
         raise InputError("invalid plant: " + "; ".join(problems))
-    if not doc.plant.is_deterministic:
-        raise InputError("the plant must be deterministic")
+    ensure_deterministic(doc.plant)
     if doc.safe_states is not None:
         unknown = doc.safe_states - doc.plant.states
         if unknown:

@@ -22,6 +22,7 @@ from .automata import (
     breadth_first,
     ensure_deterministic,
     natural_projection,
+    shortest_marked_length,
 )
 from .errors import InputError
 from .synthesis import ensure_estimate_based
@@ -192,10 +193,7 @@ class _PreparedRun:
         if cap is not None and attacker.kind != "none":
             # The attacker only emits words within the cap: a transition
             # without one could never fire.  Each distinct automaton is searched once.
-            shortest = {
-                f: next(level for s, level, _, _ in breadth_first(f.initial, f.outgoing) if s in f.marked)
-                for f in set(policy.entries.values())
-            }
+            shortest = {f: shortest_marked_length(f) for f in set(policy.entries.values())}
             short = [tr for tr, f in policy.sorted_entries() if shortest[f] > cap]
             if short:
                 raise InputError(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .attacks import ObservationAttackStrategy, SensorAttackPolicy
-from .automata import Automaton, EventAlphabet, ensure_deterministic, is_subautomaton
+from .automata import Automaton, EventAlphabet, ensure_plant_and_spec
 from .errors import InputError, UnsupportedSupervisorError
 from .estimation import CAObserver, attacked_observer
 
@@ -128,9 +128,7 @@ def synthesize_ca_supervisor(
     entries on transitions outside ``h`` cannot occur in the closed loop;
     they are dropped with a warning.
     """
-    ensure_deterministic(g)
-    if not is_subautomaton(h, g):
-        raise InputError("the specification must be a sub-automaton of the plant")
+    ensure_plant_and_spec(g, h)
     if isinstance(attack, SensorAttackPolicy):
         dropped = attack.restricted_to(h)[1]
         if dropped:

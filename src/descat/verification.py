@@ -8,7 +8,8 @@ generate) is realized as a product automaton, and its equality with the
 spec is decided on the fly.  Every check is one breadth-first search
 (``automata.breadth_first``) over a finite arena; the closed-loop arena
 pairs a plant state with the supervisor-observer states some attacked
-observation reaches.
+observation reaches.  An attack is a policy or an observation-based strategy,
+set up on plant and spec by :func:`~descat.attacks.transition_based_setup`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .attacks import SensorAttackPolicy, ensure_valid_policy
-from .automata import Automaton, Transition, Word, breadth_first, ensure_deterministic, is_subautomaton
+from .attacks import ObservationAttackStrategy, SensorAttackPolicy, transition_based_setup
+from .automata import Automaton, Transition, Word, breadth_first, ensure_deterministic, ensure_plant_and_spec
 from .errors import InputError
-from .estimation import CAObserver, build_ca_observer
+from .estimation import CAObserver, attacked_observer
 from .synthesis import disabled_set, ensure_estimate_based
 
 
@@ -80,9 +81,7 @@ def check_ca_controllability(
     actuator-attackable sets whose target is unsafe; the counterexample
     carries a shortest string reaching that state.
     """
-    ensure_deterministic(g)
-    if not is_subautomaton(h, g):
-        raise InputError("the specification must be a sub-automaton of the plant")
+    ensure_plant_and_spec(g, h)
     uc = frozenset(uncontrollable) if uncontrollable is not None else g.alphabet.uncontrollable
     att = (
         frozenset(actuator_attackable)
@@ -98,7 +97,7 @@ def check_ca_controllability(
 
 
 def check_ca_observability_bounded(
-    g: Automaton, h: Automaton, policy: SensorAttackPolicy, depth: int
+    g: Automaton, h: Automaton, attack: SensorAttackPolicy | ObservationAttackStrategy, depth: int | None = None
 ) -> Verdict:
     """Depth-bounded check of estimate-consistent observability.
 
@@ -109,16 +108,17 @@ def check_ca_observability_bounded(
     disabled, the pair is a counterexample.  The observer states of all
     observations of a string are tracked exactly, so infinite corruption
     languages are handled within the depth.  A positive answer only covers
-    the explored depth.
+    the explored depth.  ``depth=None`` explores ``2 * (|X| + |Q|)`` events,
+    for the spec's CA-observer states ``X`` and the set-up plant's states ``Q``.
     """
-    if depth < 1:
+    if depth is not None and depth < 1:
         raise InputError("depth must be at least 1")
-    ensure_deterministic(g)
-    if not is_subautomaton(h, g):
-        raise InputError("the specification must be a sub-automaton of the plant")
-    restricted, _ = policy.restricted_to(h)
-    observer = build_ca_observer(h, restricted)
-    relation = _ObserverStepRelation(observer, restricted, h.alphabet.observable)
+    ensure_plant_and_spec(g, h)
+    if isinstance(attack, ObservationAttackStrategy):
+        g, h, attack = transition_based_setup(g, h, attack)
+    observer, _ = attacked_observer(h, attack)
+    depth = depth if depth is not None else 2 * (len(observer.observer.states) + len(g.states))
+    relation = _ObserverStepRelation(observer, attack, h.alphabet.observable)
 
     disabled_cache: dict[str, frozenset[str]] = {}
 
@@ -210,10 +210,10 @@ class _ObserverStepRelation:
         return frozenset(found)
 
 
-def _closed_loop(g: Automaton, supervisor, policy: SensorAttackPolicy, actuator_attackable):
-    """Start node and ``expand`` function of the attacked closed loop's arena.
+def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator_attackable):
+    """Set-up spec, start node and ``expand`` function of the attacked closed loop's arena.
 
-    A node pairs a plant state with the supervisor-observer states that
+    A node pairs a set-up plant state with the supervisor-observer states that
     some feasible attacked observation of the string so far reaches.  An
     event fires iff the plant allows it and it is uncontrollable,
     actuator-attackable, or enabled by the control of some tracked state;
@@ -221,7 +221,7 @@ def _closed_loop(g: Automaton, supervisor, policy: SensorAttackPolicy, actuator_
     """
     ensure_estimate_based(supervisor)
     ensure_deterministic(g)
-    ensure_valid_policy(g, policy)
+    g, h, policy = transition_based_setup(g, h, attack)
     att = (
         frozenset(actuator_attackable)
         if actuator_attackable is not None
@@ -239,21 +239,21 @@ def _closed_loop(g: Automaton, supervisor, policy: SensorAttackPolicy, actuator_
             if event in free or any(event in controls[w] for w in tracked)
         ]
 
-    return (g.initial, frozenset({supervisor.observer.observer.initial})), expand
+    return h, (g.initial, frozenset({supervisor.observer.observer.initial})), expand
 
 
 def large_language_automaton(
     g: Automaton,
     supervisor,
-    policy: SensorAttackPolicy,
+    attack: SensorAttackPolicy | ObservationAttackStrategy,
     actuator_attackable: Iterable[str] | None = None,
 ) -> LargeLanguageAutomaton:
     """Product construction generating exactly the attacked closed loop's large language.
 
-    Its states are the nodes of the closed-loop arena (plant state, tracked
-    observer states), named ``q|{x,...}``; every node is marked.
+    Its states are the nodes of the closed-loop arena (set-up plant state,
+    tracked observer states), named ``q|{x,...}``; every node is marked.
     """
-    start, expand = _closed_loop(g, supervisor, policy, actuator_attackable)
+    _, start, expand = _closed_loop(g, None, supervisor, attack, actuator_attackable)
     names: dict[tuple[str, frozenset[str]], str] = {}
     edges = []
     for node, _, successors, _ in breadth_first(start, expand):
@@ -276,16 +276,16 @@ def verify_large_language_equals(
     g: Automaton,
     h: Automaton,
     supervisor,
-    policy: SensorAttackPolicy,
+    attack: SensorAttackPolicy | ObservationAttackStrategy,
     actuator_attackable: Iterable[str] | None = None,
 ) -> Verdict:
     """Exact language equality between the attacked closed loop's upper bound and the spec.
 
-    Walks the closed-loop arena and the spec together, on the fly, and
+    Walks the closed-loop arena and the set-up spec together, on the fly, and
     stops at the first event that only one side allows; that string is a
     shortest distinguishing one.
     """
-    start, loop = _closed_loop(g, supervisor, policy, actuator_attackable)
+    h, start, loop = _closed_loop(g, h, supervisor, attack, actuator_attackable)
 
     # A successor with a None side is an event only one side allows; the
     # walk returns at its source pair, so it is never expanded.

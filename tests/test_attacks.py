@@ -93,6 +93,58 @@ class TestPolicyValidation:
         )
         assert any("empty corruption language" in p for p in validate_policy(model.plant, policy))
 
+    @pytest.mark.parametrize("reachable_mark", [True, False])
+    def test_sixteen_state_automaton_validates_fast(self, reachable_mark):
+        """Emptiness is a reachability test, not an enumeration of every word up to the state count."""
+        import time
+
+        model = make_cycle(("beta",))
+        n = 16
+        states = [f"s{i}" for i in range(n)]
+        transitions = {
+            (states[i], event, states[(i + k) % (n - 1)])
+            for i in range(n - 1)
+            for k, event in enumerate(("alpha", "lambda", "mu"))
+        }
+        if reachable_mark:
+            transitions.add((states[n - 2], "mu", states[n - 1]))
+        f = Automaton(
+            states=frozenset(states), alphabet=model.alphabet, transitions=transitions,
+            initial=states[0], marked={states[n - 1]},
+        )
+        policy = SensorAttackPolicy.from_transitions({tr: f for tr in model.policy.entries})
+        start = time.perf_counter()
+        problems = validate_policy(model.plant, policy)
+        assert time.perf_counter() - start < 1.0
+        expected = [] if reachable_mark else [
+            f"attack automaton for {tr!r} has an empty corruption language" for tr in sorted(model.policy.entries)
+        ]
+        assert problems == expected
+
+    def test_emptiness_matches_bounded_enumeration(self):
+        """On valid automata the reachability test flags exactly what enumerating up to |states| did."""
+        model = make_cycle(("beta",))
+        labels = ("alpha", "lambda", "mu", EPSILON)
+        rng = random.Random(404)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            states = [f"s{i}" for i in range(rng.randint(1, 6))]
+            f = Automaton(
+                states=frozenset(states),
+                alphabet=model.alphabet,
+                transitions={
+                    (rng.choice(states), rng.choice(labels), rng.choice(states)) for _ in range(rng.randint(0, 6))
+                },
+                initial=states[0],
+                marked={s for s in states if rng.random() < 0.2},
+            )
+            empty = not bounded_marked_language(f, len(f.states))
+            outcomes[empty] += 1
+            policy = SensorAttackPolicy.from_transitions({("2", "lambda", "3"): f, ("3", "mu", "1"): model.f2})
+            flagged = any("empty corruption language" in p for p in validate_policy(model.plant, policy))
+            assert flagged == empty
+        assert min(outcomes.values()) >= 30
+
     def test_shared_invalid_automaton_reported_per_use(self, cycle_strategy):
         model = make_cycle(("beta",))
         bad = Automaton(

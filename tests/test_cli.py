@@ -169,6 +169,37 @@ class TestSimulate:
             synthesis = validations("synthesize", model)
             assert validations("simulate", model, "--trials", "2", "--max-steps", "3") == synthesis + extra
 
+    def test_checks_set_the_attack_up_once(self, capsys, monkeypatch):
+        """Beyond loading and synthesis, each check validates a policy once and builds one observer."""
+        import descat
+
+        calls = {"validate_policy": 0, "build_ca_observer": 0}
+        for name, home in (("validate_policy", descat.attacks), ("build_ca_observer", descat.estimation)):
+            original = getattr(home, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for module in (descat.attacks, descat.estimation, descat.modelfile, descat.verification):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+
+        def counts(*argv):
+            for name in calls:
+                calls[name] = 0
+            run_cli(capsys, *argv)
+            return calls["validate_policy"], calls["build_ca_observer"]
+
+        for model, check in ((CYCLE_BETA, 1), (CYCLE_OBS, 0)):
+            loading, _ = counts("check-controllability", model)
+            synthesis, _ = counts("synthesize", model)
+            for depth in ((), ("--depth", "9")):
+                assert counts("check-observability", model, *depth) == (loading + 1, 1)
+            assert counts("verify", model) == (synthesis + check, 1)
+        assert counts("check-observability", CYCLE_BETA) == (2, 1)
+        assert counts("verify", CYCLE_BETA) == (3, 1)
+
 
 class TestConvertAndDot:
     def test_convert_obs_round_trips_as_model(self, capsys, tmp_path):

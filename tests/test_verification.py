@@ -3,6 +3,7 @@ construction, and its brute-force cross-check."""
 
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +16,16 @@ from descat import (
     check_ca_observability_bounded,
     enumerate_language,
     large_language_automaton,
+    load_model,
     phi_enumerate,
     synthesize_ca_supervisor,
+    transition_based_setup,
     verify_large_language_equals,
 )
 from oracles import brute_force_large_language, observability_by_enumeration
-from conftest import random_model, random_spec, random_supervisor
+from conftest import random_model, random_spec, random_strategy, random_supervisor
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 W = lambda text: tuple(text.split())
 
@@ -364,3 +369,66 @@ class TestSimulationAgreement:
                 seed=seed,
             )
             assert trace.plant_string in bf
+
+
+class TestEitherAttack:
+    """The three attacked checks take a strategy as synthesis and simulation do."""
+
+    @staticmethod
+    def strategy_setups():
+        doc = load_model(MODELS / "cycle_obs.des")
+        g, h, strategy = doc.plant, doc.spec_automaton(), doc.strategy()
+        yield g, h, strategy, synthesize_ca_supervisor(g, h, strategy)
+        rng = random.Random(909)
+        found = 0
+        while found < 40:
+            g, _ = random_model(rng)
+            strategy = random_strategy(rng, g)
+            if strategy is None:
+                continue
+            found += 1
+            h = random_spec(rng, g)
+            yield g, h, strategy, random_supervisor(rng, g, h, strategy)
+
+    def test_strategy_equals_its_transition_based_setup(self):
+        statuses = {"holds": 0, "fails": 0}
+        for g, h, strategy, sup in self.strategy_setups():
+            sg, sh, policy = transition_based_setup(g, h, strategy)
+            for depth in (3, None):
+                assert (
+                    check_ca_observability_bounded(g, h, strategy, depth).as_dict()
+                    == check_ca_observability_bounded(sg, sh, policy, depth).as_dict()
+                )
+            verdict = verify_large_language_equals(g, h, sup, strategy)
+            assert verdict.as_dict() == verify_large_language_equals(sg, sh, sup, policy).as_dict()
+            statuses[verdict.status] += 1
+            direct, set_up = large_language_automaton(g, sup, strategy), large_language_automaton(sg, sup, policy)
+            assert direct.automaton == set_up.automaton
+            assert direct.components == set_up.components
+        assert min(statuses.values()) >= 5
+
+    def test_default_depth_is_twice_observer_plus_plant_states(self, cycle_beta):
+        default = check_ca_observability_bounded(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy)
+        assert default.depth == 18
+        explicit = check_ca_observability_bounded(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy, depth=18)
+        assert default.as_dict() == explicit.as_dict()
+
+    def test_invalid_policy_raises_the_same_error_everywhere(self, cycle_beta):
+        sup = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy)
+        entries = dict(cycle_beta.policy.entries)
+        del entries[("2", "lambda", "3")]
+        bad = SensorAttackPolicy.from_transitions(entries)
+        message = (
+            "invalid sensor attack policy: transition ('2', 'lambda', '3') "
+            "carries attackable event 'lambda' but has no attack language"
+        )
+        calls = [
+            lambda: check_ca_observability_bounded(cycle_beta.plant, cycle_beta.spec, bad, depth=5),
+            lambda: check_ca_observability_bounded(cycle_beta.plant, cycle_beta.spec, bad),
+            lambda: large_language_automaton(cycle_beta.plant, sup, bad),
+            lambda: verify_large_language_equals(cycle_beta.plant, cycle_beta.spec, sup, bad),
+        ]
+        for call in calls:
+            with pytest.raises(InputError) as info:
+                call()
+            assert str(info.value) == message
