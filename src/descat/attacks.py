@@ -11,7 +11,6 @@ issued control.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -22,6 +21,7 @@ from .automata import (
     Transition,
     Word,
     bounded_marked_language,
+    breadth_first,
     marked_word_length_bound,
     parallel_compose_pairs,
     shortest_marked_length,
@@ -345,7 +345,11 @@ class ObservationAttackStrategy:
     """Observation-based sensor attack: a context automaton plus a corruption map.
 
     ``sa`` is a deterministic automaton over the observable events whose
-    language must contain every projected plant string.  ``omega`` maps a
+    language must contain every projected plant string.
+    :func:`validate_strategy` checks all three; "over the observable
+    events" covers ``sa``'s declared alphabet as well as its labels, since
+    composing the plant with ``sa`` would drop the plant's moves on a
+    declared unobservable event.  ``omega`` maps a
     pair (context state, sensor-attackable event) to the corruption
     language emitted when that event is observed in that context; events
     outside the attackable set always pass through unchanged.
@@ -367,39 +371,27 @@ def check_projection_containment(g: Automaton, sa: Automaton) -> Word | None:
     Returns None when the containment holds, otherwise the observation of
     a shortest plant string (counted in plant events, unobservable ones
     included) whose projection ``sa`` cannot follow.  That observation is
-    not always the shortest one ``sa`` rejects.
+    not always the shortest one ``sa`` rejects.  ``sa``'s alphabet must
+    declare no unobservable plant event (see :func:`validate_strategy`).
+    """
+    return _uncovered(g, sa, *parallel_compose_pairs(g, sa))
+
+
+def _uncovered(g: Automaton, sa: Automaton, product: Automaton, pairs: dict[str, tuple[str, str]]) -> Word | None:
+    """:func:`check_projection_containment` read off ``parallel_compose_pairs(g, sa)``.
+
+    The pairs come in breadth-first order, so the first one with an
+    observable plant move that ``sa`` cannot follow ends a shortest
+    uncovered plant string; the product is searched again only to spell it.
     """
     observable = g.alphabet.observable
-    start = (g.initial, sa.initial)
-    parents: dict[tuple[str, str], tuple[tuple[str, str], str] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        q, z = pair
-        for event, q2 in g.outgoing(q):
-            if event == EPSILON or event not in observable:
-                nxt = (q2, z)
-                emitted = None
-            else:
-                z2 = sa.delta(z, event)
-                if z2 is None:
-                    witness = _trace_back(parents, pair) + (event,)
-                    return witness
-                nxt = (q2, z2)
-                emitted = event
-            if nxt not in parents:
-                parents[nxt] = (pair, emitted)
-                queue.append(nxt)
+    for name, (q, z) in pairs.items():
+        for event, _ in g.outgoing(q):
+            if event in observable and not sa.successors(z, event):
+                search = breadth_first(product.initial, product.outgoing)
+                string = next(string for node, _, _, string in search if node == name)
+                return tuple(e for e in string() if e in observable) + (event,)
     return None
-
-
-def _trace_back(parents, pair) -> Word:
-    out: list[str] = []
-    while parents[pair] is not None:
-        pair, emitted = parents[pair]
-        if emitted is not None:
-            out.append(emitted)
-    return tuple(reversed(out))
 
 
 def validate_strategy(g: Automaton, strategy: ObservationAttackStrategy) -> list[str]:
@@ -409,15 +401,16 @@ def validate_strategy(g: Automaton, strategy: ObservationAttackStrategy) -> list
 
 def _strategy_problems(
     g: Automaton, strategy: ObservationAttackStrategy
-) -> tuple[list[str], tuple[Automaton, dict[str, tuple[str, str]]] | None]:
-    """:func:`validate_strategy`'s problems, with ``parallel_compose_pairs(g, strategy.sa)``.
+) -> tuple[list[str], ObservationConversion | None]:
+    """:func:`validate_strategy`'s problems, with the conversion built along the way.
 
-    The composition is built to check the reachable context pairs, so it
-    is returned for reuse; it is ``None`` only when there are problems
-    (the context automaton is not deterministic or does not cover the plant).
+    The context is composed with the plant once, to check coverage and the
+    reachable context pairs; the conversion is ``None`` only when there are
+    problems (the context automaton is not deterministic or does not cover
+    the plant).
     """
     problems = []
-    composed = None
+    conversion = None
     sa = strategy.sa
     observable = g.alphabet.observable
     if not sa.is_deterministic:
@@ -425,9 +418,14 @@ def _strategy_problems(
     for src, label, dst in sorted(sa.transitions):
         if label == EPSILON or label not in observable:
             problems.append(f"attack-context transition label {label!r} is not an observable event")
+    # The composition synchronizes on every declared event, so a declared
+    # unobservable event would drop the plant's moves on it.
+    for event in sorted(sa.alphabet.events & g.alphabet.unobservable):
+        problems.append(f"the attack-context alphabet declares unobservable plant event {event!r}")
     witness = None
     if sa.is_deterministic:
-        witness = check_projection_containment(g, sa)
+        product, pairs = parallel_compose_pairs(g, sa)
+        witness = _uncovered(g, sa, product, pairs)
         if witness is not None:
             problems.append(
                 "the attack-context automaton does not cover the projected plant language; "
@@ -449,27 +447,20 @@ def _strategy_problems(
             )
         if empty:
             problems.append(f"corruption automaton for ({z!r}, {event!r}) has an empty language")
-    # Every reachable attacked (context, event) pair needs a corruption language.
+    # Every reachable attacked (context, event) pair needs a corruption
+    # language; the same pass keys the converted policy.
     if sa.is_deterministic and witness is None:
-        composed = product, pairs = parallel_compose_pairs(g, sa)
-        for name, label, _ in sorted(product.transitions):
-            if label in attackable:
-                z = pairs[name][1]
-                if (z, label) not in strategy.omega:
-                    problems.append(
-                        f"no corruption language for reachable context pair ({z!r}, {label!r})"
-                    )
-    return problems, composed
-
-
-def ensure_valid_strategy(
-    g: Automaton, strategy: ObservationAttackStrategy
-) -> tuple[Automaton, dict[str, tuple[str, str]]]:
-    """Raise :class:`PreconditionError` on any defect; else ``parallel_compose_pairs(g, strategy.sa)``."""
-    problems, composed = _strategy_problems(g, strategy)
-    if problems:
-        raise PreconditionError("invalid observation attack strategy: " + "; ".join(problems))
-    return composed
+        entries: dict[Transition, Automaton] = {}
+        for tr in sorted(product.transitions):
+            if tr[1] in attackable:
+                key = (pairs[tr[0]][1], tr[1])
+                if key in strategy.omega:
+                    entries[tr] = strategy.omega[key]
+                else:
+                    problems.append(f"no corruption language for reachable context pair {key!r}")
+        policy = SensorAttackPolicy(entries=entries)
+        conversion = ObservationConversion(product=product, policy=policy, pairs=pairs)
+    return problems, conversion
 
 
 def phi_omega(
@@ -528,18 +519,14 @@ def convert_observation_based(g: Automaton, strategy: ObservationAttackStrategy)
 
     Composes the plant with the attack context, then keys each attackable
     transition of the product on the corruption language chosen at its
-    source context state.  Raises :class:`PreconditionError` (with a
-    witness) when the context automaton does not cover the projected plant
-    language.
+    source context state.  Raises :class:`PreconditionError` listing every
+    :func:`validate_strategy` problem (with a witness when the context
+    automaton does not cover the projected plant language).
     """
-    product, pairs = ensure_valid_strategy(g, strategy)
-    attackable = g.alphabet.sensor_attackable
-    entries: dict[Transition, Automaton] = {}
-    for tr in sorted(product.transitions):
-        if tr[1] in attackable:
-            z = pairs[tr[0]][1]
-            entries[tr] = strategy.omega[(z, tr[1])]
-    return ObservationConversion(product=product, policy=SensorAttackPolicy(entries=entries), pairs=pairs)
+    problems, conversion = _strategy_problems(g, strategy)
+    if problems:
+        raise PreconditionError("invalid observation attack strategy: " + "; ".join(problems))
+    return conversion
 
 
 def transition_based_setup(

@@ -434,39 +434,26 @@ def marked_word_length_bound(a: Automaton) -> int | None:
     Word length counts non-epsilon labels only, so epsilon cycles do not
     make the language infinite.
     """
-    reach = accessible(a).states
-    coreach = _coreachable(a)
-    relevant = sorted(reach & coreach)
-    if not relevant or not (frozenset(relevant) & a.marked):
+    relevant = accessible(a).states & _coreachable(a)
+    if not relevant:
         return 0
-    index = {s: i for i, s in enumerate(relevant)}
-    n = len(relevant)
-    neg = float("-inf")
-    dist = [[neg] * n for _ in range(n)]
-    for src, label, dst in a.transitions:
-        if src in index and dst in index:
-            w = 0 if label == EPSILON else 1
-            i, j = index[src], index[dst]
-            dist[i][j] = max(dist[i][j], w)
-    for k in range(n):
-        for i in range(n):
-            if dist[i][k] == neg:
-                continue
-            for j in range(n):
-                if dist[k][j] != neg and dist[i][k] + dist[k][j] > dist[i][j]:
-                    dist[i][j] = dist[i][k] + dist[k][j]
-    if any(dist[i][i] >= 1 for i in range(n)):
-        return None
-    if a.initial not in index:
-        return 0
-    i0 = index[a.initial]
-    best = 0
-    for m in a.marked:
-        if m == a.initial:
-            best = max(best, 0)
-        elif m in index and dist[i0][index[m]] != neg:
-            best = max(best, int(dist[i0][index[m]]))
-    return best
+    # Bellman-Ford for longest paths over the trimmed graph: an edge that
+    # still relaxes after |relevant| rounds lies on a cycle reading a symbol.
+    edges = [
+        (src, 0 if label == EPSILON else 1, dst)
+        for src, label, dst in a.transitions
+        if src in relevant and dst in relevant
+    ]
+    longest = {a.initial: 0}
+    for _ in relevant:
+        changed = False
+        for src, weight, dst in edges:
+            if src in longest and longest[src] + weight > longest.get(dst, -1):
+                longest[dst] = longest[src] + weight
+                changed = True
+        if not changed:
+            return max(longest[m] for m in relevant & a.marked)
+    return None
 
 
 def _coreachable(a: Automaton) -> frozenset[str]:

@@ -242,7 +242,10 @@ def _cmd_export_dot(args) -> int:
             raise DescatError("the model has no attack-context automaton")
         obj = doc.sa
     elif what == "diamond":
-        g, _, policy = transition_based_setup(doc.plant, None, _attack(doc))
+        # build_g_diamond validates a policy; a converted strategy's is valid by construction.
+        g, policy = doc.plant, _attack(doc)
+        if doc.has_observation_strategy:
+            g, _, policy = transition_based_setup(g, None, policy)
         obj = build_g_diamond(g, policy)
     else:  # observer
         obj, _ = attacked_observer(doc.plant, _attack(doc))

@@ -5,6 +5,10 @@ transition triples) with their own breadth-first searches, deliberately
 avoiding the library's observer, substitution and enumeration machinery.
 ``diamond_by_replacement`` builds the attack-substituted plant by folding
 the one-transition substitution over the policy entries.
+``containment_by_search`` and ``strategy_problems_two_pass`` check an
+observation-based attack with a search of their own before composing the
+plant with its context, and ``longest_marked_word_by_closure`` bounds
+marked words by an all-pairs longest-path closure.
 ``observability_by_enumeration`` and ``brute_force_large_language``
 evaluate verification's definitions literally, string by string, on top
 of the library's observer and corruption enumeration.  The last two,
@@ -16,6 +20,7 @@ re-walking every observation prefix for coverage.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Iterable
 
 from descat import (
@@ -37,12 +42,13 @@ from descat import (
     is_subautomaton,
     marked_word_length_bound,
     natural_projection,
+    parallel_compose_pairs,
     phi_enumerate,
     replace_transition,
     transition_based_setup,
 )
-from descat.attacks import ensure_valid_policy
-from descat.automata import Transition, Word, ensure_deterministic
+from descat.attacks import _corruption_defects, ensure_valid_policy
+from descat.automata import Transition, Word, _coreachable, accessible, ensure_deterministic
 
 
 def _adjacency(a: Automaton) -> dict[str, list[tuple[str, str]]]:
@@ -280,6 +286,128 @@ def shortest_uncovered_observation(g: Automaton, sa: Automaton) -> tuple[str, ..
                 seen.add(node)
                 queue.append((node, word + (event,)))
     return None
+
+
+def containment_by_search(g: Automaton, sa: Automaton) -> Word | None:
+    """Reference for :func:`check_projection_containment`, by its own search.
+
+    Searches (plant state, ``sa`` state) pairs breadth first, with
+    unobservable plant moves leaving the ``sa`` state unchanged whatever
+    ``sa``'s alphabet declares, and spells the first uncovered plant
+    string's observation from parent pointers.
+    """
+    observable = g.alphabet.observable
+    start = (g.initial, sa.initial)
+    parents: dict[tuple[str, str], tuple[tuple[str, str], str | None] | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        q, z = pair
+        for event, q2 in g.outgoing(q):
+            if event == EPSILON or event not in observable:
+                nxt, emitted = (q2, z), None
+            else:
+                z2 = sa.delta(z, event)
+                if z2 is None:
+                    out = [event]
+                    while parents[pair] is not None:
+                        pair, emitted = parents[pair]
+                        if emitted is not None:
+                            out.append(emitted)
+                    return tuple(reversed(out))
+                nxt, emitted = (q2, z2), event
+            if nxt not in parents:
+                parents[nxt] = (pair, emitted)
+                queue.append(nxt)
+    return None
+
+
+def strategy_problems_two_pass(g: Automaton, strategy) -> tuple[list[str], tuple | None]:
+    """Reference for :func:`validate_strategy` and :func:`convert_observation_based`.
+
+    Checks coverage with :func:`containment_by_search`, then composes the
+    plant with the context and walks the product's sorted transitions
+    twice: once for the reachable pairs without a corruption language, once
+    for the policy entries.  Returns the problems and, when the context is
+    deterministic and covers the plant, ``(product, pairs, entries)``.
+    """
+    problems = []
+    sa = strategy.sa
+    observable = g.alphabet.observable
+    attackable = g.alphabet.sensor_attackable
+    if not sa.is_deterministic:
+        problems.append("the attack-context automaton must be deterministic")
+    for _, label, _ in sorted(sa.transitions):
+        if label == EPSILON or label not in observable:
+            problems.append(f"attack-context transition label {label!r} is not an observable event")
+    witness = containment_by_search(g, sa) if sa.is_deterministic else None
+    if witness is not None:
+        problems.append(
+            "the attack-context automaton does not cover the projected plant language; "
+            f"witness observation: {' '.join(witness) or 'ε'}"
+        )
+    memo: dict = {}
+    for (z, event), f in sorted(strategy.omega.items(), key=lambda kv: kv[0]):
+        if z not in sa.states:
+            problems.append(f"corruption entry for unknown context state {z!r}")
+        if event not in attackable:
+            problems.append(f"corruption entry for non-attackable event {event!r}")
+        structural, bad_labels, empty = _corruption_defects(f, observable, memo)
+        problems.extend(f"corruption automaton for ({z!r}, {event!r}): {problem}" for problem in structural)
+        problems.extend(
+            f"corruption automaton for ({z!r}, {event!r}): label {label!r} is not observable" for label in bad_labels
+        )
+        if empty:
+            problems.append(f"corruption automaton for ({z!r}, {event!r}) has an empty language")
+    if not sa.is_deterministic or witness is not None:
+        return problems, None
+    product, pairs = parallel_compose_pairs(g, sa)
+    for name, label, _ in sorted(product.transitions):
+        if label in attackable and (pairs[name][1], label) not in strategy.omega:
+            problems.append(f"no corruption language for reachable context pair ({pairs[name][1]!r}, {label!r})")
+    entries = {
+        tr: strategy.omega[(pairs[tr[0]][1], tr[1])]
+        for tr in sorted(product.transitions)
+        if tr[1] in attackable and (pairs[tr[0]][1], tr[1]) in strategy.omega
+    }
+    return problems, (product, pairs, entries)
+
+
+def longest_marked_word_by_closure(a: Automaton) -> int | None:
+    """Reference for :func:`marked_word_length_bound`: Floyd-Warshall longest paths.
+
+    Closes the trimmed graph's longest-path matrix over all state pairs
+    (epsilon edges weigh 0); a positive diagonal entry is a cycle reading
+    a symbol, so the marked language is infinite.
+    """
+    relevant = sorted(accessible(a).states & _coreachable(a))
+    if not relevant or not (frozenset(relevant) & a.marked):
+        return 0
+    index = {s: i for i, s in enumerate(relevant)}
+    n = len(relevant)
+    neg = float("-inf")
+    dist = [[neg] * n for _ in range(n)]
+    for src, label, dst in a.transitions:
+        if src in index and dst in index:
+            i, j = index[src], index[dst]
+            dist[i][j] = max(dist[i][j], 0 if label == EPSILON else 1)
+    for k in range(n):
+        for i in range(n):
+            if dist[i][k] == neg:
+                continue
+            for j in range(n):
+                if dist[k][j] != neg and dist[i][k] + dist[k][j] > dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    if any(dist[i][i] >= 1 for i in range(n)):
+        return None
+    if a.initial not in index:
+        return 0
+    i0 = index[a.initial]
+    best = 0
+    for m in a.marked:
+        if m in index and m != a.initial and dist[i0][index[m]] != neg:
+            best = max(best, int(dist[i0][index[m]]))
+    return best
 
 
 def diamond_by_replacement(g: Automaton, policy: SensorAttackPolicy) -> DiamondAutomaton:

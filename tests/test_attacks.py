@@ -23,12 +23,13 @@ from descat import (
     phi_enumerate,
     phi_omega,
     theta_automaton,
+    sub_automaton,
     validate_policy,
     validate_strategy,
 )
 from descat.attacks import check_projection_containment
 from conftest import make_cycle, make_cycle_strategy, random_model, random_strategy
-from oracles import accepts, shortest_uncovered_observation
+from oracles import accepts, containment_by_search, shortest_uncovered_observation, strategy_problems_two_pass
 
 W = lambda text: tuple(text.split())
 
@@ -487,3 +488,147 @@ class TestProjectionContainment:
                 assert accepts(erased, witness)
                 assert not accepts(context, witness)
                 assert all(accepts(context, witness[:k]) for k in range(len(witness)))
+
+
+class TestOneComposition:
+    """Validation and conversion read everything off one plant x context composition."""
+
+    ALIEN = "the attack-context alphabet declares unobservable plant event"
+
+    def test_context_declaring_an_unobservable_event_is_rejected(self):
+        """Composed over its declared alphabet, such a context drops the plant's u moves,
+        and the supervisor synthesized on that composition enabled a after u (unsafe state 4)."""
+        from descat import simulate, synthesize_ca_supervisor, verify_large_language_equals
+
+        alphabet = EventAlphabet(
+            events={"a", "s", "u"}, controllable={"a"}, observable={"a", "s"}, sensor_attackable={"s"}
+        )
+        g = Automaton(
+            states={"1", "2", "3", "4"},
+            alphabet=alphabet,
+            transitions={("1", "u", "2"), ("2", "a", "4"), ("1", "a", "3"), ("3", "s", "1")},
+            initial="1",
+        )
+        h = sub_automaton(g, {"1", "2", "3"})
+        sa = Automaton(
+            states={"z0", "z1"}, alphabet=alphabet, transitions={("z0", "a", "z1"), ("z1", "s", "z0")}, initial="z0"
+        )
+        just_s = Automaton(
+            states={"i", "f"}, alphabet=alphabet, transitions={("i", "s", "f")}, initial="i", marked={"f"}
+        )
+        omega = {("z1", "s"): just_s}
+        strategy = ObservationAttackStrategy(sa=sa, omega=omega)
+        assert validate_strategy(g, strategy) == [f"{self.ALIEN} 'u'"]
+        observable_sa = Automaton(
+            states=sa.states, alphabet=g.alphabet.observable_restriction(), transitions=sa.transitions, initial="z0"
+        )
+        sound = ObservationAttackStrategy(sa=observable_sa, omega=omega)
+        assert validate_strategy(g, sound) == []
+        supervisor = synthesize_ca_supervisor(g, h, sound)
+        assert "a" not in supervisor.control_for(())
+        for call in (
+            lambda: synthesize_ca_supervisor(g, h, strategy),
+            lambda: verify_large_language_equals(g, h, supervisor, strategy),
+            lambda: simulate(g, h, supervisor, strategy, seed=0),
+        ):
+            with pytest.raises(PreconditionError, match=f"{self.ALIEN} 'u'"):
+                call()
+
+    def test_a_failed_label_check_may_change_the_witness(self):
+        """An undeclared label moves the context on its own in the composition, which
+        the search-based oracle never does: here only the composition meets an uncovered a."""
+        alphabet = EventAlphabet(events={"a", "u"}, controllable={"a"}, observable={"a"})
+        g = Automaton(
+            states={"0", "1", "2"}, alphabet=alphabet, transitions={("0", "u", "1"), ("1", "a", "2")}, initial="0"
+        )
+        sa = Automaton(
+            states={"z0", "z1"},
+            alphabet=alphabet.observable_restriction(),
+            transitions={("z0", "u", "z1"), ("z0", "a", "z0")},
+            initial="z0",
+        )
+        strategy = ObservationAttackStrategy(sa=sa, omega={})
+        label = "attack-context transition label 'u' is not an observable event"
+        assert strategy_problems_two_pass(g, strategy)[0] == [label]
+        assert validate_strategy(g, strategy) == [
+            label,
+            "the attack-context automaton does not cover the projected plant language; witness observation: a",
+        ]
+
+    def test_matches_the_two_pass_oracle_on_random_strategies(self):
+        rng = random.Random(818)
+        seen = {"valid": 0, "witness": 0, "missing pair": 0, "alien": 0, "unobservable plant": 0}
+        checked = 0
+        while checked < 1000:
+            g, _ = random_model(rng)
+            intact = random_strategy(rng, g)
+            if intact is None:
+                continue
+            checked += 1
+            sa, omega = intact.sa, dict(intact.omega)
+            if rng.random() < 0.4:
+                kept = frozenset(t for t in sorted(sa.transitions) if rng.random() < 0.8)
+                sa = Automaton(states=sa.states, alphabet=sa.alphabet, transitions=kept, initial=sa.initial)
+            if rng.random() < 0.3:
+                omega = {key: f for key, f in sorted(omega.items()) if rng.random() < 0.7}
+            if rng.random() < 0.2:
+                sa = Automaton(states=sa.states, alphabet=g.alphabet, transitions=sa.transitions, initial=sa.initial)
+            strategy = ObservationAttackStrategy(sa=sa, omega=omega)
+            problems = validate_strategy(g, strategy)
+            expected, composed = strategy_problems_two_pass(g, strategy)
+            alien = [p for p in problems if p.startswith(self.ALIEN)]
+            assert alien == [f"{self.ALIEN} {e!r}" for e in sorted(sa.alphabet.events & g.alphabet.unobservable)]
+            seen["unobservable plant"] += bool(g.alphabet.unobservable)
+            if alien:
+                seen["alien"] += 1
+                # The composition drops the plant's moves on the declared
+                # event, so what is read off it (the witness and the
+                # reachable pairs) may differ from the oracle's.
+                composed_only = ("the attack-context automaton does not cover", "no corruption language")
+                assert [p for p in problems if p not in alien and not p.startswith(composed_only)] == [
+                    p for p in expected if not p.startswith(composed_only)
+                ]
+                continue
+            assert problems == expected
+            assert check_projection_containment(g, sa) == containment_by_search(g, sa)
+            seen["witness"] += any("witness" in p for p in problems)
+            seen["missing pair"] += any(p.startswith("no corruption language") for p in problems)
+            if not problems:
+                seen["valid"] += 1
+                conv = convert_observation_based(g, strategy)
+                product, pairs, entries = composed
+                assert conv.product == product
+                assert list(conv.pairs.items()) == list(pairs.items())
+                assert list(conv.policy.entries.items()) == list(entries.items())
+        assert min(seen.values()) >= 50, seen
+
+    def test_one_composition_and_no_search_on_the_valid_path(self, monkeypatch):
+        import descat.attacks
+
+        calls = {"parallel_compose_pairs": 0, "breadth_first": 0}
+        for name in calls:
+            original = getattr(descat.attacks, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(descat.attacks, name, counted)
+        model = make_cycle(("beta",))
+        strategy = make_cycle_strategy(model)
+        for call in (validate_strategy, convert_observation_based):
+            calls.update(parallel_compose_pairs=0, breadth_first=0)
+            call(model.plant, strategy)
+            assert calls == {"parallel_compose_pairs": 1, "breadth_first": 0}
+        broken = ObservationAttackStrategy(
+            sa=Automaton(
+                states={"z1", "z2"},
+                alphabet=model.alphabet.observable_restriction(),
+                transitions={("z1", "alpha", "z2")},
+                initial="z1",
+            ),
+            omega=strategy.omega,
+        )
+        calls.update(parallel_compose_pairs=0, breadth_first=0)
+        assert any("witness observation: alpha alpha" in p for p in validate_strategy(model.plant, broken))
+        assert calls == {"parallel_compose_pairs": 1, "breadth_first": 1}

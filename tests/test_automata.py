@@ -13,6 +13,7 @@ from descat import (
     EventAlphabet,
     InputError,
     accessible,
+    bounded_marked_language,
     determinize,
     encode_state_set,
     enumerate_language,
@@ -394,3 +395,34 @@ class TestMarkedWordLengthBound:
             marked={"1"},
         )
         assert marked_word_length_bound(a) is None
+
+    def test_matches_the_floyd_warshall_oracle_on_random_automata(self):
+        from oracles import longest_marked_word_by_closure
+
+        rng = random.Random(919)
+        alpha = small_alphabet()
+        outcomes = {"infinite": 0, "empty": 0, "finite": 0, "epsilon cycle": 0}
+        for _ in range(3000):
+            states = [str(i) for i in range(rng.randint(1, 7))]
+            transitions = {
+                (rng.choice(states), rng.choice(("a", "b", EPSILON, EPSILON)), rng.choice(states))
+                for _ in range(rng.randint(0, 2 * len(states)))
+            }
+            a = Automaton(
+                states=frozenset(states),
+                alphabet=alpha,
+                transitions=frozenset(transitions),
+                initial="0",
+                marked=frozenset(s for s in states if rng.random() < 0.3),
+            )
+            bound = marked_word_length_bound(a)
+            assert bound == longest_marked_word_by_closure(a)
+            if bound is None:
+                outcomes["infinite"] += 1
+            else:
+                words = bounded_marked_language(a, bound)
+                assert max(map(len, words), default=0) == bound
+                outcomes["finite" if words else "empty"] += 1
+            eps = {(s, d) for s, label, d in transitions if label == EPSILON}
+            outcomes["epsilon cycle"] += any((d, s) in eps or s == d for s, d in eps)
+        assert min(outcomes.values()) >= 100, outcomes

@@ -237,6 +237,24 @@ class TestConvertAndDot:
         assert (code, err) == (0, "")
         assert out == with_spec
 
+    def test_export_dot_diamond_validates_the_policy_once(self, capsys, monkeypatch):
+        """Beyond loading, only build_g_diamond validates a policy, as the observer build does."""
+        import descat
+
+        calls = []
+        original = descat.attacks.validate_policy
+        for module in (descat.attacks, descat.modelfile):
+            monkeypatch.setattr(module, "validate_policy", lambda *args: calls.append(1) or original(*args))
+
+        def validations(*argv):
+            calls.clear()
+            assert run_cli(capsys, "export-dot", *argv)[0] == 0
+            return len(calls)
+
+        assert validations(CYCLE_BETA, "--what", "diamond") == 2
+        assert validations(CYCLE_BETA, "--what", "observer") == 2
+        assert validations(CYCLE_OBS, "--what", "diamond") == 1
+
 class TestErrors:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "no/such/file.des", "--obs", "alpha")
