@@ -413,11 +413,11 @@ def _strategy_problems(
     conversion = None
     sa = strategy.sa
     observable = g.alphabet.observable
+    problems.extend(f"attack-context automaton: {problem}" for problem in validate_automaton(sa))
     if not sa.is_deterministic:
         problems.append("the attack-context automaton must be deterministic")
-    for src, label, dst in sorted(sa.transitions):
-        if label == EPSILON or label not in observable:
-            problems.append(f"attack-context transition label {label!r} is not an observable event")
+    for _, label, _ in sorted(t for t in sa.transitions if t[1] not in observable):
+        problems.append(f"attack-context transition label {label!r} is not an observable event")
     # The composition synchronizes on every declared event, so a declared
     # unobservable event would drop the plant's moves on it.
     for event in sorted(sa.alphabet.events & g.alphabet.unobservable):
@@ -451,13 +451,15 @@ def _strategy_problems(
     # language; the same pass keys the converted policy.
     if sa.is_deterministic and witness is None:
         entries: dict[Transition, Automaton] = {}
+        missing: dict[tuple[str, str], None] = {}
         for tr in sorted(product.transitions):
             if tr[1] in attackable:
                 key = (pairs[tr[0]][1], tr[1])
                 if key in strategy.omega:
                     entries[tr] = strategy.omega[key]
                 else:
-                    problems.append(f"no corruption language for reachable context pair {key!r}")
+                    missing[key] = None
+        problems.extend(f"no corruption language for reachable context pair {key!r}" for key in missing)
         policy = SensorAttackPolicy(entries=entries)
         conversion = ObservationConversion(product=product, policy=policy, pairs=pairs)
     return problems, conversion

@@ -165,12 +165,18 @@ def validate(a: Automaton) -> list[str]:
         problems.append(f"initial state {a.initial!r} is not a state")
     for s in sorted(a.marked - a.states):
         problems.append(f"marked state {s!r} is not a state")
-    for src, label, dst in sorted(a.transitions):
-        if src not in a.states:
+    # Sorting only the faulty transitions keeps the report order and spares
+    # a well-formed automaton the sort.
+    states, events = a.states, a.alphabet.events
+    faulty = (
+        t for t in a.transitions if t[0] not in states or t[2] not in states or (t[1] not in events and t[1] != EPSILON)
+    )
+    for src, label, dst in sorted(faulty):
+        if src not in states:
             problems.append(f"transition ({src!r}, {label!r}, {dst!r}) leaves unknown state {src!r}")
-        if dst not in a.states:
+        if dst not in states:
             problems.append(f"transition ({src!r}, {label!r}, {dst!r}) enters unknown state {dst!r}")
-        if label != EPSILON and label not in a.alphabet.events:
+        if label != EPSILON and label not in events:
             problems.append(f"transition ({src!r}, {label!r}, {dst!r}) uses undeclared event {label!r}")
     return problems
 
@@ -278,40 +284,105 @@ def subset_construction(a: Automaton) -> tuple[Automaton, dict[str, frozenset[st
     """Determinize ``a``, returning the observer and its state contents.
 
     Observer states are canonical encodings (see :func:`encode_state_set`)
-    of the underlying state sets; the returned mapping recovers those sets.
+    of the underlying state sets; the returned mapping recovers those sets
+    in breadth-first discovery order, labels tried in sorted order.
     The initial observer state is the epsilon closure of the initial state,
     a move by a label is the closure of the label successors, and an
     observer state is marked iff it contains a marked state of ``a``.
     """
-    initial_set = unobservable_reach(a, {a.initial})
-    initial_name = encode_state_set(initial_set)
-    members: dict[str, frozenset[str]] = {initial_name: initial_set}
+    return _determinize(a.states, a.transitions, a.initial, a.marked, a.alphabet)
 
-    def expand(name: str) -> list[tuple[str, str]]:
-        current = members[name]
-        out = []
-        for label in a.used_labels:
-            target = _step(a, current, label)
-            if target:
-                target_name = encode_state_set(target)
-                members.setdefault(target_name, target)
-                out.append((label, target_name))
-        return out
 
-    transitions = frozenset(
-        (name, label, target)
-        for name, _, successors, _ in breadth_first(initial_name, expand)
-        for label, target in successors
-    )
-    marked = frozenset(name for name, content in members.items() if content & a.marked)
+def _determinize(
+    states: Iterable[str],
+    transitions: Iterable[Transition],
+    initial: str,
+    marked: Iterable[str],
+    alphabet: EventAlphabet,
+) -> tuple[Automaton, dict[str, frozenset[str]]]:
+    """:func:`subset_construction` of the automaton these parts describe, on dense ints.
+
+    States are numbered in sorted name order, so bit ``i`` of a subset
+    mask is the ``i``-th name and a mask's members, read in bit order,
+    spell its :func:`encode_state_set` name.  Each state's epsilon closure
+    is computed once, and a labelled move from a closed subset is the
+    union of its members' closed successor masks.  Names are built once,
+    at the end.
+    """
+    names = sorted(states)
+    index = {name: i for i, name in enumerate(names)}
+    silent: list[list[int]] = [[] for _ in names]
+    labelled = []
+    for src, label, dst in transitions:
+        if label == EPSILON:
+            silent[index[src]].append(index[dst])
+        else:
+            labelled.append((index[src], label, index[dst]))
+    closure = _closures(silent)
+    moves: list[dict[str, int]] = [{} for _ in names]
+    for i, label, j in labelled:
+        out = moves[i]
+        out[label] = out.get(label, 0) | closure[j]
+
+    start = closure[index[initial]]
+    found = {start: 0}  # subset mask -> position, in discovery order
+    contents = [_bits(start)]
+    edges = []
+    for k, members in enumerate(contents):  # grows as subsets are found: a breadth-first queue
+        step: dict[str, int] = {}
+        for i in members:
+            for label, mask in moves[i].items():
+                step[label] = step.get(label, 0) | mask
+        for label in sorted(step):
+            target = step[label]
+            if target not in found:
+                found[target] = len(contents)
+                contents.append(_bits(target))
+            edges.append((k, label, found[target]))
+
+    marked_mask = 0
+    for name in marked:
+        marked_mask |= 1 << index[name]
+    subset_names = ["{" + ",".join([names[i] for i in members]) + "}" for members in contents]
+    contents_by_name = {
+        name: frozenset([names[i] for i in members]) for name, members in zip(subset_names, contents)
+    }
     observer = Automaton(
-        states=frozenset(members),
-        alphabet=a.alphabet,
-        transitions=transitions,
-        initial=initial_name,
-        marked=marked,
+        states=frozenset(subset_names),
+        alphabet=alphabet,
+        transitions=frozenset((subset_names[k], label, subset_names[t]) for k, label, t in edges),
+        initial=subset_names[0],
+        marked=frozenset(name for name, mask in zip(subset_names, found) if mask & marked_mask),
     )
-    return observer, members
+    return observer, contents_by_name
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _closures(silent: list[list[int]]) -> list[int]:
+    """Every state's epsilon closure as a bitmask; ``silent[i]`` lists state ``i``'s epsilon successors."""
+    closure = []
+    for v in range(len(silent)):
+        seen = {v}
+        stack = [v]
+        while stack:
+            for w in silent[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        mask = 0
+        for w in seen:
+            mask |= 1 << w
+        closure.append(mask)
+    return closure
 
 
 def determinize(a: Automaton) -> Automaton:

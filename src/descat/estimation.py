@@ -17,7 +17,7 @@ from .automata import (
     EPSILON,
     Automaton,
     Transition,
-    subset_construction,
+    _determinize,
 )
 from .errors import InputError
 
@@ -88,6 +88,22 @@ def replace_transition(a: Automaton, tr: Transition, f: Automaton, prefix: str |
     )
 
 
+def _substitute(
+    g: Automaton, policy: SensorAttackPolicy
+) -> tuple[set[str], set[Transition], dict[str, tuple[Transition, str]]]:
+    """States, transitions and provenance of :func:`build_g_diamond`'s automaton, unbuilt."""
+    ensure_valid_policy(g, policy)
+    states = set(g.states)
+    transitions = set(g.transitions)
+    provenance: dict[str, tuple[Transition, str]] = {}
+    for i, (tr, f) in enumerate(policy.sorted_entries()):
+        rename = _splice(g.states, transitions, tr, f, f"tr{i}")
+        states.update(rename.values())
+        for s, name in rename.items():
+            provenance[name] = (tr, s)
+    return states, transitions, provenance
+
+
 def build_g_diamond(g: Automaton, policy: SensorAttackPolicy) -> DiamondAutomaton:
     """Substitute every attacked transition of ``g`` by its corruption automaton.
 
@@ -101,15 +117,7 @@ def build_g_diamond(g: Automaton, policy: SensorAttackPolicy) -> DiamondAutomato
     :class:`InputError`.  The marked set of the result is the full
     original state set.
     """
-    ensure_valid_policy(g, policy)
-    states = set(g.states)
-    transitions = set(g.transitions)
-    provenance: dict[str, tuple[Transition, str]] = {}
-    for i, (tr, f) in enumerate(policy.sorted_entries()):
-        rename = _splice(g.states, transitions, tr, f, f"tr{i}")
-        states.update(rename.values())
-        for s, name in rename.items():
-            provenance[name] = (tr, s)
+    states, transitions, provenance = _substitute(g, policy)
     diamond = Automaton(
         states=frozenset(states),
         alphabet=g.alphabet,
@@ -198,8 +206,10 @@ def build_ca_observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
     can receive, and the plant projection of the state reached by an
     observation is the state estimate for it.
     """
-    erased = erase_unobservable(build_g_diamond(g, policy))
-    observer, members = subset_construction(erased.automaton)
+    states, transitions, _ = _substitute(g, policy)
+    observable = g.alphabet.observable
+    erased = ((src, label if label in observable else EPSILON, dst) for src, label, dst in transitions)
+    observer, members = _determinize(states, erased, g.initial, g.states, g.alphabet)
     return CAObserver(observer=observer, members=members, plant_states=g.states)
 
 

@@ -5,6 +5,8 @@ transition triples) with their own breadth-first searches, deliberately
 avoiding the library's observer, substitution and enumeration machinery.
 ``diamond_by_replacement`` builds the attack-substituted plant by folding
 the one-transition substitution over the policy entries.
+``subset_construction_by_names`` determinizes on sets of state names,
+closing every step under epsilon moves afresh.
 ``containment_by_search`` and ``strategy_problems_two_pass`` check an
 observation-based attack with a search of their own before composing the
 plant with its context, and ``longest_marked_word_by_closure`` bounds
@@ -48,7 +50,18 @@ from descat import (
     transition_based_setup,
 )
 from descat.attacks import _corruption_defects, ensure_valid_policy
-from descat.automata import Transition, Word, _coreachable, accessible, ensure_deterministic
+from descat.automata import (
+    Transition,
+    Word,
+    _coreachable,
+    _step,
+    accessible,
+    breadth_first,
+    encode_state_set,
+    ensure_deterministic,
+    unobservable_reach,
+    validate,
+)
 
 
 def _adjacency(a: Automaton) -> dict[str, list[tuple[str, str]]]:
@@ -327,14 +340,16 @@ def strategy_problems_two_pass(g: Automaton, strategy) -> tuple[list[str], tuple
 
     Checks coverage with :func:`containment_by_search`, then composes the
     plant with the context and walks the product's sorted transitions
-    twice: once for the reachable pairs without a corruption language, once
-    for the policy entries.  Returns the problems and, when the context is
-    deterministic and covers the plant, ``(product, pairs, entries)``.
+    twice: once for the reachable pairs without a corruption language (each
+    pair once, in the order of its first transition), once for the policy
+    entries.  Returns the problems and, when the context is deterministic
+    and covers the plant, ``(product, pairs, entries)``.
     """
     problems = []
     sa = strategy.sa
     observable = g.alphabet.observable
     attackable = g.alphabet.sensor_attackable
+    problems.extend(f"attack-context automaton: {problem}" for problem in validate(sa))
     if not sa.is_deterministic:
         problems.append("the attack-context automaton must be deterministic")
     for _, label, _ in sorted(sa.transitions):
@@ -362,15 +377,55 @@ def strategy_problems_two_pass(g: Automaton, strategy) -> tuple[list[str], tuple
     if not sa.is_deterministic or witness is not None:
         return problems, None
     product, pairs = parallel_compose_pairs(g, sa)
+    missing = []
     for name, label, _ in sorted(product.transitions):
-        if label in attackable and (pairs[name][1], label) not in strategy.omega:
-            problems.append(f"no corruption language for reachable context pair ({pairs[name][1]!r}, {label!r})")
+        key = (pairs[name][1], label)
+        if label in attackable and key not in strategy.omega and key not in missing:
+            missing.append(key)
+    problems.extend(f"no corruption language for reachable context pair {key!r}" for key in missing)
     entries = {
         tr: strategy.omega[(pairs[tr[0]][1], tr[1])]
         for tr in sorted(product.transitions)
         if tr[1] in attackable and (pairs[tr[0]][1], tr[1]) in strategy.omega
     }
     return problems, (product, pairs, entries)
+
+
+def subset_construction_by_names(a: Automaton) -> tuple[Automaton, dict[str, frozenset[str]]]:
+    """Reference for :func:`subset_construction`: subsets as sets of names.
+
+    Recomputes the epsilon closure on every step and names each subset
+    with :func:`encode_state_set` when it is reached; the mapping lists
+    the subsets in breadth-first discovery order, labels tried in sorted
+    order.
+    """
+    initial_set = unobservable_reach(a, {a.initial})
+    initial_name = encode_state_set(initial_set)
+    members: dict[str, frozenset[str]] = {initial_name: initial_set}
+
+    def expand(name: str) -> list[tuple[str, str]]:
+        out = []
+        for label in a.used_labels:
+            target = _step(a, members[name], label)
+            if target:
+                target_name = encode_state_set(target)
+                members.setdefault(target_name, target)
+                out.append((label, target_name))
+        return out
+
+    transitions = frozenset(
+        (name, label, target)
+        for name, _, successors, _ in breadth_first(initial_name, expand)
+        for label, target in successors
+    )
+    observer = Automaton(
+        states=frozenset(members),
+        alphabet=a.alphabet,
+        transitions=transitions,
+        initial=initial_name,
+        marked=frozenset(name for name, content in members.items() if content & a.marked),
+    )
+    return observer, members
 
 
 def longest_marked_word_by_closure(a: Automaton) -> int | None:

@@ -534,6 +534,44 @@ class TestOneComposition:
             with pytest.raises(PreconditionError, match=f"{self.ALIEN} 'u'"):
                 call()
 
+    def test_context_moving_on_an_undeclared_event_is_rejected(self):
+        """a is observable but not declared by the context, so the composition lets the
+        context move on a by itself and the product is nondeterministic."""
+        alphabet = EventAlphabet(
+            events={"a", "s"}, controllable={"a"}, observable={"a", "s"}, sensor_attackable={"s"}
+        )
+        g = Automaton(
+            states={"1", "2"}, alphabet=alphabet, transitions={("1", "a", "2"), ("2", "s", "1")}, initial="1"
+        )
+        sa = Automaton(
+            states={"z0", "z1"},
+            alphabet=EventAlphabet(events={"s"}, observable={"s"}, sensor_attackable={"s"}),
+            transitions={("z0", "a", "z1"), ("z1", "a", "z1"), ("z0", "s", "z0"), ("z1", "s", "z0")},
+            initial="z0",
+        )
+        just_s = Automaton(
+            states={"i", "f"}, alphabet=alphabet, transitions={("i", "s", "f")}, initial="i", marked={"f"}
+        )
+        strategy = ObservationAttackStrategy(sa=sa, omega={("z0", "s"): just_s, ("z1", "s"): just_s})
+        expected = [
+            f"attack-context automaton: transition ({z!r}, 'a', 'z1') uses undeclared event 'a'" for z in ("z0", "z1")
+        ]
+        assert validate_strategy(g, strategy) == expected
+        assert strategy_problems_two_pass(g, strategy)[0] == expected
+        with pytest.raises(PreconditionError, match="undeclared event 'a'"):
+            convert_observation_based(g, strategy)
+
+    def test_missing_corruption_language_is_reported_once_per_pair(self):
+        alphabet = EventAlphabet(events={"s"}, observable={"s"}, sensor_attackable={"s"})
+        g = Automaton(
+            states={"1", "2"}, alphabet=alphabet, transitions={("1", "s", "2"), ("2", "s", "1")}, initial="1"
+        )
+        sa = Automaton(states={"z0"}, alphabet=alphabet, transitions={("z0", "s", "z0")}, initial="z0")
+        strategy = ObservationAttackStrategy(sa=sa, omega={})
+        expected = ["no corruption language for reachable context pair ('z0', 's')"]
+        assert validate_strategy(g, strategy) == expected
+        assert strategy_problems_two_pass(g, strategy)[0] == expected
+
     def test_a_failed_label_check_may_change_the_witness(self):
         """An undeclared label moves the context on its own in the composition, which
         the search-based oracle never does: here only the composition meets an uncovered a."""
@@ -548,9 +586,11 @@ class TestOneComposition:
             initial="z0",
         )
         strategy = ObservationAttackStrategy(sa=sa, omega={})
+        undeclared = "attack-context automaton: transition ('z0', 'u', 'z1') uses undeclared event 'u'"
         label = "attack-context transition label 'u' is not an observable event"
-        assert strategy_problems_two_pass(g, strategy)[0] == [label]
+        assert strategy_problems_two_pass(g, strategy)[0] == [undeclared, label]
         assert validate_strategy(g, strategy) == [
+            undeclared,
             label,
             "the attack-context automaton does not cover the projected plant language; witness observation: a",
         ]

@@ -29,7 +29,7 @@ from descat import (
     validate,
 )
 from conftest import make_cycle, random_model
-from oracles import language_by_scan, projected_marked_words
+from oracles import language_by_scan, projected_marked_words, subset_construction_by_names
 
 
 def small_alphabet(**kwargs) -> EventAlphabet:
@@ -235,6 +235,41 @@ class TestDeterminize:
                 assert enumerate_language(obs, d, marked_only=True) == frozenset(
                     w for w in projected_marked_words(g, d)
                 )
+
+
+    def test_matches_the_name_based_oracle_on_random_automata(self):
+        rng = random.Random(9091)
+        # Names whose sorted order differs from numeric and from insertion order.
+        pool = ["q9", "q10", "q1", "tr0/x", "tr0/f0", "tr10/a", "p", "P"]
+        alphabet = small_alphabet(events={"a", "b", "c"}, observable={"a", "b", "c"})
+        seen = {"epsilon cycle": 0, "nondeterministic": 0, "unreachable": 0, "marked": 0, "marked unreachable": 0}
+        for _ in range(2000):
+            states = rng.sample(pool, rng.randint(1, len(pool)))
+            transitions = {
+                (rng.choice(states), rng.choice(("a", "b", "c", EPSILON, EPSILON)), rng.choice(states))
+                for _ in range(rng.randint(0, 2 * len(states)))
+            }
+            a = Automaton(
+                states=states,
+                alphabet=alphabet,
+                transitions=transitions,
+                initial=rng.choice(states),
+                marked={q for q in states if rng.random() < 0.3},
+            )
+            reachable = accessible(a).states
+            seen["epsilon cycle"] += any(
+                label == EPSILON and src in unobservable_reach(a, {dst}) for src, label, dst in transitions
+            )
+            seen["nondeterministic"] += any(label != EPSILON and len(a.successors(src, label)) > 1
+                                            for src, label, _ in transitions)
+            seen["unreachable"] += reachable != a.states
+            seen["marked"] += bool(a.marked & reachable)
+            seen["marked unreachable"] += bool(a.marked - reachable)
+            observer, members = subset_construction(a)
+            expected_observer, expected_members = subset_construction_by_names(a)
+            assert observer == expected_observer
+            assert list(members.items()) == list(expected_members.items())
+        assert min(seen.values()) >= 200, seen
 
 
 class TestParallelCompose:

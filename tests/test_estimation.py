@@ -23,7 +23,13 @@ from descat import (
     state_estimate,
 )
 from conftest import random_model, random_strategy
-from oracles import diamond_by_replacement, estimate_oracle, phi_language_oracle, projected_marked_words
+from oracles import (
+    diamond_by_replacement,
+    estimate_oracle,
+    phi_language_oracle,
+    projected_marked_words,
+    subset_construction_by_names,
+)
 
 W = lambda text: tuple(text.split())
 
@@ -122,11 +128,11 @@ class TestDiamond:
             initial="1",
         )
         messages = []
-        for build in (build_g_diamond, diamond_by_replacement):
+        for build in (build_g_diamond, diamond_by_replacement, build_ca_observer):
             with pytest.raises(InputError) as err:
                 build(plant, cycle.policy)
             messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        assert messages[0] == messages[1] == messages[2]
         assert repr([min(taken)]) in messages[0]
 
     def test_marked_language_is_corruption_image(self, cycle):
@@ -195,6 +201,80 @@ class TestObserver:
             "{4}",
         }
         assert obs.observer.is_deterministic
+
+    def test_equals_the_erased_diamond_determinized_by_names_on_random_models(self):
+        rng = random.Random(6060)
+        converted = 0
+        for _ in range(150):
+            g, policy = random_model(rng, acyclic_attacks=False)
+            setups = [(g, policy)]
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                conversion = convert_observation_based(g, strategy)
+                setups.append((conversion.product, conversion.policy))
+                converted += 1
+            for plant, pol in setups:
+                obs = build_ca_observer(plant, pol)
+                observer, members = subset_construction_by_names(erase_unobservable(build_g_diamond(plant, pol)).automaton)
+                assert obs.observer == observer
+                assert list(obs.members.items()) == list(members.items())
+                assert obs.plant_states == plant.states
+        assert converted > 30
+
+    def test_builds_the_observer_alone_and_closes_each_state_once(self, cycle, monkeypatch):
+        import descat.automata
+
+        built = []
+        post_init = Automaton.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        def unexpected(*args):
+            raise AssertionError("unobservable_reach called")
+
+        monkeypatch.setattr(Automaton, "__post_init__", counted)
+        monkeypatch.setattr(descat.automata, "unobservable_reach", unexpected)
+        obs = build_ca_observer(cycle.plant, cycle.policy)
+        assert len(built) == 1 and built[0] is obs.observer
+
+    def test_names_follow_sorted_order_not_numeric_or_insertion_order(self, tmp_path, capsys):
+        from descat import parse_model
+        from descat.cli import main
+
+        text = """alphabet:
+  a controllable observable
+  s observable sensor-attackable
+  u
+
+plant:
+  initial q9
+  states tr0/x q9 q10
+  transition q9 s q10
+  transition q10 u tr0/x
+  transition q10 a q9
+  transition tr0/x u q9
+  transition tr0/x a q10
+
+attack tr q9 s q10:
+  initial f0
+  states f0 f1
+  marked f1
+  transition f0 s f1
+  transition f0 a f1
+"""
+        path = tmp_path / "names.des"
+        path.write_text(text, encoding="utf-8")
+        doc = parse_model(text)
+        obs = build_ca_observer(doc.plant, doc.policy())
+        observer, members = subset_construction_by_names(
+            erase_unobservable(build_g_diamond(doc.plant, doc.policy())).automaton
+        )
+        assert list(obs.members) == list(members)
+        assert list(members) == ["{q9,tr0/f0}", "{q10,q9,tr0/f0,tr0/f1,tr0/x}"]
+        assert main(["export-dot", "--what", "observer", str(path)]) == 0
+        assert capsys.readouterr().out == export_dot(observer, name="observer")
 
     def test_no_attack_fully_observable_observer_is_plant(self):
         alphabet = EventAlphabet(events={"a", "b"}, observable={"a", "b"})
