@@ -128,6 +128,17 @@ def _corruption_defects(
     return memo[f]
 
 
+def _corruption_problems(key: tuple[str, str], f: Automaton, observable: frozenset[str], memo: dict) -> list[str]:
+    """:func:`validate_strategy`'s report on the corruption automaton at context pair ``key``."""
+    structural, bad_labels, empty = _corruption_defects(f, observable, memo)
+    where = f"corruption automaton for ({key[0]!r}, {key[1]!r})"
+    problems = [f"{where}: {problem}" for problem in structural]
+    problems.extend(f"{where}: label {label!r} is not observable" for label in bad_labels)
+    if empty:
+        problems.append(f"{where} has an empty language")
+    return problems
+
+
 def validate_policy(g: Automaton, policy: SensorAttackPolicy) -> list[str]:
     """Report every way ``policy`` fails to be a valid attack map for ``g``."""
     problems = []
@@ -192,36 +203,17 @@ def attacked_commands(supervisor, observation: Iterable[str], actuator_attackabl
     return delta_control(issued, actuator_attackable)
 
 
-def _path_states(g: Automaton, word: Word) -> list[str]:
-    """States visited by a word in a deterministic automaton, initial included."""
+def _steps(g: Automaton, policy: SensorAttackPolicy, word: Word) -> list[Automaton | str]:
+    """Per-step sources of the corruption of ``word``: the attack automaton of an attacked step, else the event."""
     if not g.is_deterministic:
         raise InputError("the plant must be deterministic")
-    path = [g.initial]
+    q, steps = g.initial, []
     for event in word:
-        nxt = g.delta(path[-1], event)
+        nxt = g.delta(q, event)
         if nxt is None:
             raise InputError(f"string {' '.join(word) or 'ε'!s} is not in the plant language")
-        path.append(nxt)
-    return path
-
-
-def _step_fragments(g: Automaton, policy: SensorAttackPolicy, word: Word) -> list[Automaton | str | None]:
-    """Per-step corruption source along the path of ``word``.
-
-    Each entry is the attack automaton for an attacked step, the event name
-    for an unattacked observable step, or None for an unobservable step.
-    """
-    path = _path_states(g, word)
-    steps: list[Automaton | str | None] = []
-    for k, event in enumerate(word):
-        tr = (path[k], event, path[k + 1])
-        f = policy.language_automaton(tr)
-        if f is not None:
-            steps.append(f)
-        elif event in g.alphabet.observable:
-            steps.append(event)
-        else:
-            steps.append(None)
+        steps.append(policy.language_automaton((q, event, nxt)) or event)
+        q = nxt
     return steps
 
 
@@ -234,94 +226,50 @@ def theta_automaton(word: Iterable[str], g: Automaton, policy: SensorAttackPolic
     """
     word = tuple(word)
     ensure_valid_policy(g, policy)
-    path = _path_states(g, word)
+    return _chain(_steps(g, policy, word), g.alphabet)
 
-    states: set[str] = {"0"}
+
+def _chain(steps: Iterable[Automaton | str], alphabet: EventAlphabet) -> Automaton:
+    """Concatenation automaton of ``steps``, linked by silent moves.
+
+    Step ``k`` (from 1) is an automaton, copied in with its states named
+    ``k/<state>``, or an event, which becomes the one edge
+    ``k/in -> k/out``.  The chain starts at state ``0``, and its marked
+    states are the last step's exits.
+    """
+    states = {"0"}
     transitions: set[Transition] = set()
-    current_accepting = {"0"}
-    for k, event in enumerate(word, start=1):
-        tr = (path[k - 1], event, path[k])
-        f = policy.language_automaton(tr)
-        if f is None:
-            entry, exits = _chain_singleton(k, event, states, transitions)
+    exits = {"0"}
+    for k, step in enumerate(steps, start=1):
+        if isinstance(step, Automaton):
+            rename = {s: f"{k}/{s}" for s in step.states}
+            transitions.update((rename[src], label, rename[dst]) for src, label, dst in step.transitions)
+            entry, nxt = rename[step.initial], {rename[s] for s in step.marked}
+            states.update(rename.values())
         else:
-            entry, exits = _chain_copy(k, f, states, transitions)
-        for acc in current_accepting:
-            transitions.add((acc, EPSILON, entry))
-        current_accepting = exits
+            entry, end = f"{k}/in", f"{k}/out"
+            transitions.add((entry, step, end))
+            states.update((entry, end))
+            nxt = {end}
+        transitions.update((e, EPSILON, entry) for e in exits)
+        exits = nxt
     return Automaton(
         states=frozenset(states),
-        alphabet=g.alphabet,
+        alphabet=alphabet,
         transitions=frozenset(transitions),
         initial="0",
-        marked=frozenset(current_accepting),
+        marked=frozenset(exits),
     )
 
 
-def _chain_singleton(k: int, event: str, states: set[str], transitions: set[Transition]) -> tuple[str, set[str]]:
-    entry, end = f"{k}/in", f"{k}/out"
-    states.update((entry, end))
-    transitions.add((entry, event, end))
-    return entry, {end}
-
-
-def _chain_copy(k: int, f: Automaton, states: set[str], transitions: set[Transition]) -> tuple[str, set[str]]:
-    rename = {s: f"{k}/{s}" for s in f.states}
-    states.update(rename.values())
-    for src, label, dst in f.transitions:
-        transitions.add((rename[src], label, rename[dst]))
-    return rename[f.initial], {rename[s] for s in f.marked}
-
-
-def _fragment_words(step: Automaton | str | None, budget: int, cache: dict) -> frozenset[Word]:
-    """Observable words a single step can emit, up to ``budget`` symbols."""
-    if step is None:
-        return frozenset({()})
-    if isinstance(step, str):
-        return frozenset({(step,)}) if budget >= 1 else frozenset()
-    key = (id(step), budget)
-    if key not in cache:
-        cache[key] = bounded_marked_language(step, budget)
-    return cache[key]
-
-
-def _concatenate_bounded(
-    steps: list[Automaton | str | None],
-    depth: int | None,
-) -> LanguageSample:
-    """Bounded concatenation of per-step fragment languages."""
-    total = 0
-    infinite = False
-    for step in steps:
-        if step is None:
-            continue
-        if isinstance(step, str):
-            total += 1
-            continue
-        bound = marked_word_length_bound(step)
-        if bound is None:
-            infinite = True
-        else:
-            total += bound
+def _sample(chain: Automaton, depth: int | None) -> LanguageSample:
+    """The marked words of ``chain`` up to ``depth``; all of them, if finitely many, when ``depth`` is None."""
+    bound = marked_word_length_bound(chain)
     if depth is None:
-        if infinite:
-            raise InputError(
-                "some attack language is infinite; pass an explicit depth to truncate the enumeration"
-            )
-        depth = total
-    truncated = infinite or total > depth
-
-    cache: dict = {}
-    frontier: set[Word] = {()}
-    for step in steps:
-        nxt: set[Word] = set()
-        for prefix in frontier:
-            for fragment in _fragment_words(step, depth - len(prefix), cache):
-                nxt.add(prefix + fragment)
-        frontier = nxt
-        if not frontier:
-            break
-    return LanguageSample(strings=frozenset(frontier), depth=depth, truncated=truncated)
+        if bound is None:
+            raise InputError("some attack language is infinite; pass an explicit depth to truncate the enumeration")
+        depth = bound
+    return LanguageSample(bounded_marked_language(chain, depth), depth, truncated=bound is None or bound > depth)
 
 
 def phi_enumerate(
@@ -336,8 +284,9 @@ def phi_enumerate(
     """
     word = tuple(word)
     ensure_valid_policy(g, policy)
-    steps = _step_fragments(g, policy, word)
-    return _concatenate_bounded(steps, depth)
+    observable = g.alphabet.observable
+    steps = [step for step in _steps(g, policy, word) if isinstance(step, Automaton) or step in observable]
+    return _sample(_chain(steps, g.alphabet), depth)
 
 
 @dataclass(frozen=True)
@@ -438,15 +387,7 @@ def _strategy_problems(
             problems.append(f"corruption entry for unknown context state {z!r}")
         if event not in attackable:
             problems.append(f"corruption entry for non-attackable event {event!r}")
-        structural, bad_labels, empty = _corruption_defects(f, observable, memo)
-        for problem in structural:
-            problems.append(f"corruption automaton for ({z!r}, {event!r}): {problem}")
-        for label in bad_labels:
-            problems.append(
-                f"corruption automaton for ({z!r}, {event!r}): label {label!r} is not observable"
-            )
-        if empty:
-            problems.append(f"corruption automaton for ({z!r}, {event!r}) has an empty language")
+        problems.extend(_corruption_problems((z, event), f, observable, memo))
     # Every reachable attacked (context, event) pair needs a corruption
     # language; the same pass keys the converted policy.
     if sa.is_deterministic and witness is None:
@@ -476,11 +417,15 @@ def phi_omega(
     Follows the recursion: the empty observation maps to itself, and each
     observed event contributes the corruption language chosen at the
     current context state (the event itself when it is not attackable).
+    ``depth`` works as in :func:`phi_enumerate`.  A corruption automaton
+    used on the way that :func:`validate_strategy` would reject raises
+    :class:`InputError` with the same problems.
     """
     observation = tuple(observation)
     sa = strategy.sa
     attackable = alphabet.sensor_attackable
-    steps: list[Automaton | str | None] = []
+    steps: list[Automaton | str] = []
+    used: dict[tuple[str, str], Automaton] = {}
     z = sa.initial
     for event in observation:
         if event not in alphabet.observable:
@@ -489,6 +434,7 @@ def phi_omega(
             f = strategy.corruption(z, event)
             if f is None:
                 raise InputError(f"no corruption language for context pair ({z!r}, {event!r})")
+            used[(z, event)] = f
             steps.append(f)
         else:
             steps.append(event)
@@ -498,7 +444,11 @@ def phi_omega(
                 f"observation {' '.join(observation)} leaves the attack-context automaton at {z!r}"
             )
         z = z2
-    return _concatenate_bounded(steps, depth)
+    memo: dict = {}
+    problems = [p for key, f in used.items() for p in _corruption_problems(key, f, alphabet.observable, memo)]
+    if problems:
+        raise InputError("invalid observation attack strategy: " + "; ".join(problems))
+    return _sample(_chain(steps, alphabet), depth)
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,6 @@ class Automaton:
     marked: frozenset[str] = frozenset()
     _succ: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _out: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _labels: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         object.__setattr__(self, "states", frozenset(self.states))
@@ -114,15 +113,11 @@ class Automaton:
         object.__setattr__(self, "marked", frozenset(self.marked))
         succ: dict[tuple[str, str], set[str]] = {}
         out: dict[str, list[tuple[str, str]]] = {}
-        labels: set[str] = set()
         for src, label, dst in sorted(self.transitions):
             succ.setdefault((src, label), set()).add(dst)
             out.setdefault(src, []).append((label, dst))
-            if label != EPSILON:
-                labels.add(label)
         object.__setattr__(self, "_succ", {k: frozenset(v) for k, v in succ.items()})
         object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
-        object.__setattr__(self, "_labels", tuple(sorted(labels)))
 
     def successors(self, state: str, label: str) -> frozenset[str]:
         """States reachable from ``state`` by one ``label`` transition."""
@@ -147,11 +142,6 @@ class Automaton:
     def is_deterministic(self) -> bool:
         """True iff there are no epsilon moves and at most one successor per (state, event)."""
         return all(label != EPSILON and len(dsts) <= 1 for (_, label), dsts in self._succ.items())
-
-    @property
-    def used_labels(self) -> tuple[str, ...]:
-        """Sorted non-epsilon labels that actually occur on transitions."""
-        return self._labels
 
 
 def validate(a: Automaton) -> list[str]:
@@ -461,30 +451,21 @@ def natural_projection(word: Iterable[str], alphabet: EventAlphabet) -> Word:
 def enumerate_language(a: Automaton, depth: int, marked_only: bool = False) -> frozenset[Word]:
     """All words of length at most ``depth`` in L(a) (or Lm(a) with ``marked_only``).
 
-    Breadth-first over the transition relation with epsilon closure at every
-    step; epsilon moves do not count toward the depth.
+    Walks :func:`determinize` of ``a`` level by level, one (word, state)
+    pair per word, so epsilon moves do not count toward the depth.  The
+    cost is the determinization plus the words: cheap for the small
+    corruption automata, concatenation chains and deterministic
+    automata the library passes, exponential in the worst case.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
-
-    def accepts(states: frozenset[str]) -> bool:
-        return bool(states & a.marked) if marked_only else bool(states)
-
+    d = determinize(a)
     words: set[Word] = set()
-    frontier: dict[Word, frozenset[str]] = {(): unobservable_reach(a, {a.initial})}
-    if accepts(frontier[()]):
-        words.add(())
-    for _ in range(depth):
-        nxt: dict[Word, frozenset[str]] = {}
-        for word, states in frontier.items():
-            for label in a.used_labels:
-                target = _step(a, states, label)
-                if target:
-                    nxt[word + (label,)] = target
-        frontier = nxt
-        if not frontier:
-            break
-        words.update(w for w, states in frontier.items() if accepts(states))
+    frontier = [((), d.initial)]
+    for level in range(depth + 1):
+        words.update(word for word, x in frontier if not marked_only or x in d.marked)
+        if level < depth:
+            frontier = [(word + (label,), y) for word, x in frontier for label, y in d.outgoing(x)]
     return frozenset(words)
 
 
@@ -505,7 +486,7 @@ def marked_word_length_bound(a: Automaton) -> int | None:
     Word length counts non-epsilon labels only, so epsilon cycles do not
     make the language infinite.
     """
-    relevant = accessible(a).states & _coreachable(a)
+    relevant = {node for node, *_ in breadth_first(a.initial, a.outgoing)} & _coreachable(a)
     if not relevant:
         return 0
     # Bellman-Ford for longest paths over the trimmed graph: an edge that

@@ -91,8 +91,7 @@ def replace_transition(a: Automaton, tr: Transition, f: Automaton, prefix: str |
 def _substitute(
     g: Automaton, policy: SensorAttackPolicy
 ) -> tuple[set[str], set[Transition], dict[str, tuple[Transition, str]]]:
-    """States, transitions and provenance of :func:`build_g_diamond`'s automaton, unbuilt."""
-    ensure_valid_policy(g, policy)
+    """States, transitions and provenance of :func:`build_g_diamond`'s automaton, unbuilt; ``policy`` must be valid."""
     states = set(g.states)
     transitions = set(g.transitions)
     provenance: dict[str, tuple[Transition, str]] = {}
@@ -117,6 +116,7 @@ def build_g_diamond(g: Automaton, policy: SensorAttackPolicy) -> DiamondAutomato
     :class:`InputError`.  The marked set of the result is the full
     original state set.
     """
+    ensure_valid_policy(g, policy)
     states, transitions, provenance = _substitute(g, policy)
     diamond = Automaton(
         states=frozenset(states),
@@ -206,6 +206,12 @@ def build_ca_observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
     can receive, and the plant projection of the state reached by an
     observation is the state estimate for it.
     """
+    ensure_valid_policy(g, policy)
+    return _observer(g, policy)
+
+
+def _observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
+    """:func:`build_ca_observer` for a policy already known to be valid."""
     states, transitions, _ = _substitute(g, policy)
     observable = g.alphabet.observable
     erased = ((src, label if label in observable else EPSILON, dst) for src, label, dst in transitions)
@@ -221,13 +227,14 @@ def attacked_observer(
     A transition-based policy is restricted to the transitions of ``a``
     and the lift is the identity.  An observation-based strategy is
     converted on ``a`` (see :func:`convert_observation_based`), the
-    observer is built on the composition, and the lift projects each
+    observer is built on the composition without validating the converted
+    policy again (it is valid by construction), and the lift projects each
     estimate through the composition's pairs.
     """
     if isinstance(attack, ObservationAttackStrategy):
         conversion = convert_observation_based(a, attack)
         pairs = conversion.pairs
-        return build_ca_observer(conversion.product, conversion.policy), (lambda est: lift_estimate(est, pairs))
+        return _observer(conversion.product, conversion.policy), (lambda est: lift_estimate(est, pairs))
     return build_ca_observer(a, attack.restricted_to(a)[0]), (lambda est: est)
 
 

@@ -172,7 +172,9 @@ class _PreparedRun:
     What stays fixed across the trials of a campaign is worked out once:
     the transition-based setup, the trace's fragment cap, and (as they are
     first needed) the fragments the attacker may emit on each attacked
-    transition and the deliveries of each issued control.
+    transition and the deliveries of each issued control.  Fragments are
+    enumerated once per distinct corruption automaton and then looked up
+    per transition.
     """
 
     def __init__(self, g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps):
@@ -203,18 +205,18 @@ class _PreparedRun:
             cap if cap is not None else max((2 * len(f.states) for _, f in policy.sorted_entries()), default=0)
         )
         self._fragments: dict[Transition, list[Word] | None] = {}
+        self._words: dict[Automaton, list[Word]] = {}
         self._deliveries: dict[frozenset[str], list[frozenset[str]]] = {}
 
     def fragment_choices(self, tr: Transition) -> list[Word] | None:
         """Corruption words for ``tr``, shortest first; None when ``tr`` is not attacked."""
         if tr not in self._fragments:
             f = self.policy.language_automaton(tr)
-            if f is None:
-                self._fragments[tr] = None
-            else:
+            if f is not None and f not in self._words:
                 cap = self.attacker.fragment_cap
                 words = bounded_marked_language(f, cap if cap is not None else 2 * len(f.states))
-                self._fragments[tr] = sorted(words, key=lambda w: (len(w), w))
+                self._words[f] = sorted(words, key=lambda w: (len(w), w))
+            self._fragments[tr] = None if f is None else self._words[f]
         return self._fragments[tr]
 
     def deliveries(self, issued: frozenset[str]) -> list[frozenset[str]]:

@@ -6,14 +6,20 @@ avoiding the library's observer, substitution and enumeration machinery.
 ``diamond_by_replacement`` builds the attack-substituted plant by folding
 the one-transition substitution over the policy entries.
 ``subset_construction_by_names`` determinizes on sets of state names,
-closing every step under epsilon moves afresh.
+closing every step under epsilon moves afresh, and
+``language_by_word_frontier`` enumerates words the same way, one state set
+per word.  ``phi_by_concatenation`` concatenates the per-step corruption
+words of a plant string (``policy_steps``) or an observation
+(``omega_steps``) one step at a time, and ``theta_by_chain`` links one
+block per step of a string.
 ``containment_by_search`` and ``strategy_problems_two_pass`` check an
 observation-based attack with a search of their own before composing the
 plant with its context, and ``longest_marked_word_by_closure`` bounds
 marked words by an all-pairs longest-path closure.
 ``observability_by_enumeration`` and ``brute_force_large_language``
 evaluate verification's definitions literally, string by string, on top
-of the library's observer and corruption enumeration.  The last two,
+of the library's observer (the latter also of its bounded enumeration of
+corruption words).  The last two,
 ``simulate_by_rewalk`` and ``campaign_by_rewalk``, run the closed loop by
 asking ``control_for`` for the whole observation at every step and by
 re-walking every observation prefix for coverage.
@@ -33,6 +39,7 @@ from descat import (
     Counterexample,
     DiamondAutomaton,
     InputError,
+    LanguageSample,
     SensorAttackPolicy,
     Trace,
     TraceStep,
@@ -45,7 +52,6 @@ from descat import (
     marked_word_length_bound,
     natural_projection,
     parallel_compose_pairs,
-    phi_enumerate,
     replace_transition,
     transition_based_setup,
 )
@@ -142,6 +148,159 @@ def marked_words(f: Automaton, limit: int, _cache={}) -> frozenset[tuple[str, ..
     result = frozenset(found)
     _cache[key] = result
     return result
+
+
+def language_by_word_frontier(a: Automaton, depth: int, marked_only=False) -> frozenset[Word]:
+    """Reference for :func:`enumerate_language`: one state set per word.
+
+    Steps every word of the frontier by every label, closing each step
+    under epsilon moves afresh.
+    """
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
+    labels = sorted({label for _, label, _ in a.transitions if label != EPSILON})
+
+    def accepted(states: frozenset[str]) -> bool:
+        return bool(states & a.marked) if marked_only else bool(states)
+
+    words: set[Word] = set()
+    frontier: dict[Word, frozenset[str]] = {(): unobservable_reach(a, {a.initial})}
+    if accepted(frontier[()]):
+        words.add(())
+    for _ in range(depth):
+        nxt: dict[Word, frozenset[str]] = {}
+        for word, states in frontier.items():
+            for label in labels:
+                target = _step(a, states, label)
+                if target:
+                    nxt[word + (label,)] = target
+        frontier = nxt
+        if not frontier:
+            break
+        words.update(w for w, states in frontier.items() if accepted(states))
+    return frozenset(words)
+
+
+def policy_steps(word: Iterable[str], g: Automaton, policy: SensorAttackPolicy) -> list:
+    """Per-step corruption sources of a plant string, for :func:`phi_by_concatenation`.
+
+    Each entry is the attack automaton of an attacked step, the event of
+    an unattacked observable step, or None for an unobservable step.
+    """
+    q = g.initial
+    steps = []
+    for event in word:
+        dst = g.delta(q, event)
+        if dst is None:
+            raise InputError(f"string {' '.join(word) or 'ε'!s} is not in the plant language")
+        f = policy.language_automaton((q, event, dst))
+        steps.append(f if f is not None else event if event in g.alphabet.observable else None)
+        q = dst
+    return steps
+
+
+def omega_steps(observation: Iterable[str], strategy, alphabet) -> list:
+    """Per-step corruption sources of an observation under an observation-based attack.
+
+    The corruption automaton chosen at the current context state for an
+    attackable event, the event itself otherwise.
+    """
+    observation = tuple(observation)
+    z = strategy.sa.initial
+    steps = []
+    for event in observation:
+        if event not in alphabet.observable:
+            raise InputError(f"observation contains non-observable event {event!r}")
+        if event in alphabet.sensor_attackable:
+            f = strategy.corruption(z, event)
+            if f is None:
+                raise InputError(f"no corruption language for context pair ({z!r}, {event!r})")
+            steps.append(f)
+        else:
+            steps.append(event)
+        z2 = strategy.sa.delta(z, event)
+        if z2 is None:
+            raise InputError(f"observation {' '.join(observation)} leaves the attack-context automaton at {z!r}")
+        z = z2
+    return steps
+
+
+def phi_by_concatenation(steps: list, depth: int | None = None) -> LanguageSample:
+    """Reference for :func:`phi_enumerate` and :func:`phi_omega`: the per-step concatenation.
+
+    ``steps`` comes from :func:`policy_steps` or :func:`omega_steps`.  The
+    sample is the set of prefix-plus-fragment words, extended one step at
+    a time with each step's words that still fit in ``depth``; with
+    ``depth=None`` the depth is the sum of the per-step longest words.
+    Corruption automata must be epsilon-free, as a valid attack's are.
+    """
+    total = 0
+    infinite = False
+    for step in steps:
+        if isinstance(step, Automaton):
+            bound = longest_marked_word_by_closure(step)
+            infinite = infinite or bound is None
+            total += bound or 0
+        elif step is not None:
+            total += 1
+    if depth is None:
+        if infinite:
+            raise InputError(
+                "some attack language is infinite; pass an explicit depth to truncate the enumeration"
+            )
+        depth = total
+    frontier: set[Word] = {()}
+    for step in steps:
+        if step is None:
+            continue
+        nxt: set[Word] = set()
+        for prefix in frontier:
+            budget = depth - len(prefix)
+            if isinstance(step, Automaton):
+                fragments = marked_words(step, budget)
+            else:
+                fragments = {(step,)} if budget >= 1 else ()
+            nxt.update(prefix + fragment for fragment in fragments)
+        frontier = nxt
+    return LanguageSample(strings=frozenset(frontier), depth=depth, truncated=infinite or total > depth)
+
+
+def theta_by_chain(word: Iterable[str], g: Automaton, policy: SensorAttackPolicy) -> Automaton:
+    """Reference for :func:`theta_automaton`: links one block per step of the string.
+
+    An unattacked step is the edge ``k/in -> k/out``, an attacked one a
+    copy of its attack automaton with states ``k/<state>``; every exit of
+    step ``k - 1`` (state ``0`` for the first) has a silent move into
+    step ``k``'s entry.
+    """
+    q = g.initial
+    states = {"0"}
+    transitions: set[Transition] = set()
+    exits = {"0"}
+    for k, event in enumerate(word, start=1):
+        dst = g.delta(q, event)
+        if dst is None:
+            raise InputError(f"string {' '.join(word)} is not in the plant language")
+        f = policy.language_automaton((q, event, dst))
+        if f is None:
+            entry, out = f"{k}/in", f"{k}/out"
+            states |= {entry, out}
+            transitions.add((entry, event, out))
+            nxt = {out}
+        else:
+            states |= {f"{k}/{s}" for s in f.states}
+            transitions |= {(f"{k}/{src}", label, f"{k}/{d}") for src, label, d in f.transitions}
+            entry, nxt = f"{k}/{f.initial}", {f"{k}/{m}" for m in f.marked}
+        transitions |= {(e, EPSILON, entry) for e in exits}
+        exits = nxt
+        q = dst
+    return Automaton(
+        states=frozenset(states),
+        alphabet=g.alphabet,
+        transitions=frozenset(transitions),
+        initial="0",
+        marked=frozenset(exits),
+    )
 
 
 def _fragments(g: Automaton, policy: SensorAttackPolicy, tr, budget: int):
@@ -402,10 +561,11 @@ def subset_construction_by_names(a: Automaton) -> tuple[Automaton, dict[str, fro
     initial_set = unobservable_reach(a, {a.initial})
     initial_name = encode_state_set(initial_set)
     members: dict[str, frozenset[str]] = {initial_name: initial_set}
+    labels = sorted({label for _, label, _ in a.transitions if label != EPSILON})
 
     def expand(name: str) -> list[tuple[str, str]]:
         out = []
-        for label in a.used_labels:
+        for label in labels:
             target = _step(a, members[name], label)
             if target:
                 target_name = encode_state_set(target)
@@ -513,8 +673,8 @@ def observability_by_enumeration(
     """Reference for :func:`check_ca_observability_bounded`, string by string.
 
     Walks every string of the safety language up to ``depth`` events,
-    enumerates its attacked observations with ``phi_enumerate`` (up to
-    :func:`_observation_cap`) and replays each one through the observer.
+    enumerates its attacked observations with :func:`phi_by_concatenation`
+    (up to :func:`_observation_cap`) and replays each one through the observer.
     Agrees with the library check whenever the corruption languages are
     finite.
     """
@@ -543,7 +703,7 @@ def observability_by_enumeration(
             phi = None
             for event, dst in h.outgoing(q):
                 if phi is None:
-                    phi = phi_enumerate(s, h, restricted, depth=obs_cap)
+                    phi = phi_by_concatenation(policy_steps(s, h, restricted), depth=obs_cap)
                 ok = False
                 for t in phi.strings:
                     x = observer.state_for(t)
@@ -658,7 +818,7 @@ def _rewalk_setup(g, h, policy_or_strategy, actuator_attackable, attacker, max_s
 
 
 def _rewalk_fragments(f: Automaton, cap: int | None) -> list[Word]:
-    words = bounded_marked_language(f, cap if cap is not None else 2 * len(f.states))
+    words = marked_words(f, cap if cap is not None else 2 * len(f.states))
     return sorted(words, key=lambda w: (len(w), w))
 
 

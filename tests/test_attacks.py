@@ -29,7 +29,17 @@ from descat import (
 )
 from descat.attacks import check_projection_containment
 from conftest import make_cycle, make_cycle_strategy, random_model, random_strategy
-from oracles import accepts, containment_by_search, shortest_uncovered_observation, strategy_problems_two_pass
+from oracles import (
+    accepts,
+    containment_by_search,
+    language_by_word_frontier,
+    omega_steps,
+    phi_by_concatenation,
+    policy_steps,
+    shortest_uncovered_observation,
+    strategy_problems_two_pass,
+    theta_by_chain,
+)
 
 W = lambda text: tuple(text.split())
 
@@ -199,6 +209,15 @@ class TestTheta:
         with pytest.raises(InputError):
             theta_automaton(W("mu"), cycle.plant, cycle.policy)
 
+    def test_matches_the_chain_oracle(self, cycle):
+        for word in sorted(language_by_word_frontier(cycle.plant, 6)):
+            assert theta_automaton(word, cycle.plant, cycle.policy) == theta_by_chain(word, cycle.plant, cycle.policy)
+        rng = random.Random(77)
+        for i in range(100):
+            g, policy = random_model(rng, acyclic_attacks=i % 2 == 0)
+            for word in sorted(language_by_word_frontier(g, 3)):
+                assert theta_automaton(word, g, policy) == theta_by_chain(word, g, policy)
+
 
 class TestPhi:
     def test_corpus_string_alpha_lambda_mu(self, cycle):
@@ -268,7 +287,53 @@ class TestPhi:
         assert all(len(t) <= 4 for t in bounded.strings)
 
 
+class TestConcatenationOracle:
+    """phi_enumerate and phi_omega against the per-step concatenation they replaced."""
+
+    @staticmethod
+    def outcome(sample):
+        try:
+            sample = sample()
+        except InputError as error:
+            return str(error)
+        return sample.strings, sample.depth, sample.truncated
+
+    def test_matches_on_random_models_and_strategies(self):
+        rng = random.Random(4242)
+        seen = {"infinite": 0, "truncated": 0, "exact": 0, "omega": 0}
+        for i in range(300):
+            g, policy = random_model(rng, acyclic_attacks=i % 2 == 0)
+            strategy = random_strategy(rng, g)
+            for word in sorted(language_by_word_frontier(g, 3)):
+                observation = natural_projection(word, g.alphabet)
+                for depth in (None, 3, 5, 6):
+                    got = self.outcome(lambda: phi_enumerate(word, g, policy, depth))
+                    assert got == self.outcome(lambda: phi_by_concatenation(policy_steps(word, g, policy), depth))
+                    seen["infinite" if isinstance(got, str) else "truncated" if got[2] else "exact"] += 1
+                    if strategy is not None:
+                        got = self.outcome(lambda: phi_omega(observation, strategy, g.alphabet, depth))
+                        steps = omega_steps(observation, strategy, g.alphabet)
+                        assert got == self.outcome(lambda: phi_by_concatenation(steps, depth))
+                        seen["omega"] += 1
+        assert min(seen.values()) >= 300, seen
+
+
 class TestPhiOmega:
+    def test_invalid_corruption_automata_are_input_errors(self, cycle_beta, cycle_strategy):
+        """Each automaton used is checked as validate_strategy checks it, in the order of use."""
+        f1, f2 = cycle_beta.f1, cycle_beta.f2
+        stray = Automaton(f1.states, f1.alphabet, f1.transitions | {("A", "lambda", "zz")}, "A", f1.marked | {"zz"})
+        empty = Automaton(f2.states, f2.alphabet, f2.transitions, f2.initial, marked=set())
+        strategy = ObservationAttackStrategy(sa=cycle_strategy.sa, omega={("z2", "lambda"): stray, ("z3", "mu"): empty})
+        problems = validate_strategy(cycle_beta.plant, strategy)
+        assert len(problems) == 3
+        with pytest.raises(InputError) as error:
+            phi_omega(W("alpha lambda mu"), strategy, cycle_beta.alphabet)
+        assert str(error.value) == "invalid observation attack strategy: " + "; ".join(problems)
+        with pytest.raises(InputError, match="invalid observation attack strategy: corruption automaton for .'z2'"):
+            phi_omega(W("alpha lambda"), strategy, cycle_beta.alphabet, depth=3)
+        assert phi_omega(W("alpha"), strategy, cycle_beta.alphabet).strings == {W("alpha")}
+
     def test_empty_observation(self, cycle_beta, cycle_strategy):
         sample = phi_omega((), cycle_strategy, cycle_beta.alphabet)
         assert sample.strings == {()}

@@ -29,7 +29,12 @@ from descat import (
     validate,
 )
 from conftest import make_cycle, random_model
-from oracles import language_by_scan, projected_marked_words, subset_construction_by_names
+from oracles import (
+    language_by_scan,
+    language_by_word_frontier,
+    projected_marked_words,
+    subset_construction_by_names,
+)
 
 
 def small_alphabet(**kwargs) -> EventAlphabet:
@@ -359,6 +364,31 @@ class TestEnumerateLanguage:
         for _ in range(10):
             g, _ = random_model(rng, max_states=4)
             assert enumerate_language(g, 4) == language_by_scan(g, 4)
+
+    def test_matches_the_word_frontier_oracle_on_random_automata(self):
+        rng = random.Random(4711)
+        alphabet = small_alphabet(events={"a", "b", "c"}, observable={"a", "b", "c"})
+        seen = {"epsilon cycle": 0, "nondeterministic": 0, "marked": 0, "unmarked": 0}
+        for _ in range(2000):
+            states = [str(i) for i in range(rng.randint(1, 6))]
+            transitions = {
+                (rng.choice(states), rng.choice(("a", "b", "c", EPSILON, EPSILON)), rng.choice(states))
+                for _ in range(rng.randint(0, 2 * len(states)))
+            }
+            marked = {q for q in states if rng.random() < 0.3}
+            a = Automaton(states, alphabet, transitions, rng.choice(states), marked)
+            seen["epsilon cycle"] += any(
+                label == EPSILON and src in unobservable_reach(a, {dst}) for src, label, dst in transitions
+            )
+            seen["nondeterministic"] += any(
+                label != EPSILON and len(a.successors(src, label)) > 1 for src, label, _ in transitions
+            )
+            seen["marked" if marked else "unmarked"] += 1
+            for depth in range(7):
+                for marked_only in (False, True):
+                    expected = language_by_word_frontier(a, depth, marked_only=marked_only)
+                    assert enumerate_language(a, depth, marked_only=marked_only) == expected
+        assert min(seen.values()) >= 200, seen
 
 
 class TestSubAutomaton:

@@ -173,8 +173,9 @@ class TestSimulate:
         """Beyond loading and synthesis, each check validates a policy once and builds one observer."""
         import descat
 
-        calls = {"validate_policy": 0, "build_ca_observer": 0}
-        for name, home in (("validate_policy", descat.attacks), ("build_ca_observer", descat.estimation)):
+        # ``_observer`` builds every CA-observer, validated or not.
+        calls = {"validate_policy": 0, "_observer": 0}
+        for name, home in (("validate_policy", descat.attacks), ("_observer", descat.estimation)):
             original = getattr(home, name)
 
             def counted(*args, name=name, original=original):
@@ -189,7 +190,7 @@ class TestSimulate:
             for name in calls:
                 calls[name] = 0
             run_cli(capsys, *argv)
-            return calls["validate_policy"], calls["build_ca_observer"]
+            return calls["validate_policy"], calls["_observer"]
 
         for model, check in ((CYCLE_BETA, 1), (CYCLE_OBS, 0)):
             loading, _ = counts("check-controllability", model)

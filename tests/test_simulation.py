@@ -476,7 +476,34 @@ class TestPolicyValidatedOnce:
         obs_sup = synthesize_obs_based(g, h, cycle_strategy)
         run_campaign(g, h, obs_sup, cycle_strategy, trials=3, max_steps=5)
         simulate(g, h, obs_sup, cycle_strategy, attacker=AttackerStrategy.exhaustive(), max_steps=5)
-        assert len(calls) == 3
+        # A converted policy is valid by construction and never validated.
+        assert len(calls) == 2
+
+    def test_fragments_are_enumerated_once_per_distinct_automaton(self, cycle_beta, monkeypatch):
+        """Two transitions attacked by equal automata (one a copy) share one enumeration."""
+        import descat.simulation
+        from descat import Automaton, ObservationAttackStrategy
+
+        f, copy = cycle_beta.f2, dataclasses.replace(cycle_beta.f2)
+        policy = SensorAttackPolicy.from_transitions({("2", "lambda", "3"): f, ("3", "mu", "1"): copy})
+        loops = {("z", e, "z") for e in ("alpha", "lambda", "mu")}
+        sa = Automaton({"z"}, cycle_beta.alphabet.observable_restriction(), loops, "z")
+        strategy = ObservationAttackStrategy(sa=sa, omega={("z", "lambda"): f, ("z", "mu"): copy})
+        enumerate_words = descat.simulation.bounded_marked_language
+        calls = []
+        monkeypatch.setattr(
+            descat.simulation, "bounded_marked_language", lambda a, bound: calls.append(a) or enumerate_words(a, bound)
+        )
+        g, h = cycle_beta.plant, cycle_beta.spec
+        for attack in (policy, strategy):
+            sup = synthesize_ca_supervisor(g, h, attack)
+            for attacker in (AttackerStrategy.random_choices(), AttackerStrategy.exhaustive()):
+                calls.clear()
+                report = run_campaign(g, h, sup, attack, trials=20, max_steps=12, attacker=attacker)
+                assert calls == [f] and report.observer_states_visited > 2
+                calls.clear()
+                trace = simulate(g, h, sup, attack, attacker=attacker, max_steps=12, seed=1)
+                assert calls == [f] and {"lambda", "mu"} <= set(trace.plant_string)
 
     def test_policy_is_reported_before_nondeterminism(self, cycle_beta):
         g = dataclasses.replace(cycle_beta.plant, transitions=cycle_beta.plant.transitions | {("1", "alpha", "4")})

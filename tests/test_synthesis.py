@@ -11,6 +11,7 @@ from descat import (
     InputError,
     SensorAttackPolicy,
     attacked_commands,
+    build_ca_observer,
     compare_permissiveness,
     disabled_set,
     supervisor_union,
@@ -187,6 +188,24 @@ class TestObservationBasedSynthesis:
             conv.product, sub_automaton(conv.product, safe), sup, conv.policy
         )
         assert verdict.holds
+
+    def test_the_converted_policy_is_not_validated_again(self, monkeypatch):
+        """Conversion builds a valid policy, so synthesis under a strategy validates none."""
+        import descat.attacks
+        from pathlib import Path
+
+        from descat import load_model
+
+        doc = load_model(str(Path(__file__).resolve().parent.parent / "models" / "cycle_obs.des"))
+        g, h, strategy = doc.plant, doc.spec_automaton(), doc.strategy()
+        validate = descat.attacks.validate_policy
+        calls = []
+        monkeypatch.setattr(descat.attacks, "validate_policy", lambda g, p: calls.append(1) or validate(g, p))
+        sup = synthesize_ca_supervisor(g, h, strategy)
+        assert calls == []
+        conversion = descat.attacks.convert_observation_based(h, strategy)
+        assert sup.observer == build_ca_observer(conversion.product, conversion.policy)
+        assert calls == [1]
 
 
 class TestUnionAndPermissiveness:
