@@ -395,11 +395,14 @@ def _tight_walk(start, edges: dict, height: dict, goal: int, floor: int) -> tupl
     cannot walk on to depth ``floor`` or past the longest walk found so
     far, or when a shorter walk reaches its plant state with its
     observation.  With ``floor=goal`` the search gives up early when no
-    tight walk reaches ``goal``.
+    tight walk reaches ``goal``.  The last test reads ``reach``, kept for
+    the prefixes of the current observation (see :func:`_extend_reach`).
     """
     best: tuple = ()
     labels: list = []
     entered = {(start[0], ())}
+    span = max((len(label[3]) for out in edges.values() for label, _ in out), default=0)
+    reach = [_settle({0: [start]}, edges)]
     stack = [(start, (), iter(edges.get(start, ())))]
     while stack and len(best) < goal:
         _, observation, out = stack[-1]
@@ -407,7 +410,11 @@ def _tight_walk(start, edges: dict, height: dict, goal: int, floor: int) -> tupl
         need = max(floor, len(best) + 1) - depth
         for label, child in out:
             key = (child[0], observation + label[3])
-            if key in entered or height.get(child, goal) < need or _shortest(start, edges, key, depth) < depth:
+            if key in entered or height.get(child, goal) < need:
+                continue
+            del reach[len(observation) + 1 :]
+            _extend_reach(reach, edges, key[1], span)
+            if min((d for node, d in reach[-1].items() if node[0] == key[0]), default=depth) < depth:
                 continue
             entered.add(key)
             labels.append(label)
@@ -422,25 +429,38 @@ def _tight_walk(start, edges: dict, height: dict, goal: int, floor: int) -> tupl
     return best
 
 
-def _shortest(start, edges: dict, key: tuple, bound: int) -> int:
-    """Fewest steps in which a walk reaches the (plant state, observation) ``key``, or ``bound`` if no fewer.
+def _extend_reach(reach: list, edges: dict, observation: tuple, span: int) -> None:
+    """Extend ``reach`` to every prefix of ``observation``.
 
-    Breadth first over (arena node, length of the observation read).
+    ``reach[i]`` maps each arena node to the fewest steps of a walk to it
+    that reads exactly ``observation[:i]``; on entry ``reach`` holds these
+    maps for a prefix of ``observation``.  A walk's last nonempty fragment
+    is at most ``span`` long, so only the last ``span`` maps seed the next.
     """
-    q, observation = key
+    while len(reach) <= len(observation):
+        i = len(reach)
+        seeds: dict[int, list] = {}
+        for j in range(max(0, i - span), i):
+            read = observation[j:i]
+            for node, d in reach[j].items():
+                for (*_, fragment), child in edges.get(node, ()):
+                    if fragment == read:
+                        seeds.setdefault(d + 1, []).append(child)
+        reach.append(_settle(seeds, edges))
 
-    def expand(pair):
-        node, i = pair
-        return [
-            (None, (child, i + len(fragment)))
-            for (*_, fragment), child in edges.get(node, ())
-            if observation[i : i + len(fragment)] == fragment
-        ]
 
-    for (node, i), level, _, _ in breadth_first((start, 0), expand):
-        if level == bound or (node[0] == q and i == len(observation)):
-            return level
-    return bound
+def _settle(seeds: dict, edges: dict) -> dict:
+    """Fewest steps to each node from ``seeds`` (steps -> nodes) along edges that read nothing."""
+    out: dict = {}
+    d = min(seeds, default=0)
+    while seeds:
+        for node in seeds.pop(d, ()):
+            if node not in out:
+                out[node] = d
+                silent = [child for (*_, fragment), child in edges.get(node, ()) if not fragment]
+                seeds.setdefault(d + 1, []).extend(silent)
+        d += 1
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,23 @@ language (the upper bound of everything the attacked closed loop can
 generate) is realized as a product automaton, and its equality with the
 spec is decided on the fly.  Every check is one breadth-first search
 (``automata.breadth_first``) over a finite arena; the closed-loop arena
-pairs a plant state with the supervisor-observer states some attacked
-observation reaches.  An attack is a policy or an observation-based strategy,
-set up on plant and spec by :func:`~descat.attacks.transition_based_setup`.
+pairs a plant state with the set of supervisor-observer states some
+attacked observation reaches, held as an int bitmask over observer states
+numbered on first sight (:class:`_ObserverStepRelation`).  Observer-state
+names appear only where :func:`large_language_automaton` names its states.
+An attack is a policy or an observation-based strategy, set up on plant
+and spec by :func:`~descat.attacks.transition_based_setup`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial, reduce
+from operator import itemgetter, or_
 from typing import Iterable, Mapping
 
 from .attacks import ObservationAttackStrategy, SensorAttackPolicy, transition_based_setup
-from .automata import Automaton, Transition, Word, breadth_first, ensure_deterministic, ensure_plant_and_spec
+from .automata import Automaton, Transition, Word, _bits, breadth_first, ensure_deterministic, ensure_plant_and_spec
 from .errors import InputError
 from .estimation import CAObserver, attacked_observer
 from .synthesis import disabled_set, ensure_estimate_based
@@ -118,28 +123,20 @@ def check_ca_observability_bounded(
         g, h, attack = transition_based_setup(g, h, attack)
     observer, _ = attacked_observer(h, attack)
     depth = depth if depth is not None else 2 * (len(observer.observer.states) + len(g.states))
-    relation = _ObserverStepRelation(observer, attack, h.alphabet.observable)
-
-    disabled_cache: dict[str, frozenset[str]] = {}
-
-    def disabled_for(observer_state: str) -> frozenset[str]:
-        if observer_state not in disabled_cache:
-            estimate = observer.plant_projection(observer_state)
-            disabled_cache[observer_state] = disabled_set(estimate, g, h.states)
-        return disabled_cache[observer_state]
+    relation = _ObserverStepRelation(h, observer, attack)
+    # An event is disabled at a node iff every tracked state's estimate disables it (any event, if none is).
+    disabled_at = cache(lambda x: disabled_set(observer.plant_projection(x), g, h.states))
+    disabled = relation.fold(disabled_at, frozenset.intersection, frozenset(label for _, label, _ in h.transitions))
 
     def expand(node):
         q, tracked = node
-        return [
-            (event, (dst, relation.advance((q, event, dst), tracked))) for event, dst in h.outgoing(q)
-        ]
+        return [(event, (dst, step[tracked])) for event, dst, step in relation.edges[q]]
 
-    start = (h.initial, frozenset({observer.observer.initial}))
-    for (_, tracked), level, successors, string in breadth_first(start, expand):
+    for (_, tracked), level, successors, string in breadth_first((h.initial, relation.initial), expand):
         if level == depth:
             break
         for event, _ in successors:
-            if all(event in disabled_for(x) for x in tracked):
+            if event in disabled[tracked]:
                 witness = "every feasible observation yields an estimate that must disable the event"
                 return _fails(string(), event, witness, depth)
     return Verdict(status="holds-to-depth", depth=depth)
@@ -149,9 +146,11 @@ def check_ca_observability_bounded(
 class LargeLanguageAutomaton:
     """Automaton generating the upper bound of the attacked closed-loop behavior.
 
-    Its states pair a plant state with the set of supervisor-observer
-    states reachable under some feasible attacked observation of the
-    string so far; ``components`` recovers those pairs.
+    Its states are the closed-loop arena's nodes: a plant state paired with
+    the set of supervisor-observer states reachable under some feasible
+    attacked observation of the string so far.  The search holds that set
+    as a bitmask; here each node is named ``q|{x,...}`` and ``components``
+    maps the name back to ``(q, frozenset of observer-state names)``.
     """
 
     automaton: Automaton
@@ -161,85 +160,112 @@ class LargeLanguageAutomaton:
         object.__setattr__(self, "components", dict(self.components))
 
 
-class _ObserverStepRelation:
-    """Per-plant-transition successor relation on supervisor-observer states.
+class _Memo(dict):
+    """Dict that fills a missing key with ``compute(key)``, so a hit is one subscript."""
 
-    For an attacked transition, an observer state steps to everything some
-    corruption word can drive it to (computed by product reachability with
-    the corruption automaton, so infinite attack languages are exact).
-    Unattacked transitions step by the event's projection.
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        self[key] = value = self.compute(key)
+        return value
+
+
+class _ObserverStepRelation:
+    """Successor relation of sets of supervisor-observer states across a plant's transitions.
+
+    A set is an int mask: observer states are numbered on first sight, bit
+    ``i`` standing for ``names[i]``, and each state's ``{label: bit}`` row is
+    read lazily off the observer.  ``edges[q]`` lists the plant's
+    ``(event, dst, step)`` triples out of ``q``, where ``step`` maps a mask
+    to its successor mask.  Transitions share ``step`` by *kind*: the event
+    when unattacked, else the corruption automaton, canonicalised by object
+    identity first and by value once per object.  Under an attacked kind an
+    observer state steps to everything some corruption word can drive it to
+    (product reachability with the corruption automaton, so infinite attack
+    languages are exact); under an event, by the event's projection.  A
+    mask steps to the OR of its members' steps.  Both steps are memoised,
+    per (kind, state) and per (kind, mask).
     """
 
-    def __init__(self, observer: CAObserver, policy: SensorAttackPolicy, observable: frozenset[str]):
+    def __init__(self, plant: Automaton, observer: CAObserver, policy: SensorAttackPolicy):
+        self.plant = plant
         self.observer = observer.observer
         self.policy = policy
-        self.observable = observable
-        self._memo: dict[tuple[Transition, str], frozenset[str]] = {}
+        self.names: list[str] = []
+        self._index = _Memo(lambda name: self.names.append(name) or len(self.names) - 1)
+        self._rows = _Memo(lambda i: {label: self._index[x] for label, x in self.observer.outgoing(self.names[i])})
+        self._canonical: dict[int, Automaton] = {}
+        self._by_value: dict[Automaton, Automaton] = {}
+        self._steps: dict[str | int, _Memo] = {}
+        self.edges = _Memo(self._edges)
+        self.initial = 1 << self._index[self.observer.initial]
 
-    def advance(self, tr: Transition, tracked: frozenset[str]) -> frozenset[str]:
-        """Observer states some tracked state steps to across ``tr``."""
-        for w in tracked:
-            if (tr, w) not in self._memo:
-                self._memo[tr, w] = self._compute(tr, w)
-        return frozenset().union(*(self._memo[tr, w] for w in tracked))
+    def members(self, mask: int) -> list[str]:
+        """Names of the observer states in ``mask``."""
+        return [self.names[i] for i in _bits(mask)]
 
-    def _compute(self, tr: Transition, w: str) -> frozenset[str]:
+    def fold(self, value, combine, empty) -> _Memo:
+        """Memo from a mask to ``combine`` of ``value(name)`` over its members, starting at ``empty``."""
+        return _Memo(lambda mask: reduce(combine, map(value, self.members(mask)), empty))
+
+    def _edges(self, q: str) -> list[tuple[str, str, _Memo]]:
+        return [(event, dst, self._step((q, event, dst))) for event, dst in self.plant.outgoing(q)]
+
+    def _step(self, tr: Transition) -> _Memo:
         f = self.policy.language_automaton(tr)
-        if f is None:
-            event = tr[1]
-            if event not in self.observable:
-                return frozenset({w})
-            nxt = self.observer.delta(w, event)
-            return frozenset({nxt}) if nxt is not None else frozenset()
-        found = set()
-        start = (f.initial, w)
+        if f is not None:
+            if id(f) not in self._canonical:
+                self._canonical[id(f)] = self._by_value.setdefault(f, f)
+            f = self._canonical[id(f)]
+        kind = tr[1] if f is None else id(f)
+        if kind not in self._steps:
+            states = _Memo(partial(self._project, tr[1]) if f is None else partial(self._corrupt, f))
+            self._steps[kind] = _Memo(lambda mask: reduce(or_, map(states.__getitem__, _bits(mask)), 0))
+        return self._steps[kind]
+
+    def _project(self, event: str, i: int) -> int:
+        if event not in self.plant.alphabet.observable:
+            return 1 << i
+        nxt = self._rows[i].get(event)
+        return 0 if nxt is None else 1 << nxt
+
+    def _corrupt(self, f: Automaton, i: int) -> int:
+        found = 0
+        start = (f.initial, i)
         seen = {start}
         stack = [start]
         while stack:
             fstate, x = stack.pop()
             if fstate in f.marked:
-                found.add(x)
+                found |= 1 << x
+            row = self._rows[x]
             for label, f2 in f.outgoing(fstate):
-                x2 = self.observer.delta(x, label)
-                if x2 is None:
-                    continue
-                nxt = (f2, x2)
-                if nxt not in seen:
+                nxt = (f2, row.get(label))
+                if nxt[1] is not None and nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        return frozenset(found)
+        return found
 
 
 def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator_attackable):
-    """Set-up spec, start node and ``expand`` function of the attacked closed loop's arena.
+    """Set-up plant and spec, step relation, and the events each mask lets fire, of the attacked closed loop.
 
-    A node pairs a set-up plant state with the supervisor-observer states that
-    some feasible attacked observation of the string so far reaches.  An
-    event fires iff the plant allows it and it is uncontrollable,
-    actuator-attackable, or enabled by the control of some tracked state;
-    the tracked set advances through the per-transition observer relation.
+    The arena's nodes pair a set-up plant state with the mask of
+    supervisor-observer states that some feasible attacked observation of
+    the string so far reaches.  An event fires iff the plant allows it and
+    it is uncontrollable, actuator-attackable, or enabled by the control of
+    some tracked state; the mask advances through the step relation.
     """
     ensure_estimate_based(supervisor)
     ensure_deterministic(g)
     g, h, policy = transition_based_setup(g, h, attack)
-    att = (
-        frozenset(actuator_attackable)
-        if actuator_attackable is not None
-        else g.alphabet.actuator_attackable
-    )
-    free = g.alphabet.uncontrollable | att
-    controls = supervisor.controls
-    relation = _ObserverStepRelation(supervisor.observer, policy, g.alphabet.observable)
-
-    def expand(node):
-        q, tracked = node
-        return [
-            (event, (dst, relation.advance((q, event, dst), tracked)))
-            for event, dst in g.outgoing(q)
-            if event in free or any(event in controls[w] for w in tracked)
-        ]
-
-    return h, (g.initial, frozenset({supervisor.observer.observer.initial})), expand
+    att = frozenset(actuator_attackable) if actuator_attackable is not None else g.alphabet.actuator_attackable
+    relation = _ObserverStepRelation(g, supervisor.observer, policy)
+    enabled = relation.fold(supervisor.controls.__getitem__, frozenset.union, g.alphabet.uncontrollable | att)
+    return g, h, relation, enabled
 
 
 def large_language_automaton(
@@ -253,12 +279,19 @@ def large_language_automaton(
     Its states are the nodes of the closed-loop arena (set-up plant state,
     tracked observer states), named ``q|{x,...}``; every node is marked.
     """
-    _, start, expand = _closed_loop(g, None, supervisor, attack, actuator_attackable)
-    names: dict[tuple[str, frozenset[str]], str] = {}
+    g, _, relation, enabled = _closed_loop(g, None, supervisor, attack, actuator_attackable)
+
+    def expand(node):
+        q, tracked = node
+        allowed = enabled[tracked]
+        return [(event, (dst, step[tracked])) for event, dst, step in relation.edges[q] if event in allowed]
+
+    start = (g.initial, relation.initial)
+    names: dict[tuple[str, int], str] = {}
     edges = []
     for node, _, successors, _ in breadth_first(start, expand):
         q, tracked = node
-        names[node] = q + "|{" + ",".join(sorted(tracked)) + "}"
+        names[node] = q + "|{" + ",".join(sorted(relation.members(tracked))) + "}"
         edges.extend((node, event, succ) for event, succ in successors)
     automaton = Automaton(
         states=frozenset(names.values()),
@@ -267,9 +300,8 @@ def large_language_automaton(
         initial=names[start],
         marked=frozenset(names.values()),
     )
-    return LargeLanguageAutomaton(
-        automaton=automaton, components={name: node for node, name in names.items()}
-    )
+    components = {name: (q, frozenset(relation.members(tracked))) for (q, tracked), name in names.items()}
+    return LargeLanguageAutomaton(automaton=automaton, components=components)
 
 
 def verify_large_language_equals(
@@ -285,24 +317,29 @@ def verify_large_language_equals(
     stops at the first event that only one side allows; that string is a
     shortest distinguishing one.
     """
-    h, start, loop = _closed_loop(g, h, supervisor, attack, actuator_attackable)
+    g, h, relation, enabled = _closed_loop(g, h, supervisor, attack, actuator_attackable)
+    spec = _Memo(lambda r: {event: h.delta(r, event) for event, _ in h.outgoing(r)})
 
-    # A successor with a None side is an event only one side allows; the
-    # walk returns at its source pair, so it is never expanded.
-    def expand(pair):
-        node, r = pair
-        left = dict(loop(node))
-        right = {event: h.delta(r, event) for event, _ in h.outgoing(r)}
-        events = sorted(left.keys() | right.keys())
-        return [(event, (left.get(event), right.get(event))) for event in events]
+    # A node is (plant state, mask, spec state).  An event only one side
+    # allows ends the walk at its source node, so a successor without a
+    # spec state is never expanded.
+    def expand(node):
+        q, tracked, r = node
+        allowed, right = enabled[tracked], spec[r]
+        return [
+            (event, (dst, step[tracked], right.get(event)))
+            for event, dst, step in relation.edges[q]
+            if event in allowed
+        ]
 
-    for _, _, successors, string in breadth_first((start, h.initial), expand):
-        for event, (node, r) in successors:
-            if node is None or r is None:
-                side = (
-                    "generated by the closed loop but outside the specification"
-                    if r is None
-                    else "in the specification but not generated by the closed loop"
-                )
-                return _fails(string(), event, side)
+    for (_, _, r), _, successors, string in breadth_first((g.initial, relation.initial, h.initial), expand):
+        only = spec[r].keys() ^ set(map(itemgetter(0), successors))
+        if only:
+            event = min(only)
+            side = (
+                "in the specification but not generated by the closed loop"
+                if event in spec[r]
+                else "generated by the closed loop but outside the specification"
+            )
+            return _fails(string(), event, side)
     return Verdict(status="holds")

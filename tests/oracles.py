@@ -18,8 +18,12 @@ plant with its context, and ``longest_marked_word_by_closure`` bounds
 marked words by an all-pairs longest-path closure.
 ``observability_by_enumeration`` and ``brute_force_large_language``
 evaluate verification's definitions literally, string by string, on top
-of the library's observer (the latter also of its bounded enumeration of
-corruption words).  The last two,
+of the library's observer and the oracles' own ``marked_words``.
+``closed_loop_by_name_sets`` is the closed-loop arena on frozensets of
+observer-state names, with its own step relation; verify, the
+large-language product and the bounded observability check are walked on
+it by ``verify_by_name_sets``, ``large_language_by_name_sets`` and
+``observability_by_name_sets``.  The last two,
 ``simulate_by_rewalk`` and ``campaign_by_rewalk``, run the closed loop by
 asking ``control_for`` for the whole observation at every step and by
 re-walking every observation prefix for coverage.
@@ -40,11 +44,11 @@ from descat import (
     DiamondAutomaton,
     InputError,
     LanguageSample,
+    LargeLanguageAutomaton,
     SensorAttackPolicy,
     Trace,
     TraceStep,
     Verdict,
-    bounded_marked_language,
     build_ca_observer,
     delta_control,
     disabled_set,
@@ -56,6 +60,7 @@ from descat import (
     transition_based_setup,
 )
 from descat.attacks import _corruption_defects, ensure_valid_policy
+from descat.estimation import attacked_observer
 from descat.automata import (
     Transition,
     Word,
@@ -772,7 +777,7 @@ def brute_force_large_language(
             return frozenset({(tr[1],)}) if budget >= 1 else frozenset()
         key = (tr, budget)
         if key not in fragment_cache:
-            fragment_cache[key] = bounded_marked_language(f, budget)
+            fragment_cache[key] = marked_words(f, budget)
         return fragment_cache[key]
 
     # Per string, carry the plant state and the observation set built by the
@@ -795,6 +800,141 @@ def brute_force_large_language(
             break
         accepted.update(frontier)
     return frozenset(accepted)
+
+
+class _NameSetStep:
+    """Per-plant-transition step of a frozenset of observer-state names.
+
+    An attacked transition steps each state to everything some corruption
+    word drives it to (product reachability with the corruption automaton),
+    an unattacked one by the event's projection; memoised per
+    (transition, state) and unioned member by member.
+    """
+
+    def __init__(self, observer: Automaton, policy: SensorAttackPolicy, observable: frozenset[str]):
+        self.observer = observer
+        self.policy = policy
+        self.observable = observable
+        self._memo: dict[tuple[Transition, str], frozenset[str]] = {}
+
+    def advance(self, tr: Transition, tracked: frozenset[str]) -> frozenset[str]:
+        for w in tracked:
+            if (tr, w) not in self._memo:
+                self._memo[tr, w] = self._compute(tr, w)
+        return frozenset().union(*(self._memo[tr, w] for w in tracked))
+
+    def _compute(self, tr: Transition, w: str) -> frozenset[str]:
+        f = self.policy.language_automaton(tr)
+        if f is None:
+            if tr[1] not in self.observable:
+                return frozenset({w})
+            nxt = self.observer.delta(w, tr[1])
+            return frozenset({nxt}) if nxt is not None else frozenset()
+        found = set()
+        start = (f.initial, w)
+        seen = {start}
+        stack = [start]
+        while stack:
+            fstate, x = stack.pop()
+            if fstate in f.marked:
+                found.add(x)
+            for label, f2 in f.outgoing(fstate):
+                x2 = self.observer.delta(x, label)
+                if x2 is not None and (f2, x2) not in seen:
+                    seen.add((f2, x2))
+                    stack.append((f2, x2))
+        return frozenset(found)
+
+
+def closed_loop_by_name_sets(g: Automaton, h, supervisor, attack, actuator_attackable=None):
+    """Set-up spec, start node and ``expand`` of the attacked closed loop, on name sets.
+
+    A node pairs a set-up plant state with the frozenset of supervisor-observer
+    state names some attacked observation reaches; an event fires iff it is
+    free or some tracked state's control enables it.
+    """
+    ensure_deterministic(g)
+    g, h, policy = transition_based_setup(g, h, attack)
+    att = frozenset(actuator_attackable) if actuator_attackable is not None else g.alphabet.actuator_attackable
+    free = g.alphabet.uncontrollable | att
+    controls = supervisor.controls
+    step = _NameSetStep(supervisor.observer.observer, policy, g.alphabet.observable)
+
+    def expand(node):
+        q, tracked = node
+        return [
+            (event, (dst, step.advance((q, event, dst), tracked)))
+            for event, dst in g.outgoing(q)
+            if event in free or any(event in controls[w] for w in tracked)
+        ]
+
+    return h, (g.initial, frozenset({supervisor.observer.observer.initial})), expand
+
+
+def large_language_by_name_sets(g: Automaton, supervisor, attack, actuator_attackable=None) -> LargeLanguageAutomaton:
+    """The large-language product on :func:`closed_loop_by_name_sets`, states named ``q|{x,...}``."""
+    _, start, expand = closed_loop_by_name_sets(g, None, supervisor, attack, actuator_attackable)
+    names: dict = {}
+    edges = []
+    for node, _, successors, _ in breadth_first(start, expand):
+        names[node] = node[0] + "|" + encode_state_set(node[1])
+        edges.extend((node, event, succ) for event, succ in successors)
+    automaton = Automaton(
+        states=frozenset(names.values()),
+        alphabet=g.alphabet,
+        transitions=frozenset((names[src], event, names[dst]) for src, event, dst in edges),
+        initial=names[start],
+        marked=frozenset(names.values()),
+    )
+    return LargeLanguageAutomaton(automaton=automaton, components={name: node for node, name in names.items()})
+
+
+def verify_by_name_sets(g: Automaton, h: Automaton, supervisor, attack, actuator_attackable=None) -> Verdict:
+    """Large-language equality with the spec, walked on :func:`closed_loop_by_name_sets`."""
+    h, start, loop = closed_loop_by_name_sets(g, h, supervisor, attack, actuator_attackable)
+
+    def expand(pair):
+        node, r = pair
+        left = dict(loop(node))
+        right = {event: h.delta(r, event) for event, _ in h.outgoing(r)}
+        return [(event, (left.get(event), right.get(event))) for event in sorted(left.keys() | right.keys())]
+
+    for _, _, successors, string in breadth_first((start, h.initial), expand):
+        for event, (node, r) in successors:
+            if node is None or r is None:
+                side = (
+                    "generated by the closed loop but outside the specification"
+                    if r is None
+                    else "in the specification but not generated by the closed loop"
+                )
+                return Verdict("fails", Counterexample(string(), event, side))
+    return Verdict(status="holds")
+
+
+def observability_by_name_sets(g: Automaton, h: Automaton, attack, depth: int | None = None) -> Verdict:
+    """Depth-bounded estimate-consistent observability, walked on name sets.
+
+    Fails at the first (string, event inside the spec) whose every tracked
+    observer state's estimate must disable the event.
+    """
+    g, h, policy = transition_based_setup(g, h, attack)
+    observer, _ = attacked_observer(h, policy)
+    depth = depth if depth is not None else 2 * (len(observer.observer.states) + len(g.states))
+    step = _NameSetStep(observer.observer, policy, h.alphabet.observable)
+
+    def expand(node):
+        q, tracked = node
+        return [(event, (dst, step.advance((q, event, dst), tracked))) for event, dst in h.outgoing(q)]
+
+    start = (h.initial, frozenset({observer.observer.initial}))
+    for (_, tracked), level, successors, string in breadth_first(start, expand):
+        if level == depth:
+            break
+        for event, _ in successors:
+            if all(event in disabled_set(observer.plant_projection(x), g, h.states) for x in tracked):
+                witness = "every feasible observation yields an estimate that must disable the event"
+                return Verdict("fails", Counterexample(string(), event, witness), depth)
+    return Verdict(status="holds-to-depth", depth=depth)
 
 
 def _rewalk_setup(g, h, policy_or_strategy, actuator_attackable, attacker, max_steps):

@@ -424,6 +424,34 @@ class TestDeepExhaustive:
         assert counts[50] == counts[400] > 0
         assert trace.safe and len(trace.steps) == 400
 
+    def test_safe_fallback_is_linear_in_max_steps(self, cycle_beta, monkeypatch):
+        """Arena-node expansions while the safe fallback picks its walk, counted as edge-list reads."""
+        from descat import simulation
+
+        class CountingEdges(dict):
+            reads = 0
+
+            def get(self, *args):
+                CountingEdges.reads += 1
+                return super().get(*args)
+
+        tight_walk = simulation._tight_walk
+        monkeypatch.setattr(
+            simulation, "_tight_walk",
+            lambda start, edges, *args, **kwargs: tight_walk(start, CountingEdges(edges), *args, **kwargs),
+        )
+        sup = corpus_supervisor(cycle_beta)
+        reads = {}
+        for depth in (400, 800):
+            CountingEdges.reads = 0
+            trace = simulate(
+                cycle_beta.plant, cycle_beta.spec, sup, cycle_beta.policy,
+                attacker=AttackerStrategy.exhaustive(), max_steps=depth,
+            )
+            assert trace.safe and len(trace.steps) == depth
+            reads[depth] = CountingEdges.reads
+        assert 0 < reads[800] <= 2 * reads[400], reads
+
 
 class TestFragmentCap:
     """A cap below the shortest word of an attack language is rejected before any trial."""

@@ -22,7 +22,13 @@ from descat import (
     transition_based_setup,
     verify_large_language_equals,
 )
-from oracles import brute_force_large_language, observability_by_enumeration
+from oracles import (
+    brute_force_large_language,
+    large_language_by_name_sets,
+    observability_by_enumeration,
+    observability_by_name_sets,
+    verify_by_name_sets,
+)
 from conftest import random_model, random_spec, random_strategy, random_supervisor
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -350,6 +356,41 @@ class TestVerifyEquality:
                 assert extended in spec and extended not in large
             shorter = len(ce.string)
             assert {s for s in large if len(s) <= shorter} == {s for s in spec if len(s) <= shorter}
+
+
+class TestNameSetOracle:
+    """The bitmask arena against the walk on frozensets of observer-state names."""
+
+    @staticmethod
+    def setups():
+        rng = random.Random(1121)
+        for i in range(200):
+            g, policy = random_model(rng, acyclic_attacks=i % 2 == 0)
+            h = random_spec(rng, g)
+            yield g, h, policy, random_supervisor(rng, g, h, policy), None
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                yield g, h, strategy, random_supervisor(rng, g, h, strategy), frozenset()
+
+    def test_all_three_searches_match_on_random_models(self):
+        statuses = {"holds": 0, "fails": 0}
+        largest = 0
+        for g, h, attack, sup, att in self.setups():
+            verdict = verify_large_language_equals(g, h, sup, attack, actuator_attackable=att)
+            assert verdict.as_dict() == verify_by_name_sets(g, h, sup, attack, att).as_dict()
+            statuses[verdict.status] += 1
+            lla = large_language_automaton(g, sup, attack, actuator_attackable=att)
+            oracle = large_language_by_name_sets(g, sup, attack, att)
+            assert lla.automaton == oracle.automaton
+            assert lla.components == oracle.components
+            largest = max([largest] + [len(tracked) for _, tracked in lla.components.values()])
+            for depth in (3, None):
+                assert (
+                    check_ca_observability_bounded(g, h, attack, depth).as_dict()
+                    == observability_by_name_sets(g, h, attack, depth).as_dict()
+                )
+        assert min(statuses.values()) >= 20
+        assert largest >= 2
 
 
 class TestSimulationAgreement:
