@@ -11,7 +11,8 @@ issued control.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .automata import (
@@ -60,12 +61,20 @@ class SensorAttackPolicy:
     Every transition of the plant labelled with a sensor-attackable event
     must be covered; :func:`validate_policy` checks this together with the
     well-formedness of the attack automata.
+
+    ``entries`` is a read-only mapping over a private copy of the one
+    given, so a policy never changes.  That lets a policy memoise what it
+    has worked out about a plant: :func:`validate_policy` and
+    :meth:`restricted_to` run once per distinct plant (compared by value)
+    the policy has been used with, and the memo lives and dies with the
+    policy.
     """
 
     entries: Mapping[Transition, Automaton]
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", dict(self.entries))
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     @classmethod
     def from_transitions(cls, entries: Mapping[Transition, Automaton]) -> "SensorAttackPolicy":
@@ -104,10 +113,17 @@ class SensorAttackPolicy:
         return sorted(self.entries.items(), key=lambda item: item[0])
 
     def restricted_to(self, a: Automaton) -> tuple["SensorAttackPolicy", tuple[Transition, ...]]:
-        """Restriction to the transitions of ``a`` plus the dropped keys."""
-        kept = {tr: f for tr, f in self.entries.items() if tr in a.transitions}
-        dropped = tuple(sorted(tr for tr in self.entries if tr not in a.transitions))
-        return SensorAttackPolicy(entries=kept), dropped
+        """Restriction to the transitions of ``a`` plus the dropped keys.
+
+        The same restricted policy (with its own memo) comes back on every
+        call with an equal ``a``.
+        """
+        key = ("restricted", a)
+        if key not in self._memo:
+            kept = {tr: f for tr, f in self.entries.items() if tr in a.transitions}
+            dropped = tuple(sorted(tr for tr in self.entries if tr not in a.transitions))
+            self._memo[key] = (SensorAttackPolicy(entries=kept), dropped)
+        return self._memo[key]
 
 
 def _corruption_defects(
@@ -140,7 +156,19 @@ def _corruption_problems(key: tuple[str, str], f: Automaton, observable: frozens
 
 
 def validate_policy(g: Automaton, policy: SensorAttackPolicy) -> list[str]:
-    """Report every way ``policy`` fails to be a valid attack map for ``g``."""
+    """Report every way ``policy`` fails to be a valid attack map for ``g``.
+
+    The report is worked out once per plant and memoised on ``policy``;
+    each call returns a fresh list.
+    """
+    key = ("problems", g)
+    if key not in policy._memo:
+        policy._memo[key] = tuple(_policy_problems(g, policy))
+    return list(policy._memo[key])
+
+
+def _policy_problems(g: Automaton, policy: SensorAttackPolicy) -> list[str]:
+    """:func:`validate_policy`'s report, worked out afresh."""
     problems = []
     observable = g.alphabet.observable
     attackable = g.alphabet.sensor_attackable
@@ -302,13 +330,21 @@ class ObservationAttackStrategy:
     pair (context state, sensor-attackable event) to the corruption
     language emitted when that event is observed in that context; events
     outside the attackable set always pass through unchanged.
+
+    ``omega`` is a read-only mapping over a private copy of the one given,
+    so a strategy never changes.  That lets it memoise what it has worked
+    out about a plant: :func:`validate_strategy` and
+    :func:`convert_observation_based` compose and check once per distinct
+    plant (compared by value), and :func:`transition_based_setup` once per
+    plant and spec.  The memo lives and dies with the strategy.
     """
 
     sa: Automaton
     omega: Mapping[tuple[str, str], Automaton]
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", dict(self.omega))
+        object.__setattr__(self, "omega", MappingProxyType(dict(self.omega)))
 
     def corruption(self, z: str, event: str) -> Automaton | None:
         return self.omega.get((z, event))
@@ -353,11 +389,24 @@ def _strategy_problems(
 ) -> tuple[list[str], ObservationConversion | None]:
     """:func:`validate_strategy`'s problems, with the conversion built along the way.
 
-    The context is composed with the plant once, to check coverage and the
-    reachable context pairs; the conversion is ``None`` only when there are
-    problems (the context automaton is not deterministic or does not cover
-    the plant).
+    The context is composed with the plant once per plant, to check
+    coverage and the reachable context pairs, and both results are
+    memoised on ``strategy``; the problems come back as a fresh list.  The
+    conversion is ``None`` only when there are problems (the context
+    automaton is not deterministic or does not cover the plant).
     """
+    key = ("problems", g)
+    if key not in strategy._memo:
+        problems, conversion = _check_and_convert(g, strategy)
+        strategy._memo[key] = (tuple(problems), conversion)
+    problems, conversion = strategy._memo[key]
+    return list(problems), conversion
+
+
+def _check_and_convert(
+    g: Automaton, strategy: ObservationAttackStrategy
+) -> tuple[list[str], ObservationConversion | None]:
+    """:func:`_strategy_problems`, worked out afresh."""
     problems = []
     conversion = None
     sa = strategy.sa
@@ -458,12 +507,17 @@ class ObservationConversion:
     ``product`` is the plant composed with the attack-context automaton
     (same language as the plant), ``policy`` the induced transition-based
     policy on it, and ``pairs`` the decomposition of product state names
-    into (plant state, context state).
+    into (plant state, context state), a read-only mapping in the
+    composition's breadth-first order.  A strategy memoises its conversion
+    (see :class:`ObservationAttackStrategy`), so nothing in it can change.
     """
 
     product: Automaton
     policy: SensorAttackPolicy
-    pairs: dict[str, tuple[str, str]]
+    pairs: Mapping[str, tuple[str, str]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", MappingProxyType(dict(self.pairs)))
 
 
 def convert_observation_based(g: Automaton, strategy: ObservationAttackStrategy) -> ObservationConversion:
@@ -495,12 +549,20 @@ def transition_based_setup(
     becomes its composition with the attack context, and the spec keeps
     the composed states whose plant state is in ``h``.  A missing spec
     (``None``) stays missing.
+
+    Either way the work is done once per attack and plant (and spec), and
+    memoised on the attack object: a repeat call returns the same
+    automata and policy, and an invalid attack raises the same error again.
     """
     if not isinstance(attack, ObservationAttackStrategy):
         ensure_valid_policy(g, attack)
         return g, h, attack
-    conversion = convert_observation_based(g, attack)
-    if h is not None:
-        safe = frozenset(name for name, (q, _) in conversion.pairs.items() if q in h.states)
-        h = sub_automaton(conversion.product, safe)
-    return conversion.product, h, conversion.policy
+    key = ("setup", g, h)
+    if key not in attack._memo:
+        conversion = convert_observation_based(g, attack)
+        spec = h
+        if h is not None:
+            safe = frozenset(name for name, (q, _) in conversion.pairs.items() if q in h.states)
+            spec = sub_automaton(conversion.product, safe)
+        attack._memo[key] = (conversion.product, spec, conversion.policy)
+    return attack._memo[key]

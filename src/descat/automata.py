@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable
 
 from .errors import InputError
@@ -138,9 +138,12 @@ class Automaton:
             raise InputError(f"delta({state!r}, {event!r}) is not deterministic: {sorted(nxt)}")
         return next(iter(nxt)) if nxt else None
 
-    @property
+    @cached_property
     def is_deterministic(self) -> bool:
-        """True iff there are no epsilon moves and at most one successor per (state, event)."""
+        """True iff there are no epsilon moves and at most one successor per (state, event).
+
+        Worked out on first use and kept on the automaton, which never changes.
+        """
         return all(label != EPSILON and len(dsts) <= 1 for (_, label), dsts in self._succ.items())
 
 

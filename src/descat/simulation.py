@@ -162,6 +162,10 @@ def simulate(
     (plant state, observation).  Both are found on the finite arena of
     plant and observer states, so the nodes expanded stop growing with
     ``max_steps`` once that arena is saturated.
+
+    The attack is checked and converted once per strategy and plant,
+    across calls (see :func:`~descat.attacks.transition_based_setup`), so
+    a sweep over ``max_steps`` pays for it on its first call only.
     """
     return _PreparedRun(g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps).run(seed)
 
@@ -170,11 +174,11 @@ class _PreparedRun:
     """The checked inputs of :func:`simulate`, ready to run once per seed.
 
     What stays fixed across the trials of a campaign is worked out once:
-    the transition-based setup, the trace's fragment cap, and (as they are
-    first needed) the fragments the attacker may emit on each attacked
-    transition and the deliveries of each issued control.  Fragments are
-    enumerated once per distinct corruption automaton and then looked up
-    per transition.
+    the transition-based setup (itself memoised on the attack object), the
+    trace's fragment cap, and (as they are first needed) the fragments the
+    attacker may emit on each attacked transition and the deliveries of
+    each issued control.  Fragments are enumerated once per distinct
+    corruption automaton and then looked up per transition.
     """
 
     def __init__(self, g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps):
@@ -202,7 +206,7 @@ class _PreparedRun:
                     "; ".join(f"fragment_cap {cap} admits no corruption word for transition {tr!r}" for tr in short)
                 )
         self.fragment_cap = (
-            cap if cap is not None else max((2 * len(f.states) for _, f in policy.sorted_entries()), default=0)
+            cap if cap is not None else max((2 * len(f.states) for f in policy.entries.values()), default=0)
         )
         self._fragments: dict[Transition, list[Word] | None] = {}
         self._words: dict[Automaton, list[Word]] = {}
@@ -510,8 +514,9 @@ def run_campaign(
     reproduces :func:`simulate` with ``base_seed``.  An exhaustive
     attacker ignores the trial count (one deterministic search).  The
     supervisor must be estimate-based, as for :func:`simulate`; the
-    inputs are checked and converted once, before the first trial, and a
-    step costs O(fragment), coverage included.
+    inputs are checked once, before the first trial, the attack is
+    converted once per strategy and plant, across calls, and a step costs
+    O(fragment), coverage included.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")

@@ -172,7 +172,12 @@ def supervisor_union(s1: Supervisor, s2: Supervisor) -> Supervisor:
 
 
 def compare_permissiveness(s1: Supervisor, s2: Supervisor) -> str:
-    """Pointwise permissiveness ordering over the reachable observer states.
+    """Pointwise permissiveness ordering over all observer states.
+
+    Every state of the shared observer counts, including those with an
+    empty estimate: mid-fragment or infeasible states whose controls the
+    closed loop never consults.  A supervisor that enables one more event
+    at such a state is therefore ``strictly-greater``.
 
     Returns one of ``equal``, ``strictly-less``, ``strictly-greater`` or
     ``incomparable``.  (A non-strict relation that is not equality is

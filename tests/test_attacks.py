@@ -708,6 +708,7 @@ class TestOneComposition:
         assert min(seen.values()) >= 50, seen
 
     def test_one_composition_and_no_search_on_the_valid_path(self, monkeypatch):
+        """The first call of a strategy on a plant composes once; a repeat call reads the memo."""
         import descat.attacks
 
         calls = {"parallel_compose_pairs": 0, "breadth_first": 0}
@@ -720,11 +721,12 @@ class TestOneComposition:
 
             monkeypatch.setattr(descat.attacks, name, counted)
         model = make_cycle(("beta",))
-        strategy = make_cycle_strategy(model)
         for call in (validate_strategy, convert_observation_based):
-            calls.update(parallel_compose_pairs=0, breadth_first=0)
-            call(model.plant, strategy)
-            assert calls == {"parallel_compose_pairs": 1, "breadth_first": 0}
+            strategy = make_cycle_strategy(model)
+            for composed in (1, 0):
+                calls.update(parallel_compose_pairs=0, breadth_first=0)
+                call(model.plant, strategy)
+                assert calls == {"parallel_compose_pairs": composed, "breadth_first": 0}
         broken = ObservationAttackStrategy(
             sa=Automaton(
                 states={"z1", "z2"},
@@ -734,6 +736,7 @@ class TestOneComposition:
             ),
             omega=strategy.omega,
         )
-        calls.update(parallel_compose_pairs=0, breadth_first=0)
-        assert any("witness observation: alpha alpha" in p for p in validate_strategy(model.plant, broken))
-        assert calls == {"parallel_compose_pairs": 1, "breadth_first": 1}
+        for searched in (1, 0):
+            calls.update(parallel_compose_pairs=0, breadth_first=0)
+            assert any("witness observation: alpha alpha" in p for p in validate_strategy(model.plant, broken))
+            assert calls == {"parallel_compose_pairs": searched, "breadth_first": searched}

@@ -1,0 +1,222 @@
+"""The per-object memo of attack policies and strategies.
+
+A policy or strategy keeps what it has worked out about a plant (its
+problems, the conversion, the transition-based setup), so a repeat call
+must answer exactly as a call on a fresh, equal attack object does.
+"""
+
+import random
+
+import pytest
+
+import descat.attacks
+from descat import (
+    AttackerStrategy,
+    Automaton,
+    DescatError,
+    ObservationAttackStrategy,
+    SensorAttackPolicy,
+    convert_observation_based,
+    run_campaign,
+    simulate,
+    synthesize_ca_supervisor,
+    transition_based_setup,
+    validate_policy,
+    validate_strategy,
+    verify_large_language_equals,
+)
+from conftest import random_attack_automaton, random_model, random_spec, random_strategy
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Count the calls of ``descat.attacks.<name>``; the list's length is the count."""
+    calls = []
+    original = getattr(descat.attacks, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(descat.attacks, name, counted)
+    return calls
+
+
+def _twin(g: Automaton) -> Automaton:
+    """An equal plant that is a distinct object."""
+    twin = Automaton(states=g.states, alphabet=g.alphabet, transitions=g.transitions, initial=g.initial, marked=g.marked)
+    assert twin == g and twin is not g
+    return twin
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and text of what it raises."""
+    try:
+        return "ok", call()
+    except DescatError as exc:
+        return type(exc), str(exc)
+
+
+def _conversion_view(conversion):
+    return conversion.product, list(conversion.pairs.items()), list(conversion.policy.entries.items())
+
+
+def _setup_view(setup):
+    g, h, policy = setup
+    return g, h, list(policy.entries.items())
+
+
+def _fresh_policy(policy: SensorAttackPolicy) -> SensorAttackPolicy:
+    return SensorAttackPolicy(entries=policy.entries)
+
+
+def _fresh_strategy(strategy: ObservationAttackStrategy) -> ObservationAttackStrategy:
+    return ObservationAttackStrategy(sa=strategy.sa, omega=strategy.omega)
+
+
+def _same_on_repeat_twin_and_fresh(call, attack, fresh, g, view=lambda value: value):
+    """``call(plant, attack)`` answers alike on a first and repeat call, on an equal plant and on a fresh attack."""
+    expected = _outcome(lambda: view(call(g, fresh(attack))))
+    for plant in (g, g, _twin(g)):
+        assert _outcome(lambda: view(call(plant, attack))) == expected
+    return expected
+
+
+class TestCounters:
+    def test_a_sweep_and_a_campaign_compose_once(self, monkeypatch, cycle_beta, cycle_strategy):
+        supervisor = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_strategy)
+        composed = _counting(monkeypatch, "parallel_compose_pairs")
+        for depth in (2, 3, 4):
+            simulate(
+                cycle_beta.plant, cycle_beta.spec, supervisor, cycle_strategy,
+                attacker=AttackerStrategy.exhaustive(), max_steps=depth,
+            )
+        run_campaign(cycle_beta.plant, cycle_beta.spec, supervisor, cycle_strategy, trials=3, max_steps=10)
+        assert len(composed) == 1
+
+    def test_two_verifies_validate_the_corruption_automata_once(self, monkeypatch, cycle_beta):
+        policy = _fresh_policy(cycle_beta.policy)
+        supervisor = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, policy)
+        checked = _counting(monkeypatch, "validate_automaton")
+        first = verify_large_language_equals(cycle_beta.plant, cycle_beta.spec, supervisor, policy)
+        assert len(checked) == len(set(policy.entries.values())) > 0
+        assert verify_large_language_equals(cycle_beta.plant, cycle_beta.spec, supervisor, policy) == first
+        assert len(checked) == len(set(policy.entries.values()))
+
+
+class TestSoundness:
+    """A repeat call, a call on an equal plant and a call on a fresh attack all agree."""
+
+    def test_transition_based(self):
+        rng = random.Random(1201)
+        seen = {"valid": 0, "invalid": 0, "cyclic": 0}
+        for _ in range(200):
+            cyclic = rng.random() < 0.5
+            g, policy = random_model(rng, acyclic_attacks=not cyclic)
+            h = random_spec(rng, g)
+            entries = dict(policy.entries)
+            if entries and rng.random() < 0.3:
+                del entries[rng.choice(sorted(entries))]
+            if rng.random() < 0.2:
+                entries[("q0", "zz", "q1")] = random_attack_automaton(rng, g.alphabet, acyclic=True)
+            policy = SensorAttackPolicy(entries=entries)
+            problems = _same_on_repeat_twin_and_fresh(validate_policy, policy, _fresh_policy, g)[1]
+            for spec in (h, None):
+                _same_on_repeat_twin_and_fresh(
+                    lambda plant, attack: transition_based_setup(plant, spec, attack), policy, _fresh_policy, g, _setup_view
+                )
+            restricted, dropped = policy.restricted_to(h)
+            again, dropped_again = policy.restricted_to(_twin(h))
+            assert again is restricted and dropped_again == dropped
+            assert list(restricted.entries.items()) == list(_fresh_policy(policy).restricted_to(h)[0].entries.items())
+            returned = validate_policy(g, policy)
+            returned.append("not a problem")
+            assert validate_policy(g, policy) == problems
+            seen["invalid" if problems else "valid"] += 1
+            seen["cyclic"] += cyclic and bool(policy.entries)
+        assert min(seen.values()) >= 40, seen
+
+    def test_observation_based(self):
+        rng = random.Random(1202)
+        seen = {"valid": 0, "invalid": 0, "cyclic": 0}
+        checked = 0
+        while checked < 200:
+            g, _ = random_model(rng)
+            intact = random_strategy(rng, g)
+            if intact is None:
+                continue
+            checked += 1
+            h = random_spec(rng, g)
+            cyclic = rng.random() < 0.5
+            omega = {
+                key: random_attack_automaton(rng, g.alphabet, acyclic=False) if cyclic else f
+                for key, f in sorted(intact.omega.items())
+            }
+            sa = intact.sa
+            if omega and rng.random() < 0.2:
+                del omega[rng.choice(sorted(omega))]
+            if rng.random() < 0.2:
+                kept = frozenset(t for t in sorted(sa.transitions) if rng.random() < 0.8)
+                sa = Automaton(states=sa.states, alphabet=sa.alphabet, transitions=kept, initial=sa.initial)
+            strategy = ObservationAttackStrategy(sa=sa, omega=omega)
+            problems = _same_on_repeat_twin_and_fresh(validate_strategy, strategy, _fresh_strategy, g)[1]
+            _same_on_repeat_twin_and_fresh(
+                convert_observation_based, strategy, _fresh_strategy, g, _conversion_view
+            )
+            for spec in (h, None):
+                _same_on_repeat_twin_and_fresh(
+                    lambda plant, attack: transition_based_setup(plant, spec, attack),
+                    strategy, _fresh_strategy, g, _setup_view,
+                )
+            returned = validate_strategy(g, strategy)
+            returned.append("not a problem")
+            assert validate_strategy(g, strategy) == problems
+            seen["invalid" if problems else "valid"] += 1
+            seen["cyclic"] += cyclic
+        assert min(seen.values()) >= 40, seen
+
+    def test_an_invalid_attack_raises_the_same_error_every_time(self, cycle_beta, cycle_strategy):
+        plant = cycle_beta.plant
+        broken_policy = SensorAttackPolicy(entries={})
+        broken_strategy = ObservationAttackStrategy(sa=cycle_strategy.sa, omega={})
+        for attack in (broken_policy, broken_strategy):
+            first = _outcome(lambda: transition_based_setup(plant, cycle_beta.spec, attack))
+            assert first[0] != "ok"
+            for _ in range(2):
+                assert _outcome(lambda: transition_based_setup(plant, cycle_beta.spec, attack)) == first
+        first = _outcome(lambda: convert_observation_based(plant, broken_strategy))
+        assert "no corruption language for reachable context pair" in first[1]
+        assert _outcome(lambda: convert_observation_based(plant, broken_strategy)) == first
+
+
+class TestReadOnly:
+    def test_entries_omega_and_pairs_reject_assignment(self, cycle_beta, cycle_strategy):
+        policy = cycle_beta.policy
+        tr = next(iter(policy.entries))
+        with pytest.raises(TypeError):
+            policy.entries[tr] = cycle_beta.f2
+        with pytest.raises(TypeError):
+            cycle_strategy.omega[("z1", "alpha")] = cycle_beta.f2
+        conversion = convert_observation_based(cycle_beta.plant, cycle_strategy)
+        with pytest.raises(TypeError):
+            conversion.pairs["x"] = ("1", "z1")
+        with pytest.raises(TypeError):
+            conversion.policy.entries[tr] = cycle_beta.f2
+
+    def test_the_given_mapping_is_copied(self, cycle_beta):
+        entries = dict(cycle_beta.policy.entries)
+        policy = SensorAttackPolicy(entries=entries)
+        assert validate_policy(cycle_beta.plant, policy) == []
+        entries.clear()
+        assert validate_policy(cycle_beta.plant, policy) == []
+        assert dict(policy.entries) == dict(cycle_beta.policy.entries)
+
+    def test_the_dropped_entries_warning_fires_on_every_synthesis(self):
+        rng = random.Random(1203)
+        while True:
+            g, policy = random_model(rng)
+            h = random_spec(rng, g)
+            if policy.restricted_to(h)[1]:
+                break
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="outside the specification were ignored"):
+                synthesize_ca_supervisor(g, h, policy)
