@@ -103,9 +103,6 @@ class SensorAttackPolicy:
     def empty(cls) -> "SensorAttackPolicy":
         return cls(entries={})
 
-    def attacked(self, tr: Transition) -> bool:
-        return tr in self.entries
-
     def language_automaton(self, tr: Transition) -> Automaton | None:
         return self.entries.get(tr)
 
@@ -219,6 +216,11 @@ def delta_control(control: Iterable[str], actuator_attackable: Iterable[str]) ->
     return frozenset(out)
 
 
+def actuator_attack_set(alphabet: EventAlphabet, given: Iterable[str] | None) -> frozenset[str]:
+    """The events an actuator attacker may add or remove: ``given``, else the alphabet's actuator-attackable ones."""
+    return alphabet.actuator_attackable if given is None else frozenset(given)
+
+
 def attacked_commands(supervisor, observation: Iterable[str], actuator_attackable: Iterable[str] | None = None) -> frozenset[frozenset[str]]:
     """Controls the plant may receive after the supervisor reacts to ``observation``.
 
@@ -226,9 +228,7 @@ def attacked_commands(supervisor, observation: Iterable[str], actuator_attackabl
     ``alphabet`` attribute (see :class:`descat.synthesis.Supervisor`).
     """
     issued = supervisor.control_for(tuple(observation))
-    if actuator_attackable is None:
-        actuator_attackable = supervisor.alphabet.actuator_attackable
-    return delta_control(issued, actuator_attackable)
+    return delta_control(issued, actuator_attack_set(supervisor.alphabet, actuator_attackable))
 
 
 def _steps(g: Automaton, policy: SensorAttackPolicy, word: Word) -> list[Automaton | str]:

@@ -47,13 +47,8 @@ def _target(doc: ModelDocument, which: str) -> Automaton:
     return doc.plant if which == "plant" else doc.spec_automaton()
 
 
-def _attack(doc: ModelDocument):
-    """The document's observation-based strategy if it declares one, else its policy."""
-    return doc.strategy() if doc.has_observation_strategy else doc.policy()
-
-
 def _synthesize(doc: ModelDocument) -> Supervisor:
-    return synthesize_ca_supervisor(doc.plant, doc.spec_automaton(), _attack(doc))
+    return synthesize_ca_supervisor(doc.plant, doc.spec_automaton(), doc.attack)
 
 
 def _supervisor_rows(sup: Supervisor) -> list[dict]:
@@ -86,9 +81,8 @@ def _print_verdict(name: str, verdict: Verdict, as_json: bool) -> int:
     return EXIT_HOLDS if verdict.holds else EXIT_FAILS
 
 
-def _cmd_observer(args) -> int:
-    doc = load_model(args.model)
-    observer, lift = attacked_observer(_target(doc, args.target), _attack(doc))
+def _cmd_observer(doc: ModelDocument, args) -> int:
+    observer, lift = attacked_observer(_target(doc, args.target), doc.attack)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(export_dot(observer, name="observer"))
@@ -122,9 +116,8 @@ def _cmd_observer(args) -> int:
     return EXIT_HOLDS
 
 
-def _cmd_estimate(args) -> int:
-    doc = load_model(args.model)
-    observer, lift = attacked_observer(_target(doc, args.target), _attack(doc))
+def _cmd_estimate(doc: ModelDocument, args) -> int:
+    observer, lift = attacked_observer(_target(doc, args.target), doc.attack)
     observation = _parse_observation(args.obs)
     estimate = sorted(lift(state_estimate(observer, observation)))
     if args.json:
@@ -139,21 +132,18 @@ def _cmd_estimate(args) -> int:
     return EXIT_HOLDS
 
 
-def _cmd_check_controllability(args) -> int:
-    doc = load_model(args.model)
+def _cmd_check_controllability(doc: ModelDocument, args) -> int:
     attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
     verdict = check_ca_controllability(doc.plant, doc.spec_automaton(), actuator_attackable=attackable)
     return _print_verdict("CA-controllability", verdict, args.json)
 
 
-def _cmd_check_observability(args) -> int:
-    doc = load_model(args.model)
-    verdict = check_ca_observability_bounded(doc.plant, doc.spec_automaton(), _attack(doc), depth=args.depth)
+def _cmd_check_observability(doc: ModelDocument, args) -> int:
+    verdict = check_ca_observability_bounded(doc.plant, doc.spec_automaton(), doc.attack, depth=args.depth)
     return _print_verdict("CA-observability", verdict, args.json)
 
 
-def _cmd_synthesize(args) -> int:
-    doc = load_model(args.model)
+def _cmd_synthesize(doc: ModelDocument, args) -> int:
     sup = _synthesize(doc)
     rows = _supervisor_rows(sup)
     if args.json:
@@ -166,16 +156,14 @@ def _cmd_synthesize(args) -> int:
     return EXIT_HOLDS
 
 
-def _cmd_verify(args) -> int:
-    doc = load_model(args.model)
+def _cmd_verify(doc: ModelDocument, args) -> int:
     sup = _synthesize(doc)
     attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
-    verdict = verify_large_language_equals(doc.plant, doc.spec_automaton(), sup, _attack(doc), attackable)
+    verdict = verify_large_language_equals(doc.plant, doc.spec_automaton(), sup, doc.attack, attackable)
     return _print_verdict("large-language equality", verdict, args.json)
 
 
-def _cmd_simulate(args) -> int:
-    doc = load_model(args.model)
+def _cmd_simulate(doc: ModelDocument, args) -> int:
     sup = _synthesize(doc)
     attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
     attacker = AttackerStrategy(kind=args.attacker)
@@ -183,7 +171,7 @@ def _cmd_simulate(args) -> int:
         doc.plant,
         doc.spec_automaton(),
         sup,
-        _attack(doc),
+        doc.attack,
         actuator_attackable=attackable,
         trials=args.trials,
         max_steps=args.max_steps,
@@ -209,8 +197,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_FAILS if report.violation_count else EXIT_HOLDS
 
 
-def _cmd_convert_obs(args) -> int:
-    doc = load_model(args.model)
+def _cmd_convert_obs(doc: ModelDocument, args) -> int:
     if not doc.has_observation_strategy:
         raise DescatError("the model has no observation-based attack sections to convert")
     spec = doc.spec_automaton() if doc.safe_states is not None else None
@@ -230,8 +217,7 @@ def _cmd_convert_obs(args) -> int:
     return EXIT_HOLDS
 
 
-def _cmd_export_dot(args) -> int:
-    doc = load_model(args.model)
+def _cmd_export_dot(doc: ModelDocument, args) -> int:
     what = args.what
     if what == "plant":
         obj = doc.plant
@@ -243,12 +229,12 @@ def _cmd_export_dot(args) -> int:
         obj = doc.sa
     elif what == "diamond":
         # build_g_diamond validates a policy; a converted strategy's is valid by construction.
-        g, policy = doc.plant, _attack(doc)
+        g, policy = doc.plant, doc.attack
         if doc.has_observation_strategy:
             g, _, policy = transition_based_setup(g, None, policy)
         obj = build_g_diamond(g, policy)
     else:  # observer
-        obj, _ = attacked_observer(doc.plant, _attack(doc))
+        obj, _ = attacked_observer(doc.plant, doc.attack)
     text = export_dot(obj, name=what)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -318,7 +304,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_model(args.model), args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 from .attacks import ObservationAttackStrategy, SensorAttackPolicy, validate_policy, validate_strategy
@@ -46,6 +48,12 @@ class ModelDocument:
     ``policy_events`` and ``policy_transitions`` keep the attack sections
     as declared (per-event sugar is expanded only when the resolved policy
     is requested), so serialization round-trips the author's structure.
+
+    The three attack mappings are read-only views over private copies, so
+    a document never changes.  That lets it build its policy and its
+    strategy once each, on first request: every caller gets the same
+    attack object, and with it that object's memo (see
+    :class:`~descat.attacks.SensorAttackPolicy`), from loading on.
     """
 
     alphabet: EventAlphabet
@@ -57,9 +65,8 @@ class ModelDocument:
     omega: Mapping[tuple[str, str], Automaton] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "policy_events", dict(self.policy_events))
-        object.__setattr__(self, "policy_transitions", dict(self.policy_transitions))
-        object.__setattr__(self, "omega", dict(self.omega))
+        for name in ("policy_events", "policy_transitions", "omega"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
     def has_transition_policy(self) -> bool:
@@ -75,16 +82,28 @@ class ModelDocument:
         return sub_automaton(self.plant, self.safe_states)
 
     def policy(self) -> SensorAttackPolicy:
-        """Resolved transition-based policy (per-event entries expanded)."""
+        """Resolved transition-based policy (per-event entries expanded), the same object on every call."""
         if self.has_observation_strategy and not self.has_transition_policy:
             raise InputError("the model declares an observation-based attack, not a transition-based one")
-        return SensorAttackPolicy.uniform(
-            self.plant, self.policy_events, overrides=self.policy_transitions
-        )
+        return self._policy
 
     def strategy(self) -> ObservationAttackStrategy:
+        """The observation-based strategy, the same object on every call."""
         if self.sa is None:
             raise InputError("the model has no observation-based attack sections")
+        return self._strategy
+
+    @property
+    def attack(self) -> SensorAttackPolicy | ObservationAttackStrategy:
+        """The observation-based strategy if the document declares one, else its policy."""
+        return self.strategy() if self.has_observation_strategy else self.policy()
+
+    @cached_property
+    def _policy(self) -> SensorAttackPolicy:
+        return SensorAttackPolicy.uniform(self.plant, self.policy_events, overrides=self.policy_transitions)
+
+    @cached_property
+    def _strategy(self) -> ObservationAttackStrategy:
         return ObservationAttackStrategy(sa=self.sa, omega=self.omega)
 
 

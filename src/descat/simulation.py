@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .attacks import delta_control, transition_based_setup
+from .attacks import actuator_attack_set, delta_control, transition_based_setup
 from .automata import (
     Automaton,
     Transition,
@@ -35,17 +35,18 @@ class AttackerStrategy:
     """How the adversary resolves its choices during a run.
 
     ``none`` performs no corruption at all; ``random`` draws every choice
-    from a seeded generator; ``exhaustive`` explores all choices up to the
-    step bound on the finite arena of plant and observer states and
-    surfaces a shortest violating run when one exists.  ``fragment_cap``
-    bounds the corruption words considered for attack languages with
-    cycles (default: twice the corruption automaton's state count, which
-    covers all simple accepting paths); a cap below the shortest word of
-    some attack language is an :class:`InputError`.
+    from the run's generator, seeded only by the run (``simulate``'s
+    ``seed``, or ``run_campaign``'s ``base_seed`` plus the trial index);
+    ``exhaustive`` explores all choices up to the step bound on the finite
+    arena of plant and observer states and surfaces a shortest violating
+    run when one exists.  ``fragment_cap`` bounds the corruption words
+    considered for attack languages with cycles (default: twice the
+    corruption automaton's state count, which covers all simple accepting
+    paths); a cap below the shortest word of some attack language is an
+    :class:`InputError`.
     """
 
     kind: str = "random"
-    seed: int | None = None
     fragment_cap: int | None = None
 
     def __post_init__(self):
@@ -57,8 +58,8 @@ class AttackerStrategy:
         return cls(kind="none")
 
     @classmethod
-    def random_choices(cls, seed: int | None = None) -> "AttackerStrategy":
-        return cls(kind="random", seed=seed)
+    def random_choices(cls) -> "AttackerStrategy":
+        return cls(kind="random")
 
     @classmethod
     def exhaustive(cls) -> "AttackerStrategy":
@@ -155,13 +156,13 @@ def simulate(
     through the run and advanced by each fragment, so a step costs
     O(fragment), not O(observation so far).
 
-    The attacker's own ``seed`` takes precedence over the ``seed``
-    argument; under ``exhaustive`` the run is deterministic and returns a
-    shortest violating trace when one exists within the bound, otherwise
-    the first run of the deepest level of a breadth-first search over
-    (plant state, observation).  Both are found on the finite arena of
-    plant and observer states, so the nodes expanded stop growing with
-    ``max_steps`` once that arena is saturated.
+    ``seed`` is the only seed of the run's choices, the plant's and a
+    ``random`` attacker's.  Under ``exhaustive`` the run is deterministic
+    and returns a shortest violating trace when one exists within the
+    bound, otherwise the first run of the deepest level of a breadth-first
+    search over (plant state, observation).  Both are found on the finite
+    arena of plant and observer states, so the nodes expanded stop growing
+    with ``max_steps`` once that arena is saturated.
 
     The attack is checked and converted once per strategy and plant,
     across calls (see :func:`~descat.attacks.transition_based_setup`), so
@@ -190,12 +191,11 @@ class _PreparedRun:
         self.g, self.h, self.policy, self.supervisor = g, h, policy, supervisor
         self.attacker, self.max_steps = attacker, max_steps
         self.uncontrollable = g.alphabet.uncontrollable
-        self.att = (
-            tuple(sorted(actuator_attackable))
-            if actuator_attackable is not None
-            else tuple(sorted(g.alphabet.actuator_attackable))
-        )
+        self.att = tuple(sorted(actuator_attack_set(g.alphabet, actuator_attackable)))
         cap = attacker.fragment_cap
+        # A corruption automaton's cap: the given one, else twice its
+        # states, which covers all its simple accepting paths.
+        self._cap = (lambda f: cap) if cap is not None else (lambda f: 2 * len(f.states))
         if cap is not None and attacker.kind != "none":
             # The attacker only emits words within the cap: a transition
             # without one could never fire.  Each distinct automaton is searched once.
@@ -205,9 +205,7 @@ class _PreparedRun:
                 raise InputError(
                     "; ".join(f"fragment_cap {cap} admits no corruption word for transition {tr!r}" for tr in short)
                 )
-        self.fragment_cap = (
-            cap if cap is not None else max((2 * len(f.states) for f in policy.entries.values()), default=0)
-        )
+        self.fragment_cap = max(map(self._cap, policy.entries.values()), default=cap or 0)
         self._fragments: dict[Transition, list[Word] | None] = {}
         self._words: dict[Automaton, list[Word]] = {}
         self._deliveries: dict[frozenset[str], list[frozenset[str]]] = {}
@@ -217,9 +215,7 @@ class _PreparedRun:
         if tr not in self._fragments:
             f = self.policy.language_automaton(tr)
             if f is not None and f not in self._words:
-                cap = self.attacker.fragment_cap
-                words = bounded_marked_language(f, cap if cap is not None else 2 * len(f.states))
-                self._words[f] = sorted(words, key=lambda w: (len(w), w))
+                self._words[f] = sorted(bounded_marked_language(f, self._cap(f)), key=lambda w: (len(w), w))
             self._fragments[tr] = None if f is None else self._words[f]
         return self._fragments[tr]
 
@@ -250,8 +246,7 @@ class _PreparedRun:
         attacker = self.attacker
         if attacker.kind == "exhaustive":
             return self._exhaustive()
-        effective_seed = attacker.seed if attacker.seed is not None else seed
-        rng = random.Random(effective_seed)
+        rng = random.Random(seed)
         g, h, supervisor = self.g, self.h, self.supervisor
         observer = supervisor.observer
 
@@ -291,7 +286,7 @@ class _PreparedRun:
                     safe=safe,
                 )
             )
-        return self.trace(tuple(steps), effective_seed)
+        return self.trace(tuple(steps), seed)
 
     def _exhaustive(self) -> Trace:
         """Search all attacker and plant choices on a finite arena.
@@ -510,13 +505,13 @@ def run_campaign(
 ) -> CampaignReport:
     """Run ``trials`` seeded simulations and aggregate safety and coverage.
 
-    Trial ``i`` uses seed ``base_seed + i``; a single trial therefore
-    reproduces :func:`simulate` with ``base_seed``.  An exhaustive
-    attacker ignores the trial count (one deterministic search).  The
-    supervisor must be estimate-based, as for :func:`simulate`; the
-    inputs are checked once, before the first trial, the attack is
-    converted once per strategy and plant, across calls, and a step costs
-    O(fragment), coverage included.
+    Trial ``i`` uses seed ``base_seed + i`` (the attacker carries no seed
+    of its own); a single trial therefore reproduces :func:`simulate`
+    with ``base_seed``.  An exhaustive attacker ignores the trial count
+    (one deterministic search).  The supervisor must be estimate-based, as
+    for :func:`simulate`; the inputs are checked once, before the first
+    trial, the attack is converted once per strategy and plant, across
+    calls, and a step costs O(fragment), coverage included.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")

@@ -19,15 +19,15 @@ class Supervisor:
 
     ``controls`` assigns the enabled-event set for every observer state;
     observations the observer cannot follow receive ``default_control``,
-    which is always the uncontrollable event set.  ``estimates`` carries
-    the plant estimate each observer state stands for (already projected
-    onto plant states for observation-based synthesis).
+    the alphabet's uncontrollable events (derived, not stored).
+    ``estimates`` carries the plant estimate each observer state stands
+    for (already projected onto plant states for observation-based
+    synthesis).
     """
 
     observer: CAObserver
     controls: Mapping[str, frozenset[str]]
     estimates: Mapping[str, frozenset[str]]
-    default_control: frozenset[str]
     alphabet: EventAlphabet
 
     def __post_init__(self):
@@ -38,8 +38,11 @@ class Supervisor:
                 raise InputError(
                     f"control for observer state {state!r} drops uncontrollable events"
                 )
-        if not self.alphabet.uncontrollable <= self.default_control:
-            raise InputError("the default control must contain every uncontrollable event")
+
+    @property
+    def default_control(self) -> frozenset[str]:
+        """The control for observations the observer cannot follow: the uncontrollable events."""
+        return self.alphabet.uncontrollable
 
     def observer_state_for(self, observation: Iterable[str]) -> str | None:
         return self.observer.state_for(tuple(observation))
@@ -143,7 +146,6 @@ def synthesize_ca_supervisor(
         observer=obs,
         controls=controls,
         estimates=estimates,
-        default_control=g.alphabet.uncontrollable,
         alphabet=g.alphabet,
     )
 

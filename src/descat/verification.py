@@ -1,18 +1,20 @@
 """Verification of attacked closed loops.
 
-CA-controllability is decided exactly by reachability.  CA-observability
-has no known exact decision procedure, so only a depth-bounded check is
-offered and its positive answer is labelled ``holds-to-depth``.  The large
-language (the upper bound of everything the attacked closed loop can
-generate) is realized as a product automaton, and its equality with the
-spec is decided on the fly.  Every check is one breadth-first search
-(``automata.breadth_first``) over a finite arena; the closed-loop arena
-pairs a plant state with the set of supervisor-observer states some
-attacked observation reaches, held as an int bitmask over observer states
-numbered on first sight (:class:`_ObserverStepRelation`).  Observer-state
-names appear only where :func:`large_language_automaton` names its states.
-An attack is a policy or an observation-based strategy, set up on plant
-and spec by :func:`~descat.attacks.transition_based_setup`.
+CA-controllability is decided exactly by reachability.  The
+estimate-consistent formulation of CA-observability checked here is
+decidable on a finite (plant state, set of observer states) arena, but
+this check stops at a depth bound, so its positive answer is labelled
+``holds-to-depth``.  The large language (the upper bound of everything
+the attacked closed loop can generate) is realized as a product
+automaton, and its equality with the spec is decided on the fly.  Every
+check is one breadth-first search (``automata.breadth_first``) over a
+finite arena; the closed-loop arena pairs a plant state with the set of
+supervisor-observer states some attacked observation reaches, held as an
+int bitmask over observer states numbered on first sight
+(:class:`_ObserverStepRelation`).  Observer-state names appear only where
+:func:`large_language_automaton` names its states.  An attack is a policy
+or an observation-based strategy, set up on plant and spec by
+:func:`~descat.attacks.transition_based_setup`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cache, partial, reduce
 from operator import itemgetter, or_
 from typing import Iterable, Mapping
 
-from .attacks import ObservationAttackStrategy, SensorAttackPolicy, transition_based_setup
+from .attacks import ObservationAttackStrategy, SensorAttackPolicy, actuator_attack_set, transition_based_setup
 from .automata import Automaton, Transition, Word, _bits, breadth_first, ensure_deterministic, ensure_plant_and_spec
 from .errors import InputError
 from .estimation import CAObserver, attacked_observer
@@ -73,27 +75,17 @@ def _fails(string: Word, event: str, witness: str, depth: int | None = None) -> 
     return Verdict("fails", Counterexample(string, event, witness), depth)
 
 
-def check_ca_controllability(
-    g: Automaton,
-    h: Automaton,
-    uncontrollable: Iterable[str] | None = None,
-    actuator_attackable: Iterable[str] | None = None,
-) -> Verdict:
+def check_ca_controllability(g: Automaton, h: Automaton, actuator_attackable: Iterable[str] | None = None) -> Verdict:
     """Exact check that no uncontrollable-or-attackable event escapes the spec.
 
     The safety language fails the check iff some reachable spec state has a
-    plant transition labeled in the union of the uncontrollable and
-    actuator-attackable sets whose target is unsafe; the counterexample
-    carries a shortest string reaching that state.
+    plant transition labeled with an uncontrollable event of the plant's
+    alphabet, or an actuator-attackable one (``actuator_attackable``, else
+    the alphabet's), whose target is unsafe; the counterexample carries a
+    shortest string reaching that state.
     """
     ensure_plant_and_spec(g, h)
-    uc = frozenset(uncontrollable) if uncontrollable is not None else g.alphabet.uncontrollable
-    att = (
-        frozenset(actuator_attackable)
-        if actuator_attackable is not None
-        else g.alphabet.actuator_attackable
-    )
-    unstoppable = uc | att
+    unstoppable = g.alphabet.uncontrollable | actuator_attack_set(g.alphabet, actuator_attackable)
     for q, _, _, string in breadth_first(h.initial, h.outgoing):
         for event, dst in g.outgoing(q):
             if event in unstoppable and dst not in h.states:
@@ -262,9 +254,9 @@ def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator
     ensure_estimate_based(supervisor)
     ensure_deterministic(g)
     g, h, policy = transition_based_setup(g, h, attack)
-    att = frozenset(actuator_attackable) if actuator_attackable is not None else g.alphabet.actuator_attackable
     relation = _ObserverStepRelation(g, supervisor.observer, policy)
-    enabled = relation.fold(supervisor.controls.__getitem__, frozenset.union, g.alphabet.uncontrollable | att)
+    unstoppable = g.alphabet.uncontrollable | actuator_attack_set(g.alphabet, actuator_attackable)
+    enabled = relation.fold(supervisor.controls.__getitem__, frozenset.union, unstoppable)
     return g, h, relation, enabled
 
 

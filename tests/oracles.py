@@ -1037,7 +1037,7 @@ def simulate_by_rewalk(
                 fallback = frontier[0][2]
         return make_trace(fallback, None)
 
-    effective_seed = attacker.seed if attacker.seed is not None else seed
+    effective_seed = seed
     rng = random.Random(effective_seed)
     steps: list[TraceStep] = []
     q = g.initial

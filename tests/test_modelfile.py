@@ -173,3 +173,56 @@ class TestRoundTrip:
         doc = parse_model(text)
         assert set(doc.policy().entries) == {("p", "a", "q"), ("q", "a", "p")}
         assert parse_model(serialize_model(doc)) == doc
+
+
+class TestAttackObjects:
+    """A document builds its policy and its strategy once, so their memos carry from loading into a command."""
+
+    @pytest.mark.parametrize("name", ["cycle.des", "cycle_beta_only.des", "cycle_obs.des"])
+    def test_one_attack_object_per_document(self, name):
+        doc = load_model(str(MODELS / name))
+        if doc.has_observation_strategy:
+            assert doc.strategy() is doc.strategy()
+            assert doc.attack is doc.strategy()
+            with pytest.raises(InputError, match="observation-based attack, not a transition-based one"):
+                doc.policy()
+        else:
+            assert doc.policy() is doc.policy()
+            assert doc.attack is doc.policy()
+            with pytest.raises(InputError, match="no observation-based attack sections"):
+                doc.strategy()
+
+    def test_a_document_without_attacks_has_the_empty_policy(self):
+        doc = parse_model(MINIMAL)
+        assert doc.attack is doc.policy()
+        assert dict(doc.attack.entries) == {}
+
+    @pytest.mark.parametrize("name", ["cycle.des", "cycle_obs.des"])
+    def test_attack_sections_reject_assignment(self, name):
+        doc = load_model(str(MODELS / name))
+        for sections in (doc.policy_events, doc.policy_transitions, doc.omega):
+            with pytest.raises(TypeError):
+                sections[("1", "alpha", "2")] = doc.plant
+
+    def test_the_given_sections_are_copied(self):
+        doc = load_model(str(MODELS / "cycle.des"))
+        given = dict(doc.policy_transitions)
+        copy = type(doc)(alphabet=doc.alphabet, plant=doc.plant, policy_transitions=given)
+        given.clear()
+        assert dict(copy.policy_transitions) == dict(doc.policy_transitions)
+
+    @pytest.mark.parametrize(
+        "name, counted", [("cycle_obs.des", "_check_and_convert"), ("cycle_beta_only.des", "_policy_problems")]
+    )
+    @pytest.mark.parametrize("command", [["verify"], ["simulate", "--trials", "3", "--max-steps", "6"]])
+    def test_a_command_checks_the_attack_once_per_automaton(self, monkeypatch, capsys, name, counted, command):
+        """Loading and the command's last step check the same plant, so one check serves both; synthesis checks the spec."""
+        import descat.attacks
+        from descat.cli import main
+
+        calls = []
+        original = getattr(descat.attacks, counted)
+        monkeypatch.setattr(descat.attacks, counted, lambda *args: calls.append(args[0]) or original(*args))
+        assert main([command[0], str(MODELS / name), *command[1:]]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2

@@ -99,18 +99,18 @@ class TestReproducibility:
             assert a.to_text() == b.to_text()
             assert a == b
 
-    def test_attacker_seed_overrides_call_seed(self, cycle_beta):
-        sup = corpus_supervisor(cycle_beta)
-        pinned = AttackerStrategy(kind="random", seed=42)
-        a = simulate(
-            cycle_beta.plant, cycle_beta.spec, sup, cycle_beta.policy,
-            attacker=pinned, max_steps=10, seed=1,
+    def test_the_run_is_the_only_source_of_its_seed(self, cycle):
+        """An attacker carries no seed, so a campaign's trials run on seeds ``base_seed + i``."""
+        with pytest.raises(TypeError):
+            AttackerStrategy(kind="random", seed=7)
+        sup = corpus_supervisor(cycle)
+        report = run_campaign(
+            cycle.plant, cycle.spec, sup, cycle.policy,
+            trials=50, max_steps=6, base_seed=0, attacker=AttackerStrategy.random_choices(),
         )
-        b = simulate(
-            cycle_beta.plant, cycle_beta.spec, sup, cycle_beta.policy,
-            attacker=pinned, max_steps=10, seed=2,
-        )
-        assert a.to_text() == b.to_text()
+        assert report.violation_count > 0
+        for trace in report.violating:
+            assert trace == simulate(cycle.plant, cycle.spec, sup, cycle.policy, max_steps=6, seed=trace.seed)
 
     def test_record_format(self, cycle_beta):
         sup = corpus_supervisor(cycle_beta)

@@ -1,6 +1,7 @@
 """Supervisor synthesis: controls per observer state, the observation-based
 variant, unions and the permissiveness ordering."""
 
+import dataclasses
 import random
 import warnings
 
@@ -49,8 +50,11 @@ class TestSynthesize:
 
     def test_default_control_is_uncontrollable_set(self, cycle_beta):
         sup = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy)
-        assert sup.default_control == frozenset()
+        assert sup.default_control == frozenset() == sup.alphabet.uncontrollable
         assert sup.control_for(W("beta beta")) == frozenset()
+        # Derived from the alphabet, not a field a caller could set apart from it.
+        with pytest.raises(TypeError):
+            dataclasses.replace(sup, default_control=frozenset({"alpha"}))
 
     def test_no_attack_full_observation_enables_everything(self):
         rng = random.Random(2)
