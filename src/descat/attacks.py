@@ -21,6 +21,7 @@ from .automata import (
     EventAlphabet,
     Transition,
     Word,
+    _determinize,
     bounded_marked_language,
     breadth_first,
     marked_word_length_bound,
@@ -68,13 +69,20 @@ class SensorAttackPolicy:
     :meth:`restricted_to` run once per distinct plant (compared by value)
     the policy has been used with, and the memo lives and dies with the
     policy.
+
+    The copy keeps one object per distinct corruption automaton (compared
+    by value): entries given equal automata share the first of them, so
+    whatever is worked out per corruption language can be keyed on the
+    automaton's identity.
     """
 
     entries: Mapping[Transition, Automaton]
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        distinct: dict[Automaton, Automaton] = {}
+        entries = {tr: distinct.setdefault(f, f) for tr, f in self.entries.items()}
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     @classmethod
     def from_transitions(cls, entries: Mapping[Transition, Automaton]) -> "SensorAttackPolicy":
@@ -254,16 +262,17 @@ def theta_automaton(word: Iterable[str], g: Automaton, policy: SensorAttackPolic
     """
     word = tuple(word)
     ensure_valid_policy(g, policy)
-    return _chain(_steps(g, policy, word), g.alphabet)
+    states, transitions, initial, marked = _chain(_steps(g, policy, word))
+    return Automaton(states=states, alphabet=g.alphabet, transitions=transitions, initial=initial, marked=marked)
 
 
-def _chain(steps: Iterable[Automaton | str], alphabet: EventAlphabet) -> Automaton:
-    """Concatenation automaton of ``steps``, linked by silent moves.
+def _chain(steps: Iterable[Automaton | str]) -> tuple[set[str], set[Transition], str, set[str]]:
+    """States, transitions, initial state and marked states of the concatenation automaton of ``steps``.
 
-    Step ``k`` (from 1) is an automaton, copied in with its states named
-    ``k/<state>``, or an event, which becomes the one edge
-    ``k/in -> k/out``.  The chain starts at state ``0``, and its marked
-    states are the last step's exits.
+    The steps are linked by silent moves.  Step ``k`` (from 1) is an
+    automaton, copied in with its states named ``k/<state>``, or an event,
+    which becomes the one edge ``k/in -> k/out``.  The chain starts at
+    state ``0``, and its marked states are the last step's exits.
     """
     states = {"0"}
     transitions: set[Transition] = set()
@@ -281,17 +290,17 @@ def _chain(steps: Iterable[Automaton | str], alphabet: EventAlphabet) -> Automat
             nxt = {end}
         transitions.update((e, EPSILON, entry) for e in exits)
         exits = nxt
-    return Automaton(
-        states=frozenset(states),
-        alphabet=alphabet,
-        transitions=frozenset(transitions),
-        initial="0",
-        marked=frozenset(exits),
-    )
+    return states, transitions, "0", exits
 
 
-def _sample(chain: Automaton, depth: int | None) -> LanguageSample:
-    """The marked words of ``chain`` up to ``depth``; all of them, if finitely many, when ``depth`` is None."""
+def _sample(steps: list[Automaton | str], alphabet: EventAlphabet, depth: int | None) -> LanguageSample:
+    """Marked words of the chain of ``steps`` up to ``depth``; all, if finitely many, when ``depth`` is None.
+
+    The chain's parts go straight into the subset construction, and both
+    the length bound and the words are read off that one deterministic
+    automaton.
+    """
+    chain, _ = _determinize(*_chain(steps), alphabet)
     bound = marked_word_length_bound(chain)
     if depth is None:
         if bound is None:
@@ -314,7 +323,7 @@ def phi_enumerate(
     ensure_valid_policy(g, policy)
     observable = g.alphabet.observable
     steps = [step for step in _steps(g, policy, word) if isinstance(step, Automaton) or step in observable]
-    return _sample(_chain(steps, g.alphabet), depth)
+    return _sample(steps, g.alphabet, depth)
 
 
 @dataclass(frozen=True)
@@ -497,7 +506,7 @@ def phi_omega(
     problems = [p for key, f in used.items() for p in _corruption_problems(key, f, alphabet.observable, memo)]
     if problems:
         raise InputError("invalid observation attack strategy: " + "; ".join(problems))
-    return _sample(_chain(steps, alphabet), depth)
+    return _sample(steps, alphabet, depth)
 
 
 @dataclass(frozen=True)

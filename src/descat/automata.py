@@ -394,34 +394,29 @@ def parallel_compose_pairs(a: Automaton, b: Automaton) -> tuple[Automaton, dict[
 
     Events in both alphabets synchronize; events private to one component
     (and epsilon moves) interleave freely.  A product state is marked iff
-    both components are marked.
+    both components are marked.  The product is searched by
+    :func:`breadth_first`, so ``pairs`` lists the states in breadth-first
+    discovery order.
     """
     shared = a.alphabet.events & b.alphabet.events
-    initial_pair = (a.initial, b.initial)
-    initial_name = encode_pair(*initial_pair)
-    pairs: dict[str, tuple[str, str]] = {initial_name: initial_pair}
-    transitions: set[Transition] = set()
-    queue = deque([initial_name])
 
-    def visit(pair: tuple[str, str]) -> str:
-        name = encode_pair(*pair)
-        if name not in pairs:
-            pairs[name] = pair
-            queue.append(name)
-        return name
-
-    while queue:
-        name = queue.popleft()
-        qa, qb = pairs[name]
+    def expand(pair):
+        qa, qb = pair
+        moves = []
         for label, qa2 in a.outgoing(qa):
             if label != EPSILON and label in shared:
-                for qb2 in b.successors(qb, label):
-                    transitions.add((name, label, visit((qa2, qb2))))
+                moves.extend((label, (qa2, qb2)) for qb2 in b.successors(qb, label))
             else:
-                transitions.add((name, label, visit((qa2, qb))))
-        for label, qb2 in b.outgoing(qb):
-            if label == EPSILON or label not in shared:
-                transitions.add((name, label, visit((qa, qb2))))
+                moves.append((label, (qa2, qb)))
+        moves.extend((label, (qa, qb2)) for label, qb2 in b.outgoing(qb) if label == EPSILON or label not in shared)
+        return moves
+
+    pairs: dict[str, tuple[str, str]] = {}
+    transitions: set[Transition] = set()
+    for pair, _, moves, _ in breadth_first((a.initial, b.initial), expand):
+        name = encode_pair(*pair)
+        pairs[name] = pair
+        transitions.update((name, label, encode_pair(*succ)) for label, succ in moves)
     marked = frozenset(
         name for name, (qa, qb) in pairs.items() if qa in a.marked and qb in b.marked
     )
@@ -429,7 +424,7 @@ def parallel_compose_pairs(a: Automaton, b: Automaton) -> tuple[Automaton, dict[
         states=frozenset(pairs),
         alphabet=merge_alphabets(a.alphabet, b.alphabet),
         transitions=frozenset(transitions),
-        initial=initial_name,
+        initial=encode_pair(a.initial, b.initial),
         marked=marked,
     )
     return product, pairs
@@ -454,15 +449,16 @@ def natural_projection(word: Iterable[str], alphabet: EventAlphabet) -> Word:
 def enumerate_language(a: Automaton, depth: int, marked_only: bool = False) -> frozenset[Word]:
     """All words of length at most ``depth`` in L(a) (or Lm(a) with ``marked_only``).
 
-    Walks :func:`determinize` of ``a`` level by level, one (word, state)
-    pair per word, so epsilon moves do not count toward the depth.  The
-    cost is the determinization plus the words: cheap for the small
-    corruption automata, concatenation chains and deterministic
-    automata the library passes, exponential in the worst case.
+    Walks ``a`` itself when it is deterministic, else :func:`determinize`
+    of ``a``, level by level, one (word, state) pair per word, so epsilon
+    moves do not count toward the depth.  The cost is the determinization
+    plus the words: cheap for the small corruption automata and the
+    deterministic automata the library passes, exponential in the worst
+    case.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
-    d = determinize(a)
+    d = a if a.is_deterministic else determinize(a)
     words: set[Word] = set()
     frontier = [((), d.initial)]
     for level in range(depth + 1):

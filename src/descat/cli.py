@@ -35,12 +35,23 @@ def _fmt_set(items) -> str:
     return "{" + ",".join(sorted(items)) + "}"
 
 
-def _parse_events(text: str) -> frozenset[str]:
-    return frozenset(e for e in text.replace(",", " ").split() if e)
+def _events(text: str) -> tuple[str, ...]:
+    """The event names in ``text``, separated by commas or whitespace."""
+    return tuple(text.replace(",", " ").split())
 
 
-def _parse_observation(text: str) -> tuple[str, ...]:
-    return tuple(e for e in text.replace(",", " ").split() if e)
+def _actuator_attack(args) -> tuple[str, ...] | None:
+    """``--actuator-attack``'s events, or None (the alphabet's own) when it is not given."""
+    return _events(args.actuator_attack) if args.actuator_attack else None
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        print(text, end="")
 
 
 def _target(doc: ModelDocument, which: str) -> Automaton:
@@ -84,8 +95,7 @@ def _print_verdict(name: str, verdict: Verdict, as_json: bool) -> int:
 def _cmd_observer(doc: ModelDocument, args) -> int:
     observer, lift = attacked_observer(_target(doc, args.target), doc.attack)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(export_dot(observer, name="observer"))
+        _write(export_dot(observer, name="observer"), args.dot)
     rows = [
         {
             "state": state,
@@ -118,7 +128,7 @@ def _cmd_observer(doc: ModelDocument, args) -> int:
 
 def _cmd_estimate(doc: ModelDocument, args) -> int:
     observer, lift = attacked_observer(_target(doc, args.target), doc.attack)
-    observation = _parse_observation(args.obs)
+    observation = _events(args.obs)
     estimate = sorted(lift(state_estimate(observer, observation)))
     if args.json:
         print(
@@ -133,8 +143,7 @@ def _cmd_estimate(doc: ModelDocument, args) -> int:
 
 
 def _cmd_check_controllability(doc: ModelDocument, args) -> int:
-    attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
-    verdict = check_ca_controllability(doc.plant, doc.spec_automaton(), actuator_attackable=attackable)
+    verdict = check_ca_controllability(doc.plant, doc.spec_automaton(), actuator_attackable=_actuator_attack(args))
     return _print_verdict("CA-controllability", verdict, args.json)
 
 
@@ -158,21 +167,19 @@ def _cmd_synthesize(doc: ModelDocument, args) -> int:
 
 def _cmd_verify(doc: ModelDocument, args) -> int:
     sup = _synthesize(doc)
-    attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
-    verdict = verify_large_language_equals(doc.plant, doc.spec_automaton(), sup, doc.attack, attackable)
+    verdict = verify_large_language_equals(doc.plant, doc.spec_automaton(), sup, doc.attack, _actuator_attack(args))
     return _print_verdict("large-language equality", verdict, args.json)
 
 
 def _cmd_simulate(doc: ModelDocument, args) -> int:
     sup = _synthesize(doc)
-    attackable = _parse_events(args.actuator_attack) if args.actuator_attack else None
     attacker = AttackerStrategy(kind=args.attacker)
     report = run_campaign(
         doc.plant,
         doc.spec_automaton(),
         sup,
         doc.attack,
-        actuator_attackable=attackable,
+        actuator_attackable=_actuator_attack(args),
         trials=args.trials,
         max_steps=args.max_steps,
         base_seed=args.seed,
@@ -208,12 +215,7 @@ def _cmd_convert_obs(doc: ModelDocument, args) -> int:
         safe_states=spec.states if spec is not None else None,
         policy_transitions=dict(policy.entries),
     )
-    text = serialize_model(converted)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+    _write(serialize_model(converted), args.output)
     return EXIT_HOLDS
 
 
@@ -235,12 +237,7 @@ def _cmd_export_dot(doc: ModelDocument, args) -> int:
         obj = build_g_diamond(g, policy)
     else:  # observer
         obj, _ = attacked_observer(doc.plant, doc.attack)
-    text = export_dot(obj, name=what)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+    _write(export_dot(obj, name=what), args.output)
     return EXIT_HOLDS
 
 
@@ -305,10 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(load_model(args.model), args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DescatError as exc:
+    except (DescatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

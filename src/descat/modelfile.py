@@ -21,7 +21,10 @@ from .attacks import ObservationAttackStrategy, SensorAttackPolicy, validate_pol
 from .automata import Automaton, EventAlphabet, Transition, ensure_deterministic, is_subautomaton, sub_automaton, validate
 from .errors import InputError, ParseError
 
-_FLAGS = ("controllable", "observable", "sensor-attackable", "actuator-attackable")
+# Each alphabet flag, in the order flags are written, and the EventAlphabet attribute it sets.
+_FLAGS = {
+    flag: flag.replace("-", "_") for flag in ("controllable", "observable", "sensor-attackable", "actuator-attackable")
+}
 # Derived state names are built from these characters: state sets `{a,b}`,
 # closed-loop states `q|{x}` and product pairs `(q,z)`.  A state name that
 # contains them, other than such a pair, could spell another state's name.
@@ -256,29 +259,16 @@ def parse_model(text: str) -> ModelDocument:
 
     if not alphabet_rows:
         raise ParseError("missing alphabet", 1, expected="an 'alphabet:' section")
-    events, ctrl, obs, sens, act = [], [], [], [], []
-    seen_events = set()
+    events: set[str] = set()
+    flagged: dict[str, set[str]] = {attribute: set() for attribute in _FLAGS.values()}
     for event, flags, lineno in alphabet_rows:
-        if event in seen_events:
+        if event in events:
             raise ParseError(f"event {event!r} declared twice", lineno)
-        seen_events.add(event)
-        events.append(event)
-        if "controllable" in flags:
-            ctrl.append(event)
-        if "observable" in flags:
-            obs.append(event)
-        if "sensor-attackable" in flags:
-            sens.append(event)
-        if "actuator-attackable" in flags:
-            act.append(event)
+        events.add(event)
+        for flag in flags:
+            flagged[_FLAGS[flag]].add(event)
     try:
-        alphabet = EventAlphabet(
-            events=frozenset(events),
-            controllable=frozenset(ctrl),
-            observable=frozenset(obs),
-            sensor_attackable=frozenset(sens),
-            actuator_attackable=frozenset(act),
-        )
+        alphabet = EventAlphabet(events=events, **flagged)
     except InputError as exc:
         raise ParseError(str(exc), alphabet_rows[0][2]) from exc
 
@@ -345,13 +335,11 @@ def _validate_document(doc: ModelDocument) -> None:
         )
 
 
-def _emit_automaton(lines: list[str], a: Automaton) -> None:
-    lines.append(f"  initial {a.initial}")
-    lines.append("  states " + " ".join(sorted(a.states)))
+def _emit_section(lines: list[str], header: str, a: Automaton) -> None:
+    lines.extend(["", header, f"  initial {a.initial}", "  states " + " ".join(sorted(a.states))])
     if a.marked:
         lines.append("  marked " + " ".join(sorted(a.marked)))
-    for src, label, dst in sorted(a.transitions):
-        lines.append(f"  transition {src} {label} {dst}")
+    lines.extend(f"  transition {src} {label} {dst}" for src, label, dst in sorted(a.transitions))
 
 
 def serialize_model(doc: ModelDocument) -> str:
@@ -363,39 +351,19 @@ def serialize_model(doc: ModelDocument) -> str:
     """
     lines: list[str] = ["alphabet:"]
     for event in sorted(doc.alphabet.events):
-        flags = []
-        if event in doc.alphabet.controllable:
-            flags.append("controllable")
-        if event in doc.alphabet.observable:
-            flags.append("observable")
-        if event in doc.alphabet.sensor_attackable:
-            flags.append("sensor-attackable")
-        if event in doc.alphabet.actuator_attackable:
-            flags.append("actuator-attackable")
+        flags = [flag for flag, attribute in _FLAGS.items() if event in getattr(doc.alphabet, attribute)]
         lines.append("  " + " ".join([event] + flags))
-    lines.append("")
-    lines.append("plant:")
-    _emit_automaton(lines, doc.plant)
+    _emit_section(lines, "plant:", doc.plant)
     if doc.safe_states is not None:
-        lines.append("")
-        lines.append("spec:")
-        lines.append("  safe-states " + " ".join(sorted(doc.safe_states)))
+        lines.extend(["", "spec:", "  safe-states " + " ".join(sorted(doc.safe_states))])
     for event in sorted(doc.policy_events):
-        lines.append("")
-        lines.append(f"attack event {event}:")
-        _emit_automaton(lines, doc.policy_events[event])
+        _emit_section(lines, f"attack event {event}:", doc.policy_events[event])
     for tr in sorted(doc.policy_transitions):
-        lines.append("")
-        lines.append(f"attack tr {tr[0]} {tr[1]} {tr[2]}:")
-        _emit_automaton(lines, doc.policy_transitions[tr])
+        _emit_section(lines, f"attack tr {tr[0]} {tr[1]} {tr[2]}:", doc.policy_transitions[tr])
     if doc.sa is not None:
-        lines.append("")
-        lines.append("sa:")
-        _emit_automaton(lines, doc.sa)
+        _emit_section(lines, "sa:", doc.sa)
         for z, event in sorted(doc.omega):
-            lines.append("")
-            lines.append(f"omega {z} {event}:")
-            _emit_automaton(lines, doc.omega[(z, event)])
+            _emit_section(lines, f"omega {z} {event}:", doc.omega[(z, event)])
     return "\n".join(lines) + "\n"
 
 

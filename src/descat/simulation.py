@@ -198,9 +198,11 @@ class _PreparedRun:
         self._cap = (lambda f: cap) if cap is not None else (lambda f: 2 * len(f.states))
         if cap is not None and attacker.kind != "none":
             # The attacker only emits words within the cap: a transition
-            # without one could never fire.  Each distinct automaton is searched once.
-            shortest = {f: shortest_marked_length(f) for f in set(policy.entries.values())}
-            short = [tr for tr, f in policy.sorted_entries() if shortest[f] > cap]
+            # without one could never fire.  Each distinct automaton, one
+            # object per value in a policy, is searched once.
+            distinct = {id(f): f for f in policy.entries.values()}
+            shortest = {key: shortest_marked_length(f) for key, f in distinct.items()}
+            short = [tr for tr, f in policy.sorted_entries() if shortest[id(f)] > cap]
             if short:
                 raise InputError(
                     "; ".join(f"fragment_cap {cap} admits no corruption word for transition {tr!r}" for tr in short)

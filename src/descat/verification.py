@@ -173,8 +173,9 @@ class _ObserverStepRelation:
     read lazily off the observer.  ``edges[q]`` lists the plant's
     ``(event, dst, step)`` triples out of ``q``, where ``step`` maps a mask
     to its successor mask.  Transitions share ``step`` by *kind*: the event
-    when unattacked, else the corruption automaton, canonicalised by object
-    identity first and by value once per object.  Under an attacked kind an
+    when unattacked, else the corruption automaton's identity (a policy
+    keeps one object per automaton value, see
+    :class:`~descat.attacks.SensorAttackPolicy`).  Under an attacked kind an
     observer state steps to everything some corruption word can drive it to
     (product reachability with the corruption automaton, so infinite attack
     languages are exact); under an event, by the event's projection.  A
@@ -189,8 +190,6 @@ class _ObserverStepRelation:
         self.names: list[str] = []
         self._index = _Memo(lambda name: self.names.append(name) or len(self.names) - 1)
         self._rows = _Memo(lambda i: {label: self._index[x] for label, x in self.observer.outgoing(self.names[i])})
-        self._canonical: dict[int, Automaton] = {}
-        self._by_value: dict[Automaton, Automaton] = {}
         self._steps: dict[str | int, _Memo] = {}
         self.edges = _Memo(self._edges)
         self.initial = 1 << self._index[self.observer.initial]
@@ -208,10 +207,6 @@ class _ObserverStepRelation:
 
     def _step(self, tr: Transition) -> _Memo:
         f = self.policy.language_automaton(tr)
-        if f is not None:
-            if id(f) not in self._canonical:
-                self._canonical[id(f)] = self._by_value.setdefault(f, f)
-            f = self._canonical[id(f)]
         kind = tr[1] if f is None else id(f)
         if kind not in self._steps:
             states = _Memo(partial(self._project, tr[1]) if f is None else partial(self._corrupt, f))

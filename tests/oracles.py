@@ -15,7 +15,9 @@ block per step of a string.
 ``containment_by_search`` and ``strategy_problems_two_pass`` check an
 observation-based attack with a search of their own before composing the
 plant with its context, and ``longest_marked_word_by_closure`` bounds
-marked words by an all-pairs longest-path closure.
+marked words by an all-pairs longest-path closure over a graph it trims
+with its own searches.  ``product_by_queue`` composes two automata with a
+queue and a visit helper of its own.
 ``observability_by_enumeration`` and ``brute_force_large_language``
 evaluate verification's definitions literally, string by string, on top
 of the library's observer and the oracles' own ``marked_words``.
@@ -64,12 +66,12 @@ from descat.estimation import attacked_observer
 from descat.automata import (
     Transition,
     Word,
-    _coreachable,
     _step,
-    accessible,
     breadth_first,
+    encode_pair,
     encode_state_set,
     ensure_deterministic,
+    merge_alphabets,
     unobservable_reach,
     validate,
 )
@@ -80,6 +82,18 @@ def _adjacency(a: Automaton) -> dict[str, list[tuple[str, str]]]:
     for src, label, dst in sorted(a.transitions):
         adj.setdefault(src, []).append((label, dst))
     return adj
+
+
+def _reachable(adj, sources: Iterable[str]) -> set[str]:
+    """States reachable from ``sources`` along the edges of ``adj``, labels ignored."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for _, dst in adj.get(stack.pop(), ()):
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
 
 
 def _eps_closure(adj, states: frozenset[str]) -> frozenset[str]:
@@ -555,6 +569,48 @@ def strategy_problems_two_pass(g: Automaton, strategy) -> tuple[list[str], tuple
     return problems, (product, pairs, entries)
 
 
+def product_by_queue(a: Automaton, b: Automaton) -> tuple[Automaton, dict[str, tuple[str, str]]]:
+    """Reference for :func:`parallel_compose_pairs`: its own queue, keyed on pair names.
+
+    ``visit`` names a pair and queues it on first sight, so ``pairs`` comes
+    out in breadth-first discovery order.
+    """
+    shared = a.alphabet.events & b.alphabet.events
+    initial_pair = (a.initial, b.initial)
+    initial_name = encode_pair(*initial_pair)
+    pairs: dict[str, tuple[str, str]] = {initial_name: initial_pair}
+    transitions: set[Transition] = set()
+    queue = deque([initial_name])
+
+    def visit(pair: tuple[str, str]) -> str:
+        name = encode_pair(*pair)
+        if name not in pairs:
+            pairs[name] = pair
+            queue.append(name)
+        return name
+
+    while queue:
+        name = queue.popleft()
+        qa, qb = pairs[name]
+        for label, qa2 in a.outgoing(qa):
+            if label != EPSILON and label in shared:
+                for qb2 in b.successors(qb, label):
+                    transitions.add((name, label, visit((qa2, qb2))))
+            else:
+                transitions.add((name, label, visit((qa2, qb))))
+        for label, qb2 in b.outgoing(qb):
+            if label == EPSILON or label not in shared:
+                transitions.add((name, label, visit((qa, qb2))))
+    product = Automaton(
+        states=frozenset(pairs),
+        alphabet=merge_alphabets(a.alphabet, b.alphabet),
+        transitions=frozenset(transitions),
+        initial=initial_name,
+        marked=frozenset(name for name, (qa, qb) in pairs.items() if qa in a.marked and qb in b.marked),
+    )
+    return product, pairs
+
+
 def subset_construction_by_names(a: Automaton) -> tuple[Automaton, dict[str, frozenset[str]]]:
     """Reference for :func:`subset_construction`: subsets as sets of names.
 
@@ -600,7 +656,10 @@ def longest_marked_word_by_closure(a: Automaton) -> int | None:
     (epsilon edges weigh 0); a positive diagonal entry is a cycle reading
     a symbol, so the marked language is infinite.
     """
-    relevant = sorted(accessible(a).states & _coreachable(a))
+    backward: dict[str, list[tuple[str, str]]] = {}
+    for src, label, dst in a.transitions:
+        backward.setdefault(dst, []).append((label, src))
+    relevant = sorted(_reachable(_adjacency(a), {a.initial}) & _reachable(backward, a.marked & a.states))
     if not relevant or not (frozenset(relevant) & a.marked):
         return 0
     index = {s: i for i, s in enumerate(relevant)}

@@ -32,6 +32,7 @@ from conftest import make_cycle, random_model
 from oracles import (
     language_by_scan,
     language_by_word_frontier,
+    product_by_queue,
     projected_marked_words,
     subset_construction_by_names,
 )
@@ -318,6 +319,49 @@ class TestParallelCompose:
         assert ("x", "a") in enumerate_language(product, 2)
         assert ("a",) not in enumerate_language(product, 2)
 
+    def test_matches_the_queue_oracle_on_random_pairs(self):
+        """Same product and same pairs, in the same breadth-first order, as the replaced queue loop."""
+        rng = random.Random(2718)
+        seen = {"plant epsilon": 0, "context epsilon": 0, "private": 0, "nondeterministic sync": 0, "marked": 0}
+        for _ in range(600):
+            plant, _ = random_model(rng)
+            if rng.random() < 0.5:
+                # Silent moves in the plant, as after a substitution.
+                plant = Automaton(
+                    plant.states,
+                    plant.alphabet,
+                    plant.transitions | {(rng.choice(sorted(plant.states)), EPSILON, rng.choice(sorted(plant.states)))},
+                    plant.initial,
+                    {q for q in sorted(plant.states) if rng.random() < 0.5},
+                )
+            events = sorted(plant.alphabet.events)
+            # The context shares some plant events and has private ones ("x", "y").
+            labels = rng.sample(events, rng.randint(1, len(events))) + ["x", "y"][: rng.randint(0, 2)]
+            states = [f"z{i}" for i in range(rng.randint(1, 4))]
+            context = Automaton(
+                states=states,
+                alphabet=EventAlphabet(events=labels, observable=labels),
+                transitions={
+                    (rng.choice(states), rng.choice(labels + [EPSILON]), rng.choice(states))
+                    for _ in range(rng.randint(0, 3 * len(states)))
+                },
+                initial="z0",
+                marked={z for z in states if rng.random() < 0.5},
+            )
+            product, pairs = parallel_compose_pairs(plant, context)
+            expected, expected_pairs = product_by_queue(plant, context)
+            assert product == expected
+            assert list(pairs.items()) == list(expected_pairs.items())
+            shared = plant.alphabet.events & context.alphabet.events
+            seen["plant epsilon"] += any(label == EPSILON for _, label, _ in plant.transitions)
+            seen["context epsilon"] += any(label == EPSILON for _, label, _ in context.transitions)
+            seen["private"] += any(label not in shared for _, label, _ in product.transitions)
+            seen["nondeterministic sync"] += any(
+                label in shared and len(context.successors(z, label)) > 1 for z, label, _ in context.transitions
+            )
+            seen["marked"] += bool(product.marked)
+        assert min(seen.values()) >= 50, seen
+
 
 class TestNaturalProjection:
     def test_all_observable_is_identity(self):
@@ -364,6 +408,19 @@ class TestEnumerateLanguage:
         for _ in range(10):
             g, _ = random_model(rng, max_states=4)
             assert enumerate_language(g, 4) == language_by_scan(g, 4)
+
+    def test_a_deterministic_automaton_is_walked_as_it_is(self, monkeypatch):
+        import descat.automata
+
+        calls = []
+        original = descat.automata.determinize
+        monkeypatch.setattr(descat.automata, "determinize", lambda a: calls.append(a) or original(a))
+        g = make_cycle().plant
+        assert enumerate_language(g, 3) == language_by_scan(g, 3)
+        assert calls == []
+        silent = Automaton(g.states, g.alphabet, g.transitions | {(g.initial, EPSILON, g.initial)}, g.initial)
+        assert enumerate_language(silent, 3) == enumerate_language(g, 3)
+        assert calls == [silent]
 
     def test_matches_the_word_frontier_oracle_on_random_automata(self):
         rng = random.Random(4711)

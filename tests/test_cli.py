@@ -277,3 +277,17 @@ class TestErrors:
         code, _, err = run_cli(capsys, "verify", str(no_spec))
         assert code == 2
         assert "spec" in err
+
+    def test_unreadable_model_or_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        binary = tmp_path / "binary.des"
+        binary.write_bytes(b"alphabet:\n  \xff\xfe a\n")
+        for argv in (
+            ("verify", str(MODELS)),
+            ("verify", str(binary)),
+            ("export-dot", CYCLE, "-o", str(tmp_path)),
+            ("convert-obs", CYCLE_OBS, "-o", str(tmp_path)),
+            ("observer", CYCLE, "--dot", str(tmp_path)),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert err.startswith("error: ") and "Traceback" not in err, argv

@@ -10,6 +10,7 @@ import random
 import pytest
 
 import descat.attacks
+import descat.verification
 from descat import (
     AttackerStrategy,
     Automaton,
@@ -101,6 +102,52 @@ class TestCounters:
         assert len(checked) == len(set(policy.entries.values())) > 0
         assert verify_large_language_equals(cycle_beta.plant, cycle_beta.spec, supervisor, policy) == first
         assert len(checked) == len(set(policy.entries.values()))
+
+
+class TestIdentity:
+    """A policy keeps one object per distinct corruption automaton, and the closed loop steps each once."""
+
+    def test_equal_corruption_automata_come_back_as_one_object(self, cycle):
+        (tr1, f), (tr2, _) = sorted(cycle.policy.entries.items())[:2]
+        twin, other = _twin(f), _twin(cycle.f2 if f != cycle.f2 else cycle.f1)
+        assert other != f
+        policy = SensorAttackPolicy(entries={tr1: f, tr2: twin})
+        assert policy.entries[tr1] is policy.entries[tr2] is f
+        restricted, _ = policy.restricted_to(cycle.plant)
+        assert restricted.entries[tr2] is f
+        uniform = SensorAttackPolicy.uniform(cycle.plant, {tr1[1]: twin}, overrides={tr2: f})
+        assert uniform.entries[tr1] is uniform.entries[tr2] is twin
+        policy = SensorAttackPolicy(entries={tr1: f, tr2: other})
+        assert policy.entries[tr2] is other
+
+    def test_the_closed_loop_corrupts_once_per_distinct_language(self, monkeypatch):
+        """An observation-based attack whose omega blocks are equal but distinct objects, as parsed ones are."""
+        calls = []
+        corrupt = descat.verification._ObserverStepRelation._corrupt
+
+        def counted(self, f, i):
+            calls.append((f, i))
+            return corrupt(self, f, i)
+
+        monkeypatch.setattr(descat.verification._ObserverStepRelation, "_corrupt", counted)
+        rng = random.Random(1205)
+        shared = 0
+        for _ in range(60):
+            g, _ = random_model(rng)
+            strategy = random_strategy(rng, g)
+            if strategy is None:
+                continue
+            languages = [random_attack_automaton(rng, g.alphabet, acyclic=rng.random() < 0.5) for _ in range(2)]
+            omega = {key: _twin(rng.choice(languages)) for key in sorted(strategy.omega)}
+            strategy = ObservationAttackStrategy(sa=strategy.sa, omega=omega)
+            h = random_spec(rng, g)
+            supervisor = synthesize_ca_supervisor(g, h, strategy)
+            calls.clear()
+            verify_large_language_equals(g, h, supervisor, strategy)
+            assert len(calls) == len(set(calls))
+            assert len({id(f) for f, _ in calls}) == len({f for f, _ in calls}) <= 2
+            shared += len({id(f) for f in omega.values()}) > len({f for f, _ in calls}) > 0
+        assert shared >= 10
 
 
 class TestSoundness:
