@@ -295,37 +295,16 @@ def _determinize(
 ) -> tuple[Automaton, dict[str, frozenset[str]]]:
     """:func:`subset_construction` of the automaton these parts describe, on dense ints.
 
-    States are numbered in sorted name order, so bit ``i`` of a subset
-    mask is the ``i``-th name and a mask's members, read in bit order,
-    spell its :func:`encode_state_set` name.  Each state's epsilon closure
-    is computed once, and a labelled move from a closed subset is the
-    union of its members' closed successor masks.  Names are built once,
-    at the end.
+    :func:`_subset_moves` numbers the states and closes their moves; the
+    breadth-first search here visits every reachable subset mask.  Names
+    are built once, at the end.
     """
-    names = sorted(states)
-    index = {name: i for i, name in enumerate(names)}
-    silent: list[list[int]] = [[] for _ in names]
-    labelled = []
-    for src, label, dst in transitions:
-        if label == EPSILON:
-            silent[index[src]].append(index[dst])
-        else:
-            labelled.append((index[src], label, index[dst]))
-    closure = _closures(silent)
-    moves: list[dict[str, int]] = [{} for _ in names]
-    for i, label, j in labelled:
-        out = moves[i]
-        out[label] = out.get(label, 0) | closure[j]
-
-    start = closure[index[initial]]
+    names, index, moves, start = _subset_moves(states, transitions, initial)
     found = {start: 0}  # subset mask -> position, in discovery order
     contents = [_bits(start)]
     edges = []
     for k, members in enumerate(contents):  # grows as subsets are found: a breadth-first queue
-        step: dict[str, int] = {}
-        for i in members:
-            for label, mask in moves[i].items():
-                step[label] = step.get(label, 0) | mask
+        step = _union_moves(moves, members)
         for label in sorted(step):
             target = step[label]
             if target not in found:
@@ -350,6 +329,44 @@ def _determinize(
     return observer, contents_by_name
 
 
+def _subset_moves(
+    states: Iterable[str], transitions: Iterable[Transition], initial: str
+) -> tuple[list[str], dict[str, int], list[dict[str, int]], int]:
+    """Numbering, closed moves and start mask of the subset construction, before any subset is visited.
+
+    Returns the state names in sorted order (bit ``i`` of a subset mask is
+    ``names[i]``, so a mask's members, read in bit order, spell its
+    :func:`encode_state_set` name), the index of each name, each state's
+    ``{label: mask}`` moves with every target epsilon-closed, and the
+    closure of ``initial``.  A labelled move from a closed subset is the
+    union of its members' moves (:func:`_union_moves`).
+    """
+    names = sorted(states)
+    index = {name: i for i, name in enumerate(names)}
+    silent: list[list[int]] = [[] for _ in names]
+    labelled = []
+    for src, label, dst in transitions:
+        if label == EPSILON:
+            silent[index[src]].append(index[dst])
+        else:
+            labelled.append((index[src], label, index[dst]))
+    closure = _closures(silent)
+    moves: list[dict[str, int]] = [{} for _ in names]
+    for i, label, j in labelled:
+        out = moves[i]
+        out[label] = out.get(label, 0) | closure[j]
+    return names, index, moves, closure[index[initial]]
+
+
+def _union_moves(moves: list[dict[str, int]], members: Iterable[int]) -> dict[str, int]:
+    """``{label: mask}`` move of the subset ``members`` from :func:`_subset_moves`'s per-state moves."""
+    step: dict[str, int] = {}
+    for i in members:
+        for label, mask in moves[i].items():
+            step[label] = step.get(label, 0) | mask
+    return step
+
+
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
     out = []
@@ -363,7 +380,10 @@ def _bits(mask: int) -> list[int]:
 def _closures(silent: list[list[int]]) -> list[int]:
     """Every state's epsilon closure as a bitmask; ``silent[i]`` lists state ``i``'s epsilon successors."""
     closure = []
-    for v in range(len(silent)):
+    for v, out in enumerate(silent):
+        if not out:  # no silent move: the closure is the state itself
+            closure.append(1 << v)
+            continue
         seen = {v}
         stack = [v]
         while stack:

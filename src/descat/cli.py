@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(load_model(args.model), args)
-    except (DescatError, OSError, UnicodeDecodeError) as exc:
+    except (DescatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

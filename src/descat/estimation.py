@@ -10,14 +10,18 @@ may currently be in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .attacks import ObservationAttackStrategy, SensorAttackPolicy, convert_observation_based, ensure_valid_policy
 from .automata import (
     EPSILON,
     Automaton,
     Transition,
+    _bits,
     _determinize,
+    _subset_moves,
+    _union_moves,
+    breadth_first,
 )
 from .errors import InputError
 
@@ -212,11 +216,47 @@ def build_ca_observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
 
 def _observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
     """:func:`build_ca_observer` for a policy already known to be valid."""
+    observer, members = _determinize(*_erased(g, policy), g.initial, g.states, g.alphabet)
+    return CAObserver(observer=observer, members=members, plant_states=g.states)
+
+
+def _erased(g: Automaton, policy: SensorAttackPolicy) -> tuple[set[str], Iterator[Transition]]:
+    """States and transitions of the substituted automaton with its unobservable labels made silent.
+
+    ``policy`` must be valid; the transitions can be read once.
+    """
     states, transitions, _ = _substitute(g, policy)
     observable = g.alphabet.observable
-    erased = ((src, label if label in observable else EPSILON, dst) for src, label, dst in transitions)
-    observer, members = _determinize(states, erased, g.initial, g.states, g.alphabet)
-    return CAObserver(observer=observer, members=members, plant_states=g.states)
+    return states, ((src, label if label in observable else EPSILON, dst) for src, label, dst in transitions)
+
+
+class _ObserverView:
+    """:func:`build_ca_observer`'s observer, stepped on demand instead of built.
+
+    A subset of the substituted-and-erased automaton's states is an int
+    mask, numbered as :func:`~descat.automata._subset_moves` numbers them,
+    and stands for the observer state with those members.  Only the
+    numbering and each state's closed moves are worked out up front;
+    ``outgoing(mask)`` unions its members' moves when asked, so a search
+    that reaches a few subsets names and builds no others.  ``policy``
+    must be valid.
+    """
+
+    def __init__(self, g: Automaton, policy: SensorAttackPolicy):
+        self.names, index, self._moves, self.initial = _subset_moves(*_erased(g, policy), g.initial)
+        self.plant = sum(1 << index[q] for q in g.states)  # the bits are distinct, so the sum is their OR
+
+    def outgoing(self, mask: int) -> list[tuple[str, int]]:
+        """The ``(label, mask)`` moves out of the subset ``mask``, like :meth:`Automaton.outgoing`."""
+        return list(_union_moves(self._moves, _bits(mask)).items())
+
+    def estimate(self, mask: int) -> frozenset[str]:
+        """Plant states in the subset ``mask``: :meth:`CAObserver.plant_projection` of its observer state."""
+        return frozenset([self.names[i] for i in _bits(mask & self.plant)])
+
+    def count(self) -> int:
+        """Number of reachable subsets, the built observer's state count; walks them all."""
+        return sum(1 for _ in breadth_first(self.initial, self.outgoing))
 
 
 def attacked_observer(

@@ -368,6 +368,13 @@ def serialize_model(doc: ModelDocument) -> str:
 
 
 def load_model(path: str) -> ModelDocument:
-    """Read and parse a model document from a file."""
+    """Read and parse a model document from a file.
+
+    A file that is not UTF-8 text raises :class:`InputError` naming ``path``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path!r} is not UTF-8 text: {exc}") from None
+    return parse_model(text)

@@ -12,8 +12,12 @@ finite arena; the closed-loop arena pairs a plant state with the set of
 supervisor-observer states some attacked observation reaches, held as an
 int bitmask over observer states numbered on first sight
 (:class:`_ObserverStepRelation`).  Observer-state names appear only where
-:func:`large_language_automaton` names its states.  An attack is a policy
-or an observation-based strategy, set up on plant and spec by
+:func:`large_language_automaton` names its states.  The observability
+check never builds the spec's CA-observer: it steps it on demand
+(:class:`~descat.estimation._ObserverView`), so it builds only the
+observer states its search reaches, except that ``depth=None`` walks
+every observer state once to count them.  An attack is a policy or an
+observation-based strategy, set up on plant and spec by
 :func:`~descat.attacks.transition_based_setup`.
 """
 
@@ -24,10 +28,16 @@ from functools import cache, partial, reduce
 from operator import itemgetter, or_
 from typing import Iterable, Mapping
 
-from .attacks import ObservationAttackStrategy, SensorAttackPolicy, actuator_attack_set, transition_based_setup
+from .attacks import (
+    ObservationAttackStrategy,
+    SensorAttackPolicy,
+    actuator_attack_set,
+    ensure_valid_policy,
+    transition_based_setup,
+)
 from .automata import Automaton, Transition, Word, _bits, breadth_first, ensure_deterministic, ensure_plant_and_spec
 from .errors import InputError
-from .estimation import CAObserver, attacked_observer
+from .estimation import _ObserverView
 from .synthesis import disabled_set, ensure_estimate_based
 
 
@@ -107,17 +117,25 @@ def check_ca_observability_bounded(
     languages are handled within the depth.  A positive answer only covers
     the explored depth.  ``depth=None`` explores ``2 * (|X| + |Q|)`` events,
     for the spec's CA-observer states ``X`` and the set-up plant's states ``Q``.
+
+    The spec's CA-observer is stepped on demand, not built: the search
+    builds only the observer states it reaches, and ``depth=None`` walks
+    every observer state once to count ``X``.  The policy restricted to the
+    spec is validated first and raises what
+    :func:`~descat.estimation.build_ca_observer` would.
     """
     if depth is not None and depth < 1:
         raise InputError("depth must be at least 1")
     ensure_plant_and_spec(g, h)
     if isinstance(attack, ObservationAttackStrategy):
         g, h, attack = transition_based_setup(g, h, attack)
-    observer, _ = attacked_observer(h, attack)
-    depth = depth if depth is not None else 2 * (len(observer.observer.states) + len(g.states))
-    relation = _ObserverStepRelation(h, observer, attack)
+    policy = attack.restricted_to(h)[0]
+    ensure_valid_policy(h, policy)
+    view = _ObserverView(h, policy)
+    depth = depth if depth is not None else 2 * (view.count() + len(g.states))
+    relation = _ObserverStepRelation(h, view, policy)
     # An event is disabled at a node iff every tracked state's estimate disables it (any event, if none is).
-    disabled_at = cache(lambda x: disabled_set(observer.plant_projection(x), g, h.states))
+    disabled_at = cache(lambda x: disabled_set(view.estimate(x), g, h.states))
     disabled = relation.fold(disabled_at, frozenset.intersection, frozenset(label for _, label, _ in h.transitions))
 
     def expand(node):
@@ -166,11 +184,16 @@ class _Memo(dict):
 
 
 class _ObserverStepRelation:
-    """Successor relation of sets of supervisor-observer states across a plant's transitions.
+    """Successor relation of sets of observer states across a plant's transitions.
 
-    A set is an int mask: observer states are numbered on first sight, bit
-    ``i`` standing for ``names[i]``, and each state's ``{label: bit}`` row is
-    read lazily off the observer.  ``edges[q]`` lists the plant's
+    The observer is a *source*: anything with an ``initial`` key and an
+    ``outgoing(key)`` listing ``(label, key)`` moves.  The supervisor's
+    observer :class:`Automaton` is one, keyed by state name; the spec's
+    :class:`~descat.estimation._ObserverView` is another, keyed by subset
+    mask, which builds only the observer states a search reaches.  A set
+    of keys is an int mask: keys are numbered on first sight, bit ``i``
+    standing for ``keys[i]``, and each key's ``{label: bit}`` row is read
+    lazily off the source.  ``edges[q]`` lists the plant's
     ``(event, dst, step)`` triples out of ``q``, where ``step`` maps a mask
     to its successor mask.  Transitions share ``step`` by *kind*: the event
     when unattacked, else the corruption automaton's identity (a policy
@@ -183,23 +206,22 @@ class _ObserverStepRelation:
     per (kind, state) and per (kind, mask).
     """
 
-    def __init__(self, plant: Automaton, observer: CAObserver, policy: SensorAttackPolicy):
+    def __init__(self, plant: Automaton, source, policy: SensorAttackPolicy):
         self.plant = plant
-        self.observer = observer.observer
         self.policy = policy
-        self.names: list[str] = []
-        self._index = _Memo(lambda name: self.names.append(name) or len(self.names) - 1)
-        self._rows = _Memo(lambda i: {label: self._index[x] for label, x in self.observer.outgoing(self.names[i])})
+        self.keys: list = []
+        self._index = _Memo(lambda key: self.keys.append(key) or len(self.keys) - 1)
+        self._rows = _Memo(lambda i: {label: self._index[x] for label, x in source.outgoing(self.keys[i])})
         self._steps: dict[str | int, _Memo] = {}
         self.edges = _Memo(self._edges)
-        self.initial = 1 << self._index[self.observer.initial]
+        self.initial = 1 << self._index[source.initial]
 
-    def members(self, mask: int) -> list[str]:
-        """Names of the observer states in ``mask``."""
-        return [self.names[i] for i in _bits(mask)]
+    def members(self, mask: int) -> list:
+        """Keys of the observer states in ``mask``."""
+        return [self.keys[i] for i in _bits(mask)]
 
     def fold(self, value, combine, empty) -> _Memo:
-        """Memo from a mask to ``combine`` of ``value(name)`` over its members, starting at ``empty``."""
+        """Memo from a mask to ``combine`` of ``value(key)`` over its members, starting at ``empty``."""
         return _Memo(lambda mask: reduce(combine, map(value, self.members(mask)), empty))
 
     def _edges(self, q: str) -> list[tuple[str, str, _Memo]]:
@@ -249,7 +271,7 @@ def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator
     ensure_estimate_based(supervisor)
     ensure_deterministic(g)
     g, h, policy = transition_based_setup(g, h, attack)
-    relation = _ObserverStepRelation(g, supervisor.observer, policy)
+    relation = _ObserverStepRelation(g, supervisor.observer.observer, policy)
     unstoppable = g.alphabet.uncontrollable | actuator_attack_set(g.alphabet, actuator_attackable)
     enabled = relation.fold(supervisor.controls.__getitem__, frozenset.union, unstoppable)
     return g, h, relation, enabled

@@ -173,13 +173,18 @@ class TestSimulate:
         """Beyond loading and synthesis, each check validates a policy once and builds one observer."""
         import descat
 
-        # ``_observer`` builds every CA-observer, validated or not.
+        # ``_observer`` builds every CA-observer, validated or not; ``_ObserverView`` steps one on demand.
         calls = {"validate_policy": 0, "_observer": 0}
-        for name, home in (("validate_policy", descat.attacks), ("_observer", descat.estimation)):
+        counters = (
+            ("validate_policy", descat.attacks, "validate_policy"),
+            ("_observer", descat.estimation, "_observer"),
+            ("_ObserverView", descat.estimation, "_observer"),
+        )
+        for name, home, counter in counters:
             original = getattr(home, name)
 
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
+            def counted(*args, counter=counter, original=original):
+                calls[counter] += 1
                 return original(*args)
 
             for module in (descat.attacks, descat.estimation, descat.modelfile, descat.verification):
@@ -291,3 +296,5 @@ class TestErrors:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert err.startswith("error: ") and "Traceback" not in err, argv
+            if argv[1] == str(binary):
+                assert str(binary) in err

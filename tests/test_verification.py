@@ -12,6 +12,7 @@ from descat import (
     InputError,
     SensorAttackPolicy,
     UnsupportedSupervisorError,
+    build_ca_observer,
     check_ca_controllability,
     check_ca_observability_bounded,
     enumerate_language,
@@ -223,6 +224,37 @@ class TestObservability:
             )
             assert verdict.holds == literal
 
+    def test_builds_only_the_observer_states_its_search_reaches(self, monkeypatch):
+        import descat
+
+        # A model whose check walks all three levels, on a spec observer of more than 50 states.
+        rng = random.Random(1501)
+        while True:
+            g, policy = random_model(rng, max_states=30)
+            h = random_spec(rng, g)
+            built = len(build_ca_observer(h, policy.restricted_to(h)[0]).observer.states)
+            expected = observability_by_name_sets(g, h, policy, 3)
+            if built > 50 and expected.holds:
+                break
+        calls = []
+        for name in ("_observer", "_determinize"):
+            for module in (descat.automata, descat.attacks, descat.estimation):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        relations = []
+
+        class Recorded(descat.verification._ObserverStepRelation):
+            def __init__(self, *args):
+                super().__init__(*args)
+                relations.append(self)
+
+        monkeypatch.setattr(descat.verification, "_ObserverStepRelation", Recorded)
+        verdict = check_ca_observability_bounded(g, h, policy, depth=3)
+        assert calls == []
+        assert verdict.as_dict() == expected.as_dict()
+        (relation,) = relations
+        assert 0 < len(relation.keys) < built
+
     @pytest.mark.parametrize("depth", [3, 5])
     def test_matches_enumeration_on_random_models(self, depth):
         rng = random.Random(500 + depth)
@@ -384,7 +416,7 @@ class TestNameSetOracle:
             assert lla.automaton == oracle.automaton
             assert lla.components == oracle.components
             largest = max([largest] + [len(tracked) for _, tracked in lla.components.values()])
-            for depth in (3, None):
+            for depth in (1, 3, None):
                 assert (
                     check_ca_observability_bounded(g, h, attack, depth).as_dict()
                     == observability_by_name_sets(g, h, attack, depth).as_dict()
@@ -435,7 +467,7 @@ class TestEitherAttack:
         statuses = {"holds": 0, "fails": 0}
         for g, h, strategy, sup in self.strategy_setups():
             sg, sh, policy = transition_based_setup(g, h, strategy)
-            for depth in (3, None):
+            for depth in (1, 3, None):
                 assert (
                     check_ca_observability_bounded(g, h, strategy, depth).as_dict()
                     == check_ca_observability_bounded(sg, sh, policy, depth).as_dict()
