@@ -27,6 +27,7 @@ from .automata import (
     EPSILON,
     Automaton,
     EventAlphabet,
+    SubsetTable,
     accessible,
     bounded_marked_language,
     determinize,

@@ -300,7 +300,7 @@ def _sample(steps: list[Automaton | str], alphabet: EventAlphabet, depth: int | 
     the length bound and the words are read off that one deterministic
     automaton.
     """
-    chain, _ = _determinize(*_chain(steps), alphabet)
+    chain = _determinize(*_chain(steps), alphabet).automaton
     bound = marked_word_length_bound(chain)
     if depth is None:
         if bound is None:
@@ -562,6 +562,10 @@ def transition_based_setup(
     Either way the work is done once per attack and plant (and spec), and
     memoised on the attack object: a repeat call returns the same
     automata and policy, and an invalid attack raises the same error again.
+
+    This is the one validity rule of the library: an attack is valid for
+    a plant as a whole, and only then restricted to a spec.  The checks,
+    synthesis, verification and simulation all validate it on the plant.
     """
     if not isinstance(attack, ObservationAttackStrategy):
         ensure_valid_policy(g, attack)

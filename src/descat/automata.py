@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from .errors import InputError
 
@@ -283,7 +283,91 @@ def subset_construction(a: Automaton) -> tuple[Automaton, dict[str, frozenset[st
     a move by a label is the closure of the label successors, and an
     observer state is marked iff it contains a marked state of ``a``.
     """
-    return _determinize(a.states, a.transitions, a.initial, a.marked, a.alphabet)
+    table = _determinize(a.states, a.transitions, a.initial, a.marked, a.alphabet)
+    return table.automaton, table.members
+
+
+@dataclass(frozen=True)
+class SubsetTable:
+    """A subset construction on dense ints, named only on first read.
+
+    Table state ``i`` stands for the subset ``masks[i]`` of the
+    determinized automaton's states, where bit ``b`` is ``bit_names[b]``
+    (sorted, so a mask's members read in bit order spell its
+    :func:`encode_state_set` name).  ``rows[i]`` is its ``{label: j}``
+    move row; state 0 is the initial one, and states are numbered in
+    breadth-first discovery order, labels tried in sorted order.  A state
+    is marked iff its mask meets ``marked``.  The state ``names``, the
+    ``index`` from name to number, the named ``automaton`` and its
+    ``members`` are built on first read; a search that steps the table by
+    ``outgoing`` or ``step`` builds none of them.
+    """
+
+    bit_names: list[str]
+    masks: list[int]
+    rows: list[dict[str, int]]
+    marked: int
+    alphabet: EventAlphabet
+    initial: ClassVar[int] = 0
+
+    def outgoing(self, i: int):
+        """The ``(label, j)`` moves out of table state ``i``, labels sorted."""
+        return self.rows[i].items()
+
+    def step(self, i: int | None, events: Iterable[str]) -> int | None:
+        """Table state reached from ``i`` by ``events``; None when infeasible, and None stays None.
+
+        Raises :class:`InputError` for an event outside the alphabet, met
+        while the state is still feasible.
+        """
+        rows, known = self.rows, self.alphabet.events
+        for event in events:
+            if i is None:
+                return None
+            if event not in known:
+                raise InputError(f"unknown event {event!r}")
+            i = rows[i].get(event)
+        return i
+
+    @cached_property
+    def names(self) -> list[str]:
+        """Each table state's :func:`encode_state_set` name."""
+        return _subset_names(self.bit_names, self.masks)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Table state number of each name."""
+        return {name: i for i, name in enumerate(self.names)}
+
+    def number(self, name: str) -> int:
+        """Table state named ``name``; :class:`InputError` when there is none."""
+        i = self.index.get(name)
+        if i is None:
+            raise InputError(f"unknown observer state {name!r}")
+        return i
+
+    @cached_property
+    def automaton(self) -> Automaton:
+        """The determinized automaton, states named by :attr:`names`."""
+        names, marked = self.names, self.marked
+        return Automaton(
+            states=frozenset(names),
+            alphabet=self.alphabet,
+            transitions=frozenset((names[i], a, names[j]) for i, row in enumerate(self.rows) for a, j in row.items()),
+            initial=names[0],
+            marked=frozenset(name for name, mask in zip(names, self.masks) if mask & marked),
+        )
+
+    @cached_property
+    def members(self) -> dict[str, frozenset[str]]:
+        """Each state's subset by name, in table order."""
+        bit_names = self.bit_names
+        return {name: frozenset([bit_names[b] for b in _bits(mask)]) for name, mask in zip(self.names, self.masks)}
+
+
+def _subset_names(bit_names: list[str], masks: Iterable[int]) -> list[str]:
+    """The :func:`encode_state_set` name of each subset mask; bit ``b`` is ``bit_names[b]``."""
+    return ["{" + ",".join([bit_names[b] for b in _bits(mask)]) + "}" for mask in masks]
 
 
 def _determinize(
@@ -292,41 +376,32 @@ def _determinize(
     initial: str,
     marked: Iterable[str],
     alphabet: EventAlphabet,
-) -> tuple[Automaton, dict[str, frozenset[str]]]:
-    """:func:`subset_construction` of the automaton these parts describe, on dense ints.
+) -> SubsetTable:
+    """:func:`subset_construction` of the automaton these parts describe, as a :class:`SubsetTable`.
 
     :func:`_subset_moves` numbers the states and closes their moves; the
-    breadth-first search here visits every reachable subset mask.  Names
-    are built once, at the end.
+    breadth-first walk here visits every reachable subset mask.  Nothing
+    is named.
     """
-    names, index, moves, start = _subset_moves(states, transitions, initial)
-    found = {start: 0}  # subset mask -> position, in discovery order
-    contents = [_bits(start)]
-    edges = []
-    for k, members in enumerate(contents):  # grows as subsets are found: a breadth-first queue
-        step = _union_moves(moves, members)
+    bit_names, index, moves, start = _subset_moves(states, transitions, initial)
+    found = {start: 0}  # subset mask -> table state, in discovery order
+    masks = [start]
+    rows = []
+    for mask in masks:  # grows as subsets are found: a breadth-first queue
+        step = _union_moves(moves, _bits(mask))
+        row = {}
         for label in sorted(step):
             target = step[label]
-            if target not in found:
-                found[target] = len(contents)
-                contents.append(_bits(target))
-            edges.append((k, label, found[target]))
-
+            j = found.get(target)
+            if j is None:
+                j = found[target] = len(masks)
+                masks.append(target)
+            row[label] = j
+        rows.append(row)
     marked_mask = 0
     for name in marked:
         marked_mask |= 1 << index[name]
-    subset_names = ["{" + ",".join([names[i] for i in members]) + "}" for members in contents]
-    contents_by_name = {
-        name: frozenset([names[i] for i in members]) for name, members in zip(subset_names, contents)
-    }
-    observer = Automaton(
-        states=frozenset(subset_names),
-        alphabet=alphabet,
-        transitions=frozenset((subset_names[k], label, subset_names[t]) for k, label, t in edges),
-        initial=subset_names[0],
-        marked=frozenset(name for name, mask in zip(subset_names, found) if mask & marked_mask),
-    )
-    return observer, contents_by_name
+    return SubsetTable(bit_names, masks, rows, marked_mask, alphabet)
 
 
 def _subset_moves(
@@ -401,7 +476,7 @@ def _closures(silent: list[list[int]]) -> list[int]:
 def determinize(a: Automaton) -> Automaton:
     """Deterministic automaton with the same language and marked language
     (up to erasure of epsilon moves) as ``a``."""
-    return subset_construction(a)[0]
+    return _determinize(a.states, a.transitions, a.initial, a.marked, a.alphabet).automaton
 
 
 def encode_pair(left: str, right: str) -> str:

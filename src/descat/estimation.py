@@ -10,12 +10,14 @@ may currently be in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .attacks import ObservationAttackStrategy, SensorAttackPolicy, convert_observation_based, ensure_valid_policy
 from .automata import (
     EPSILON,
     Automaton,
+    SubsetTable,
     Transition,
     _bits,
     _determinize,
@@ -162,25 +164,45 @@ def erase_unobservable(d: DiamondAutomaton) -> DiamondAutomaton:
 class CAObserver:
     """Deterministic observer for state estimation under sensor attacks.
 
-    Observer states are canonical encodings of subsets of the substituted
-    automaton's states; ``members`` recovers the subsets and
-    ``plant_states`` singles out the original states, whose intersection
+    It holds the subset construction of the substituted-and-erased plant
+    as a :class:`~descat.automata.SubsetTable`: observer state ``i`` is the
+    subset ``table.masks[i]`` with move row ``table.rows[i]``, and the
+    table's marked mask is the plant's original states, whose intersection
     with an observer state is the estimate it stands for.  A state is
     marked iff that intersection is nonempty.
+
+    Synthesis, verification and simulation step the table on ints.  Names
+    are built on first read, once per observer: ``observer`` (the
+    :class:`Automaton`, states named by canonical encodings of their
+    subsets), ``members`` (each subset by name) and the state names that
+    :meth:`state_for` and :meth:`advance` return.
     """
 
-    observer: Automaton
-    members: Mapping[str, frozenset[str]]
-    plant_states: frozenset[str]
+    table: SubsetTable
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", dict(self.members))
+    @property
+    def observer(self) -> Automaton:
+        """The observer as an :class:`Automaton`, built on first read."""
+        return self.table.automaton
+
+    @property
+    def members(self) -> dict[str, frozenset[str]]:
+        """Each observer state's subset by name, in discovery order; built on first read."""
+        return self.table.members
+
+    @cached_property
+    def plant_states(self) -> frozenset[str]:
+        """The plant's original states."""
+        return frozenset([self.table.bit_names[b] for b in _bits(self.table.marked)])
+
+    def estimate(self, i: int) -> frozenset[str]:
+        """Plant states inside observer state number ``i``."""
+        table = self.table
+        return frozenset([table.bit_names[b] for b in _bits(table.masks[i] & table.marked)])
 
     def plant_projection(self, state: str) -> frozenset[str]:
         """Plant states inside an observer state."""
-        if state not in self.members:
-            raise InputError(f"unknown observer state {state!r}")
-        return self.members[state] & self.plant_states
+        return self.estimate(self.table.number(state))
 
     def advance(self, state: str | None, events: Iterable[str]) -> str | None:
         """Observer state reached from ``state`` by ``events``, or None when infeasible.
@@ -188,19 +210,18 @@ class CAObserver:
         ``None`` (an infeasible observation so far) stays ``None``, so
         ``advance(state_for(u), v) == state_for(u + v)``.  The cost is
         linear in ``events`` alone, which lets a caller follow a growing
-        observation one fragment at a time.
+        observation one fragment at a time.  An unknown ``state`` raises
+        :class:`InputError`.
         """
-        for event in events:
-            if state is None:
-                return None
-            if event not in self.observer.alphabet.events:
-                raise InputError(f"unknown event {event!r}")
-            state = self.observer.delta(state, event)
-        return state
+        if state is None:
+            return None
+        i = self.table.step(self.table.number(state), events)
+        return None if i is None else self.table.names[i]
 
     def state_for(self, observation: Iterable[str]) -> str | None:
         """Observer state reached by an observation, or None when infeasible."""
-        return self.advance(self.observer.initial, observation)
+        i = self.table.step(self.table.initial, observation)
+        return None if i is None else self.table.names[i]
 
 
 def build_ca_observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
@@ -216,8 +237,7 @@ def build_ca_observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
 
 def _observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
     """:func:`build_ca_observer` for a policy already known to be valid."""
-    observer, members = _determinize(*_erased(g, policy), g.initial, g.states, g.alphabet)
-    return CAObserver(observer=observer, members=members, plant_states=g.states)
+    return CAObserver(_determinize(*_erased(g, policy), g.initial, g.states, g.alphabet))
 
 
 def _erased(g: Automaton, policy: SensorAttackPolicy) -> tuple[set[str], Iterator[Transition]]:
@@ -264,18 +284,28 @@ def attacked_observer(
 ) -> tuple[CAObserver, Callable[[frozenset[str]], frozenset[str]]]:
     """Observer of ``a`` under ``attack``, plus the lift of its estimates onto states of ``a``.
 
-    A transition-based policy is restricted to the transitions of ``a``
-    and the lift is the identity.  An observation-based strategy is
-    converted on ``a`` (see :func:`convert_observation_based`), the
-    observer is built on the composition without validating the converted
-    policy again (it is valid by construction), and the lift projects each
-    estimate through the composition's pairs.
+    A transition-based policy is restricted to the transitions of ``a``,
+    and the restriction is validated on ``a``; the lift is the identity.
+    An observation-based strategy is converted on ``a`` (see
+    :func:`convert_observation_based`), the observer is built on the
+    composition without validating the converted policy again (it is valid
+    by construction), and the lift projects each estimate through the
+    composition's pairs.
     """
+    if not isinstance(attack, ObservationAttackStrategy):
+        ensure_valid_policy(a, attack.restricted_to(a)[0])
+    return _attacked_observer(a, attack)
+
+
+def _attacked_observer(
+    a: Automaton, attack: SensorAttackPolicy | ObservationAttackStrategy
+) -> tuple[CAObserver, Callable[[frozenset[str]], frozenset[str]]]:
+    """:func:`attacked_observer` for an attack already validated on ``a`` or on a plant ``a`` is a sub-automaton of."""
     if isinstance(attack, ObservationAttackStrategy):
         conversion = convert_observation_based(a, attack)
         pairs = conversion.pairs
         return _observer(conversion.product, conversion.policy), (lambda est: lift_estimate(est, pairs))
-    return build_ca_observer(a, attack.restricted_to(a)[0]), (lambda est: est)
+    return _observer(a, attack.restricted_to(a)[0]), frozenset
 
 
 def state_estimate(obs: CAObserver, observation: Iterable[str]) -> frozenset[str]:
@@ -283,12 +313,11 @@ def state_estimate(obs: CAObserver, observation: Iterable[str]) -> frozenset[str
 
     Observations the observer cannot follow, and observations that can
     only be strict prefixes of a feasible one, yield the empty estimate:
-    the supervisor then withholds new decisions.
+    the supervisor then withholds new decisions.  No observer state is
+    named.
     """
-    state = obs.state_for(tuple(observation))
-    if state is None:
-        return frozenset()
-    return obs.plant_projection(state)
+    i = obs.table.step(obs.table.initial, tuple(observation))
+    return frozenset() if i is None else obs.estimate(i)
 
 
 def lift_estimate(estimate: Iterable[str], pairs: Mapping[str, tuple[str, str]]) -> frozenset[str]:

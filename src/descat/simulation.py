@@ -153,8 +153,10 @@ def simulate(
     The supervisor must be estimate-based (see :class:`Supervisor`);
     anything else raises :class:`UnsupportedSupervisorError` once the
     other inputs have been checked.  Its observer state is carried
-    through the run and advanced by each fragment, so a step costs
-    O(fragment), not O(observation so far).
+    through the run as a number of the observer's table (see
+    :class:`~descat.automata.SubsetTable`) and advanced by each fragment,
+    so a step costs O(fragment), not O(observation so far), and no
+    observer state is named.
 
     ``seed`` is the only seed of the run's choices, the plant's and a
     ``random`` attacker's.  Under ``exhaustive`` the run is deterministic
@@ -250,18 +252,18 @@ class _PreparedRun:
             return self._exhaustive()
         rng = random.Random(seed)
         g, h, supervisor = self.g, self.h, self.supervisor
-        observer = supervisor.observer
+        table, controls, default = supervisor.observer.table, supervisor.control_table, supervisor.default_control
 
         steps: list[TraceStep] = []
         q = g.initial
         # A fragment is read only when a later step needs a control, so
         # the last one of a run is never read (nor checked for unknown events).
-        x = observer.observer.initial
+        x = table.initial
         fragment: Word = ()
         safe = q in h.states
         for index in range(1, self.max_steps + 1):
-            x = observer.advance(x, fragment)
-            issued = supervisor.control_at(x)
+            x = table.step(x, fragment)
+            issued = default if x is None else controls[x]
             if attacker.kind == "none":
                 received = issued
             else:
@@ -317,8 +319,8 @@ class _PreparedRun:
         walk is tight, so :func:`_tight_walk` finds the walk depth first.
         """
         g, h, supervisor = self.g, self.h, self.supervisor
-        observer = supervisor.observer
-        start = (g.initial, observer.observer.initial, ())
+        table, controls, default = supervisor.observer.table, supervisor.control_table, supervisor.default_control
+        start = (g.initial, table.initial, ())
         level = {start: 0}
         edges: dict[tuple, list] = {}
 
@@ -326,8 +328,8 @@ class _PreparedRun:
             if level[node] == self.max_steps:
                 return ()
             q, x, last = node
-            x = observer.advance(x, last)
-            issued = supervisor.control_at(x)
+            x = table.step(x, last)
+            issued = default if x is None else controls[x]
             out = edges[node] = []
             for received in self.deliveries(issued):
                 for event in self.enabled(q, received):
@@ -513,24 +515,26 @@ def run_campaign(
     (one deterministic search).  The supervisor must be estimate-based, as
     for :func:`simulate`; the inputs are checked once, before the first
     trial, the attack is converted once per strategy and plant, across
-    calls, and a step costs O(fragment), coverage included.
+    calls, and a step costs O(fragment), coverage included.  Coverage
+    counts observer states as table numbers, against the table's size,
+    so a campaign names no observer state.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
     violating: list[Trace] = []
     seen_violations: set[Word] = set()
-    visited: set[str | None] = set()
+    visited: set[int | None] = set()
     violation_count = 0
     runs = 1 if attacker.kind == "exhaustive" else trials
     prepared = _PreparedRun(g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps)
-    observer = supervisor.observer
+    table = supervisor.observer.table
     for i in range(runs):
         seed = None if base_seed is None else base_seed + i
         trace = prepared.run(seed)
-        x = observer.observer.initial
+        x = table.initial
         visited.add(x)
         for step in trace.steps:
-            x = observer.advance(x, step.fragment)
+            x = table.step(x, step.fragment)
             visited.add(x)
         if not trace.safe:
             violation_count += 1
@@ -546,5 +550,5 @@ def run_campaign(
         violation_count=violation_count,
         violating=tuple(violating),
         observer_states_visited=len(visited),
-        observer_states_total=len(observer.observer.states),
+        observer_states_total=len(table.masks),
     )

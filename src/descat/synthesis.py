@@ -2,42 +2,68 @@
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from .attacks import ObservationAttackStrategy, SensorAttackPolicy
-from .automata import Automaton, EventAlphabet, ensure_plant_and_spec
+from .attacks import ObservationAttackStrategy, SensorAttackPolicy, transition_based_setup
+from .automata import Automaton, EventAlphabet, SubsetTable, ensure_plant_and_spec
 from .errors import InputError, UnsupportedSupervisorError
-from .estimation import CAObserver, attacked_observer
+from .estimation import CAObserver, _attacked_observer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Supervisor:
     """A control map realized as an observer plus per-observer-state controls.
 
-    ``controls`` assigns the enabled-event set for every observer state;
-    observations the observer cannot follow receive ``default_control``,
-    the alphabet's uncontrollable events (derived, not stored).
-    ``estimates`` carries the plant estimate each observer state stands
-    for (already projected onto plant states for observation-based
-    synthesis).
+    ``control_table[i]`` is the enabled-event set at observer state ``i``
+    of ``observer.table``, and ``estimate_table[i]`` the plant estimate
+    that state stands for (already projected onto plant states for
+    observation-based synthesis).  Observations the observer cannot follow
+    receive ``default_control``, the alphabet's uncontrollable events
+    (derived, not stored).  Verification and simulation read the tables
+    on ints; ``controls`` and ``estimates``, the same maps keyed by
+    observer-state name, are built on first read.
+
+    The constructor takes name-keyed ``controls`` and ``estimates``
+    covering every observer state and numbers them into the tables;
+    synthesis, :meth:`with_control` and :func:`supervisor_union` fill the
+    tables directly, naming nothing.
     """
 
     observer: CAObserver
-    controls: Mapping[str, frozenset[str]]
-    estimates: Mapping[str, frozenset[str]]
+    control_table: tuple[frozenset[str], ...]
+    estimate_table: tuple[frozenset[str], ...]
     alphabet: EventAlphabet
 
-    def __post_init__(self):
-        object.__setattr__(self, "controls", dict(self.controls))
-        object.__setattr__(self, "estimates", dict(self.estimates))
-        for state, control in self.controls.items():
-            if not self.alphabet.uncontrollable <= control:
-                raise InputError(
-                    f"control for observer state {state!r} drops uncontrollable events"
-                )
+    def __init__(self, observer: CAObserver, controls: Mapping, estimates: Mapping, alphabet: EventAlphabet):
+        self._fill(observer, _numbered(observer.table, controls), _numbered(observer.table, estimates), alphabet)
+
+    @classmethod
+    def _on_table(cls, observer: CAObserver, control_table, estimate_table, alphabet: EventAlphabet) -> "Supervisor":
+        sup = cls.__new__(cls)
+        sup._fill(observer, control_table, estimate_table, alphabet)
+        return sup
+
+    def _fill(self, observer, control_table, estimate_table, alphabet) -> None:
+        for i, control in enumerate(control_table):
+            if not alphabet.uncontrollable <= control:
+                raise InputError(f"control for observer state {observer.table.names[i]!r} drops uncontrollable events")
+        # Frozen: the fields are set once, here.
+        self.__dict__.update(
+            observer=observer, control_table=tuple(control_table), estimate_table=tuple(estimate_table), alphabet=alphabet
+        )
+
+    @cached_property
+    def controls(self) -> dict[str, frozenset[str]]:
+        """The control of every observer state, by name; built on first read."""
+        return dict(zip(self.observer.table.names, self.control_table))
+
+    @cached_property
+    def estimates(self) -> dict[str, frozenset[str]]:
+        """The estimate of every observer state, by name; built on first read."""
+        return dict(zip(self.observer.table.names, self.estimate_table))
 
     @property
     def default_control(self) -> frozenset[str]:
@@ -51,34 +77,39 @@ class Supervisor:
         """Enabled events at an observer state; the default for ``None`` (outside the observer)."""
         if state is None:
             return self.default_control
-        return self.controls[state]
+        return self.control_table[self.observer.table.number(state)]
 
     def control_for(self, observation: Iterable[str]) -> frozenset[str]:
         """Enabled events after an observation; the default outside the observer."""
-        return self.control_at(self.observer_state_for(observation))
+        i = self.observer.table.step(0, tuple(observation))
+        return self.default_control if i is None else self.control_table[i]
 
     def estimate_for(self, observation: Iterable[str]) -> frozenset[str]:
-        state = self.observer_state_for(observation)
-        if state is None:
-            return frozenset()
-        return self.estimates[state]
+        i = self.observer.table.step(0, tuple(observation))
+        return frozenset() if i is None else self.estimate_table[i]
 
     def with_control(self, state: str, control: Iterable[str]) -> "Supervisor":
         """Copy of this supervisor with one observer state's control replaced."""
-        if state not in self.controls:
-            raise InputError(f"unknown observer state {state!r}")
-        controls = dict(self.controls)
-        controls[state] = frozenset(control)
-        return dataclasses.replace(self, controls=controls)
+        controls = list(self.control_table)
+        controls[self.observer.table.number(state)] = frozenset(control)
+        return Supervisor._on_table(self.observer, controls, self.estimate_table, self.alphabet)
+
+
+def _numbered(table: SubsetTable, by_name: Mapping[str, Iterable[str]]) -> list[frozenset[str]]:
+    """The sets in ``by_name`` in table order; ``by_name`` must key exactly the observer states."""
+    if by_name.keys() != table.index.keys():
+        raise InputError("controls and estimates must be given for exactly the observer states")
+    return [frozenset(by_name[name]) for name in table.names]
 
 
 def ensure_estimate_based(supervisor) -> None:
     """Raise :class:`UnsupportedSupervisorError` unless ``supervisor`` works like a :class:`Supervisor`.
 
-    Verification and simulation read the observer and the per-state
-    controls directly, so a bare ``control_for`` is not enough.
+    Verification and simulation step the observer's table and read the
+    per-state control table directly, so a bare ``control_for`` is not
+    enough.
     """
-    for attr in ("observer", "controls", "control_at", "default_control"):
+    for attr in ("observer", "control_table", "default_control"):
         if not hasattr(supervisor, attr):
             raise UnsupportedSupervisorError(
                 "this operation needs an estimate-based supervisor (observer plus per-state controls)"
@@ -96,24 +127,6 @@ def disabled_set(estimate: Iterable[str], g: Automaton, safe_states: Iterable[st
     return frozenset(out)
 
 
-def _controls_from_observer(
-    obs: CAObserver,
-    estimates: Mapping[str, frozenset[str]],
-    g: Automaton,
-    safe_states: frozenset[str],
-) -> dict[str, frozenset[str]]:
-    sigma = g.alphabet.events
-    uncontrollable = g.alphabet.uncontrollable
-    controls = {}
-    for state in obs.observer.states:
-        estimate = estimates[state]
-        if estimate:
-            controls[state] = (sigma - disabled_set(estimate, g, safe_states)) | uncontrollable
-        else:
-            controls[state] = uncontrollable
-    return controls
-
-
 def synthesize_ca_supervisor(
     g: Automaton, h: Automaton, attack: SensorAttackPolicy | ObservationAttackStrategy
 ) -> Supervisor:
@@ -127,11 +140,19 @@ def synthesize_ca_supervisor(
     ``attack`` is a transition-based policy or an observation-based
     strategy (see :func:`~descat.estimation.attacked_observer`); under a
     strategy the observer is built on the spec composed with the attack
-    context and every estimate is lifted back to plant states.  Policy
-    entries on transitions outside ``h`` cannot occur in the closed loop;
-    they are dropped with a warning.
+    context and every estimate is lifted back to plant states.  The attack
+    is validated whole on the plant ``g``, as verification validates it
+    (see :func:`~descat.attacks.transition_based_setup`).  Policy entries
+    on transitions outside ``h`` cannot occur in the closed loop; they are
+    dropped with a warning.
+
+    The observer is walked on ints and nothing is named: observer states
+    with the same plant estimate share one estimate and one control,
+    each worked out once from a per-plant-state table of the events that
+    leave the safe states.
     """
     ensure_plant_and_spec(g, h)
+    transition_based_setup(g, None, attack)
     if isinstance(attack, SensorAttackPolicy):
         dropped = attack.restricted_to(h)[1]
         if dropped:
@@ -139,15 +160,22 @@ def synthesize_ca_supervisor(
                 f"attack policy entries for transitions outside the specification were ignored: {list(dropped)}",
                 stacklevel=2,
             )
-    obs, lift = attacked_observer(h, attack)
-    estimates = {state: lift(obs.plant_projection(state)) for state in obs.observer.states}
-    controls = _controls_from_observer(obs, estimates, g, h.states)
-    return Supervisor(
-        observer=obs,
-        controls=controls,
-        estimates=estimates,
-        alphabet=g.alphabet,
-    )
+    obs, lift = _attacked_observer(h, attack)
+    table = obs.table
+    sigma, uncontrollable = g.alphabet.events, g.alphabet.uncontrollable
+    leaving = {q: disabled_set((q,), g, h.states) for q in h.states}
+    decided: dict[int, tuple[frozenset[str], frozenset[str]]] = {}  # estimate mask -> (estimate, control)
+    estimates, controls = [], []
+    for i, mask in enumerate(table.masks):
+        key = mask & table.marked
+        if key not in decided:
+            estimate = lift(obs.estimate(i))
+            disabled = frozenset().union(*map(leaving.__getitem__, estimate))
+            decided[key] = estimate, ((sigma - disabled) | uncontrollable if estimate else uncontrollable)
+        estimate, control = decided[key]
+        estimates.append(estimate)
+        controls.append(control)
+    return Supervisor._on_table(obs, controls, estimates, g.alphabet)
 
 
 def synthesize_obs_based(g: Automaton, h: Automaton, strategy: ObservationAttackStrategy) -> Supervisor:
@@ -162,15 +190,16 @@ def synthesize_obs_based(g: Automaton, h: Automaton, strategy: ObservationAttack
 
 
 def _require_same_observer(s1: Supervisor, s2: Supervisor) -> None:
-    if s1.observer.observer != s2.observer.observer or s1.alphabet != s2.alphabet:
+    """Both supervisors' observers must be equal tables (numbering, masks and rows), over one alphabet."""
+    if s1.observer != s2.observer or s1.alphabet != s2.alphabet:
         raise InputError("supervisors must be realized on the same observer")
 
 
 def supervisor_union(s1: Supervisor, s2: Supervisor) -> Supervisor:
     """Pointwise union of two supervisors over the same observer."""
     _require_same_observer(s1, s2)
-    controls = {state: s1.controls[state] | s2.controls[state] for state in s1.controls}
-    return dataclasses.replace(s1, controls=controls)
+    controls = [c1 | c2 for c1, c2 in zip(s1.control_table, s2.control_table)]
+    return Supervisor._on_table(s1.observer, controls, s1.estimate_table, s1.alphabet)
 
 
 def compare_permissiveness(s1: Supervisor, s2: Supervisor) -> str:
@@ -186,8 +215,9 @@ def compare_permissiveness(s1: Supervisor, s2: Supervisor) -> str:
     strict at some state, so no other outcome exists.)
     """
     _require_same_observer(s1, s2)
-    all_le = all(s1.controls[x] <= s2.controls[x] for x in s1.controls)
-    all_ge = all(s1.controls[x] >= s2.controls[x] for x in s1.controls)
+    pairs = list(zip(s1.control_table, s2.control_table))
+    all_le = all(c1 <= c2 for c1, c2 in pairs)
+    all_ge = all(c1 >= c2 for c1, c2 in pairs)
     if all_le and all_ge:
         return "equal"
     if all_le:

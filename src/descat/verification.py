@@ -11,14 +11,17 @@ check is one breadth-first search (``automata.breadth_first``) over a
 finite arena; the closed-loop arena pairs a plant state with the set of
 supervisor-observer states some attacked observation reaches, held as an
 int bitmask over observer states numbered on first sight
-(:class:`_ObserverStepRelation`).  Observer-state names appear only where
-:func:`large_language_automaton` names its states.  The observability
-check never builds the spec's CA-observer: it steps it on demand
-(:class:`~descat.estimation._ObserverView`), so it builds only the
-observer states its search reaches, except that ``depth=None`` walks
+(:class:`_ObserverStepRelation`).  The supervisor's observer is read as
+its int table (:class:`~descat.automata.SubsetTable`), and its controls
+by table number, so verify names no observer state: names are built
+only where :func:`large_language_automaton` names its states.  The
+observability check never builds the spec's CA-observer: it steps it on
+demand (:class:`~descat.estimation._ObserverView`), so it builds only
+the observer states its search reaches, except that ``depth=None`` walks
 every observer state once to count them.  An attack is a policy or an
 observation-based strategy, set up on plant and spec by
-:func:`~descat.attacks.transition_based_setup`.
+:func:`~descat.attacks.transition_based_setup`; every entry point
+validates the whole attack on the plant.
 """
 
 from __future__ import annotations
@@ -120,17 +123,17 @@ def check_ca_observability_bounded(
 
     The spec's CA-observer is stepped on demand, not built: the search
     builds only the observer states it reaches, and ``depth=None`` walks
-    every observer state once to count ``X``.  The policy restricted to the
-    spec is validated first and raises what
-    :func:`~descat.estimation.build_ca_observer` would.
+    every observer state once to count ``X``.  The whole policy is
+    validated on the (set-up) plant first, as verification validates it,
+    and only then restricted to the spec.
     """
     if depth is not None and depth < 1:
         raise InputError("depth must be at least 1")
     ensure_plant_and_spec(g, h)
     if isinstance(attack, ObservationAttackStrategy):
         g, h, attack = transition_based_setup(g, h, attack)
+    ensure_valid_policy(g, attack)
     policy = attack.restricted_to(h)[0]
-    ensure_valid_policy(h, policy)
     view = _ObserverView(h, policy)
     depth = depth if depth is not None else 2 * (view.count() + len(g.states))
     relation = _ObserverStepRelation(h, view, policy)
@@ -188,7 +191,8 @@ class _ObserverStepRelation:
 
     The observer is a *source*: anything with an ``initial`` key and an
     ``outgoing(key)`` listing ``(label, key)`` moves.  The supervisor's
-    observer :class:`Automaton` is one, keyed by state name; the spec's
+    observer table (:class:`~descat.automata.SubsetTable`) is one, keyed by
+    table number; the spec's
     :class:`~descat.estimation._ObserverView` is another, keyed by subset
     mask, which builds only the observer states a search reaches.  A set
     of keys is an int mask: keys are numbered on first sight, bit ``i``
@@ -271,9 +275,9 @@ def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator
     ensure_estimate_based(supervisor)
     ensure_deterministic(g)
     g, h, policy = transition_based_setup(g, h, attack)
-    relation = _ObserverStepRelation(g, supervisor.observer.observer, policy)
+    relation = _ObserverStepRelation(g, supervisor.observer.table, policy)
     unstoppable = g.alphabet.uncontrollable | actuator_attack_set(g.alphabet, actuator_attackable)
-    enabled = relation.fold(supervisor.controls.__getitem__, frozenset.union, unstoppable)
+    enabled = relation.fold(supervisor.control_table.__getitem__, frozenset.union, unstoppable)
     return g, h, relation, enabled
 
 
@@ -289,6 +293,8 @@ def large_language_automaton(
     tracked observer states), named ``q|{x,...}``; every node is marked.
     """
     g, _, relation, enabled = _closed_loop(g, None, supervisor, attack, actuator_attackable)
+    state_names = supervisor.observer.table.names
+    named = lambda tracked: [state_names[x] for x in relation.members(tracked)]
 
     def expand(node):
         q, tracked = node
@@ -300,7 +306,7 @@ def large_language_automaton(
     edges = []
     for node, _, successors, _ in breadth_first(start, expand):
         q, tracked = node
-        names[node] = q + "|{" + ",".join(sorted(relation.members(tracked))) + "}"
+        names[node] = q + "|{" + ",".join(sorted(named(tracked))) + "}"
         edges.extend((node, event, succ) for event, succ in successors)
     automaton = Automaton(
         states=frozenset(names.values()),
@@ -309,7 +315,7 @@ def large_language_automaton(
         initial=names[start],
         marked=frozenset(names.values()),
     )
-    components = {name: (q, frozenset(relation.members(tracked))) for (q, tracked), name in names.items()}
+    components = {name: (q, frozenset(named(tracked))) for (q, tracked), name in names.items()}
     return LargeLanguageAutomaton(automaton=automaton, components=components)
 
 

@@ -21,6 +21,9 @@ queue and a visit helper of its own.
 ``observability_by_enumeration`` and ``brute_force_large_language``
 evaluate verification's definitions literally, string by string, on top
 of the library's observer and the oracles' own ``marked_words``.
+``supervisor_by_names`` derives a synthesized supervisor's named
+observer, members, controls and estimates from
+``subset_construction_by_names`` and ``disabled_set``.
 ``closed_loop_by_name_sets`` is the closed-loop arena on frozensets of
 observer-state names, with its own step relation; verify, the
 large-language product and the bounded observability check are walked on
@@ -47,13 +50,17 @@ from descat import (
     InputError,
     LanguageSample,
     LargeLanguageAutomaton,
+    ObservationAttackStrategy,
     SensorAttackPolicy,
     Trace,
     TraceStep,
     Verdict,
     build_ca_observer,
+    build_g_diamond,
+    convert_observation_based,
     delta_control,
     disabled_set,
+    erase_unobservable,
     is_subautomaton,
     marked_word_length_bound,
     natural_projection,
@@ -903,6 +910,31 @@ class _NameSetStep:
                     seen.add((f2, x2))
                     stack.append((f2, x2))
         return frozenset(found)
+
+
+def supervisor_by_names(g: Automaton, h: Automaton, attack) -> tuple[Automaton, dict, dict, dict]:
+    """Reference for a synthesized supervisor's named maps: observer, members, controls and estimates.
+
+    The spec's CA-observer is :func:`subset_construction_by_names` of the
+    erased diamond (on the spec composed with the attack context, for a
+    strategy), and each state's control is derived from its estimate by
+    :func:`disabled_set`.  All three maps list the states in the
+    observer's discovery order.
+    """
+    if isinstance(attack, ObservationAttackStrategy):
+        conversion = convert_observation_based(h, attack)
+        a, policy = conversion.product, conversion.policy
+        lift = lambda estimate: frozenset(conversion.pairs[x][0] for x in estimate)
+    else:
+        a, policy, lift = h, attack.restricted_to(h)[0], (lambda estimate: estimate)
+    observer, members = subset_construction_by_names(erase_unobservable(build_g_diamond(a, policy)).automaton)
+    estimates = {x: lift(content & a.states) for x, content in members.items()}
+    sigma, uncontrollable = g.alphabet.events, g.alphabet.uncontrollable
+    controls = {
+        x: (sigma - disabled_set(estimate, g, h.states)) | uncontrollable if estimate else uncontrollable
+        for x, estimate in estimates.items()
+    }
+    return observer, members, controls, estimates
 
 
 def closed_loop_by_name_sets(g: Automaton, h, supervisor, attack, actuator_attackable=None):

@@ -237,7 +237,9 @@ class TestObserver:
         monkeypatch.setattr(Automaton, "__post_init__", counted)
         monkeypatch.setattr(descat.automata, "unobservable_reach", unexpected)
         obs = build_ca_observer(cycle.plant, cycle.policy)
-        assert len(built) == 1 and built[0] is obs.observer
+        assert built == []  # the observer is a table of ints until its names are read
+        observer = obs.observer
+        assert len(built) == 1 and built[0] is observer and obs.observer is observer
 
     def test_names_follow_sorted_order_not_numeric_or_insertion_order(self, tmp_path, capsys):
         from descat import parse_model

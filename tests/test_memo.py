@@ -85,18 +85,21 @@ def _same_on_repeat_twin_and_fresh(call, attack, fresh, g, view=lambda value: va
 class TestCounters:
     def test_a_sweep_and_a_campaign_compose_once(self, monkeypatch, cycle_beta, cycle_strategy):
         supervisor = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_strategy)
+        # Synthesis has converted ``cycle_strategy`` on the plant already; an equal, fresh strategy has not.
+        strategy = _fresh_strategy(cycle_strategy)
         composed = _counting(monkeypatch, "parallel_compose_pairs")
         for depth in (2, 3, 4):
             simulate(
-                cycle_beta.plant, cycle_beta.spec, supervisor, cycle_strategy,
+                cycle_beta.plant, cycle_beta.spec, supervisor, strategy,
                 attacker=AttackerStrategy.exhaustive(), max_steps=depth,
             )
-        run_campaign(cycle_beta.plant, cycle_beta.spec, supervisor, cycle_strategy, trials=3, max_steps=10)
+        run_campaign(cycle_beta.plant, cycle_beta.spec, supervisor, strategy, trials=3, max_steps=10)
         assert len(composed) == 1
 
     def test_two_verifies_validate_the_corruption_automata_once(self, monkeypatch, cycle_beta):
+        supervisor = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy)
+        # Synthesis has validated ``cycle_beta.policy`` on the plant already; an equal, fresh policy has not.
         policy = _fresh_policy(cycle_beta.policy)
-        supervisor = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, policy)
         checked = _counting(monkeypatch, "validate_automaton")
         first = verify_large_language_equals(cycle_beta.plant, cycle_beta.spec, supervisor, policy)
         assert len(checked) == len(set(policy.entries.values())) > 0
@@ -267,3 +270,43 @@ class TestReadOnly:
         for _ in range(2):
             with pytest.warns(UserWarning, match="outside the specification were ignored"):
                 synthesize_ca_supervisor(g, h, policy)
+
+
+class TestNamesAtTheEdges:
+    """Synthesis, verify and simulation step observer states as table numbers; only output names them."""
+
+    @pytest.fixture
+    def named(self, monkeypatch):
+        """The observer-state lists the naming helper has built."""
+        import descat.automata
+
+        calls = []
+        original = descat.automata._subset_names
+        monkeypatch.setattr(descat.automata, "_subset_names", lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    def test_verify_and_simulation_name_no_observer_state(self, named, cycle, cycle_beta, cycle_strategy):
+        for model, attack, holds in (
+            (cycle_beta, cycle_beta.policy, True),
+            (cycle_beta, cycle_strategy, True),
+            (cycle, cycle.policy, False),
+        ):
+            sup = synthesize_ca_supervisor(model.plant, model.spec, attack)
+            verdict = verify_large_language_equals(model.plant, model.spec, sup, attack)
+            assert verdict.holds == holds
+            report = run_campaign(model.plant, model.spec, sup, attack, trials=3, max_steps=20)
+            assert report.observer_states_total == len(sup.observer.table.masks)
+            simulate(model.plant, model.spec, sup, attack, attacker=AttackerStrategy.exhaustive(), max_steps=6)
+            assert named == []
+            assert not vars(sup.observer.table).keys() & {"names", "index", "automaton", "members"}
+            assert not vars(sup).keys() & {"controls", "estimates"}
+
+    def test_the_supervisor_table_names_them(self, named, capsys):
+        from pathlib import Path
+
+        from descat.cli import main
+
+        model = Path(__file__).resolve().parent.parent / "models" / "cycle_beta_only.des"
+        assert main(["synthesize", str(model)]) == 0
+        assert "{2,3,tr0/A,tr1/D}" in capsys.readouterr().out
+        assert len(named) == 1

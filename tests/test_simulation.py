@@ -10,7 +10,7 @@ from descat import (
     CAObserver,
     InputError,
     SensorAttackPolicy,
-    Supervisor,
+    SubsetTable,
     UnsupportedSupervisorError,
     delta_control,
     enumerate_language,
@@ -410,9 +410,10 @@ class TestDeepExhaustive:
 
     def test_cost_is_flat_once_the_arena_saturates(self, cycle_beta, monkeypatch):
         sup = corpus_supervisor(cycle_beta)
-        control_at = Supervisor.control_at
+        # Each arena node expanded steps the observer table once, by its last fragment.
+        step = SubsetTable.step
         calls = []
-        monkeypatch.setattr(Supervisor, "control_at", lambda self, x: calls.append(x) or control_at(self, x))
+        monkeypatch.setattr(SubsetTable, "step", lambda self, x, events: calls.append(x) or step(self, x, events))
         counts = {}
         for depth in (50, 400):
             calls.clear()

@@ -8,19 +8,23 @@ import warnings
 import pytest
 
 from descat import (
+    AttackerStrategy,
     Automaton,
     InputError,
     SensorAttackPolicy,
+    Supervisor,
     attacked_commands,
     build_ca_observer,
     compare_permissiveness,
     disabled_set,
+    simulate,
     supervisor_union,
     synthesize_ca_supervisor,
     synthesize_obs_based,
     verify_large_language_equals,
 )
-from conftest import random_model, random_spec
+from oracles import simulate_by_rewalk, supervisor_by_names, verify_by_name_sets
+from conftest import random_model, random_spec, random_strategy, random_supervisor
 
 W = lambda text: tuple(text.split())
 
@@ -296,3 +300,75 @@ class TestMaximalPermissiveness:
                 cycle_beta.plant, cycle_beta.spec, union, cycle_beta.policy
             )
             assert verdict.holds
+
+
+class TestTableAgainstNamedConstruction:
+    """Synthesis walks the observer on ints; its named maps must equal the construction on names."""
+
+    def test_named_maps_equal_the_oracle_on_random_models(self):
+        rng = random.Random(1616)
+        compared = {"acyclic": 0, "cyclic": 0, "strategy": 0}
+        for i in range(120):
+            acyclic = i % 2 == 0
+            g, policy = random_model(rng, acyclic_attacks=acyclic)
+            h = random_spec(rng, g)
+            attacks = [("acyclic" if acyclic else "cyclic", policy)]
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                attacks.append(("strategy", strategy))
+            for kind, attack in attacks:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    sup = synthesize_ca_supervisor(g, h, attack)
+                observer, members, controls, estimates = supervisor_by_names(g, h, attack)
+                assert sup.observer.observer == observer
+                assert list(sup.observer.members.items()) == list(members.items())
+                assert list(sup.controls.items()) == list(controls.items())
+                assert list(sup.estimates.items()) == list(estimates.items())
+                compared[kind] += 1
+        assert min(compared.values()) >= 30, compared
+
+    def test_hand_built_and_mutated_supervisors_verify_and_simulate_as_the_oracles(self):
+        rng = random.Random(1617)
+        checked = 0
+        for i in range(40):
+            g, policy = random_model(rng, acyclic_attacks=i % 2 == 0)
+            h = random_spec(rng, g)
+            mutant = random_supervisor(rng, g, h, policy)
+            # Built by hand from the same maps, keyed by name and given in reverse order.
+            hand = Supervisor(
+                observer=mutant.observer,
+                controls=dict(reversed(list(mutant.controls.items()))),
+                estimates=mutant.estimates,
+                alphabet=mutant.alphabet,
+            )
+            assert hand == mutant
+            union = supervisor_union(mutant, hand)
+            assert union.controls == mutant.controls
+            for sup in (mutant, hand, union):
+                assert verify_large_language_equals(g, h, sup, policy) == verify_by_name_sets(g, h, sup, policy)
+                for attacker, steps in ((AttackerStrategy.random_choices(), 8), (AttackerStrategy.exhaustive(), 5)):
+                    kwargs = dict(attacker=attacker, max_steps=steps, seed=i)
+                    trace = simulate(g, h, sup, policy, **kwargs)
+                    assert trace.to_text() == simulate_by_rewalk(g, h, sup, policy, **kwargs).to_text()
+            checked += 1
+        assert checked == 40
+
+    def test_the_constructor_numbers_every_observer_state(self, cycle_beta):
+        sup = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy)
+        controls = dict(sup.controls)
+        del controls["{1}"]
+        with pytest.raises(InputError, match="exactly the observer states"):
+            Supervisor(sup.observer, controls, sup.estimates, sup.alphabet)
+        with pytest.raises(InputError, match="exactly the observer states"):
+            Supervisor(sup.observer, {**sup.controls, "{9}": SIGMA}, sup.estimates, sup.alphabet)
+
+    def test_combinators_compare_tables_not_names(self, cycle_beta):
+        """Equal tables built apart are the same observer; neither needs its names."""
+        a = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy)
+        b = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, SensorAttackPolicy(entries=cycle_beta.policy.entries))
+        assert a.observer.table is not b.observer.table
+        assert compare_permissiveness(a, b) == "equal"
+        assert supervisor_union(a, b).control_table == a.control_table
+        for sup in (a, b):
+            assert "names" not in vars(sup.observer.table)

@@ -505,3 +505,37 @@ class TestEitherAttack:
             with pytest.raises(InputError) as info:
                 call()
             assert str(info.value) == message
+
+
+class TestOneValidityRule:
+    def test_a_policy_missing_an_entry_is_rejected_alike_by_every_entry_point(self):
+        """Every entry point validates the whole policy on the plant, then restricts it to the spec.
+
+        The second model drawn from seed 67 attacks ``('q0', 'b', 'q4')``, a
+        transition into an unsafe state; without its entry the policy does not
+        cover the plant, though it covers the spec.
+        """
+        rng = random.Random(67)
+        for _ in range(2):
+            g, policy = random_model(rng)
+            h = random_spec(rng, g)
+        missing = ("q0", "b", "q4")
+        assert missing in policy.entries and missing[2] not in h.states
+        lacking = SensorAttackPolicy.from_transitions({tr: f for tr, f in policy.entries.items() if tr != missing})
+        with pytest.warns(UserWarning, match="outside the specification"):
+            supervisor = synthesize_ca_supervisor(g, h, policy)
+        calls = {
+            "check": lambda: check_ca_observability_bounded(g, h, lacking),
+            "synthesize": lambda: synthesize_ca_supervisor(g, h, lacking),
+            "verify": lambda: verify_large_language_equals(g, h, supervisor, lacking),
+            "large language": lambda: large_language_automaton(g, supervisor, lacking),
+        }
+        errors = {}
+        for name, call in calls.items():
+            with pytest.raises(InputError) as raised:
+                call()
+            errors[name] = str(raised.value)
+        assert set(errors.values()) == {
+            "invalid sensor attack policy: transition ('q0', 'b', 'q4') carries attackable event 'b' "
+            "but has no attack language"
+        }
