@@ -68,7 +68,12 @@ class SensorAttackPolicy:
     has worked out about a plant: :func:`validate_policy` and
     :meth:`restricted_to` run once per distinct plant (compared by value)
     the policy has been used with, and the memo lives and dies with the
-    policy.
+    policy.  The memo also holds, per automaton, the preamble of its
+    CA-observer under the policy (``descat.estimation._preamble``): the
+    state names, the silent-closed moves, the start mask and the plant
+    mask, never the substituted transitions.  The observability check and
+    synthesis on one (spec, restricted policy) build it once between
+    them.  Nothing in the memo is changed after it is stored.
 
     The copy keeps one object per distinct corruption automaton (compared
     by value): entries given equal automata share the first of them, so

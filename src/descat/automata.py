@@ -379,11 +379,27 @@ def _determinize(
 ) -> SubsetTable:
     """:func:`subset_construction` of the automaton these parts describe, as a :class:`SubsetTable`.
 
-    :func:`_subset_moves` numbers the states and closes their moves; the
-    breadth-first walk here visits every reachable subset mask.  Nothing
-    is named.
+    The preamble (:func:`_subset_moves`) numbers the states and closes
+    their moves; the walk (:func:`_subset_walk`) visits every reachable
+    subset mask.  A caller that keeps the preamble, as the spec's
+    CA-observer does (see ``descat.estimation``), walks it again without
+    redoing it.  Nothing is named.
     """
     bit_names, index, moves, start = _subset_moves(states, transitions, initial)
+    marked_mask = 0
+    for name in marked:
+        marked_mask |= 1 << index[name]
+    return _subset_walk(bit_names, moves, start, marked_mask, alphabet)
+
+
+def _subset_walk(
+    bit_names: list[str], moves: list[dict[str, int]], start: int, marked: int, alphabet: EventAlphabet
+) -> SubsetTable:
+    """The :class:`SubsetTable` of every subset reachable from ``start``, under :func:`_subset_moves`'s moves.
+
+    Reads ``bit_names`` and ``moves`` and changes neither, so a kept
+    preamble can be walked any number of times.
+    """
     found = {start: 0}  # subset mask -> table state, in discovery order
     masks = [start]
     rows = []
@@ -398,10 +414,7 @@ def _determinize(
                 masks.append(target)
             row[label] = j
         rows.append(row)
-    marked_mask = 0
-    for name in marked:
-        marked_mask |= 1 << index[name]
-    return SubsetTable(bit_names, masks, rows, marked_mask, alphabet)
+    return SubsetTable(bit_names, masks, rows, marked, alphabet)
 
 
 def _subset_moves(
@@ -453,23 +466,55 @@ def _bits(mask: int) -> list[int]:
 
 
 def _closures(silent: list[list[int]]) -> list[int]:
-    """Every state's epsilon closure as a bitmask; ``silent[i]`` lists state ``i``'s epsilon successors."""
-    closure = []
-    for v, out in enumerate(silent):
-        if not out:  # no silent move: the closure is the state itself
-            closure.append(1 << v)
+    """Every state's epsilon closure as a bitmask; ``silent[i]`` lists state ``i``'s epsilon successors.
+
+    One Tarjan search over the silent graph: it finishes each strongly
+    connected component after every component it moves into, so a
+    component's closure is its members' bits OR the closures of the
+    components its members move into, and no closure is searched twice.
+    A state without silent moves is its own closure and is never visited.
+    """
+    closure = [0 if out else 1 << v for v, out in enumerate(silent)]  # 0 until finished
+    number = [0] * len(silent)  # discovery number, from 1; 0 while unvisited
+    low = [0] * len(silent)
+    reach = [0] * len(silent)  # bits reached so far from the state's subtree
+    component: list[int] = []  # Tarjan's stack of unfinished states
+    count = 0
+    for root in range(len(silent)):
+        if closure[root] or number[root]:
             continue
-        seen = {v}
-        stack = [v]
-        while stack:
-            for w in silent[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        mask = 0
-        for w in seen:
-            mask |= 1 << w
-        closure.append(mask)
+        count += 1
+        number[root] = low[root] = count
+        reach[root] = 1 << root
+        component.append(root)
+        work = [(root, iter(silent[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if closure[w]:  # a finished component
+                    reach[v] |= closure[w]
+                elif not number[w]:
+                    count += 1
+                    number[w] = low[w] = count
+                    reach[w] = 1 << w
+                    component.append(w)
+                    work.append((w, iter(silent[w])))
+                    break
+                elif number[w] < low[v]:  # unfinished: in v's component
+                    low[v] = number[w]
+            else:
+                work.pop()
+                if low[v] == number[v]:  # v roots a component: its members sit above it
+                    mask = reach[v]
+                    while True:
+                        w = component.pop()
+                        closure[w] = mask
+                        if w == v:
+                            break
+                if work:
+                    u = work[-1][0]
+                    reach[u] |= reach[v]
+                    low[u] = min(low[u], low[v])
     return closure
 
 
@@ -643,11 +688,18 @@ def is_subautomaton(h: Automaton, g: Automaton) -> bool:
 
     Requires the same alphabet and the same initial state; the transition
     relation of ``h`` must equal that of ``g`` restricted to pairs of
-    ``h``-states.
+    ``h``-states.  Only ``g``'s moves out of ``h``-states are read, so the
+    cost follows the spec, not the plant.
     """
     if h.alphabet != g.alphabet:
         raise InputError("sub-automaton check requires identical alphabets")
     if h.initial != g.initial or not h.states <= g.states:
         return False
-    induced = frozenset(t for t in g.transitions if t[0] in h.states and t[2] in h.states)
-    return h.transitions == induced and h.marked == g.marked & h.states
+    states = h.states
+    kept = 0
+    for q in states:
+        moves = h.outgoing(q)
+        if moves != tuple(move for move in g.outgoing(q) if move[1] in states):
+            return False
+        kept += len(moves)
+    return kept == len(h.transitions) and h.marked == g.marked & states

@@ -5,13 +5,20 @@ corruption automaton (linked in with silent moves), erase the remaining
 unobservable labels, and determinize.  The resulting observer maps each
 feasible attacked observation to the exact set of plant states the system
 may currently be in.
+
+Everything before the first subset is visited (substitution, erasure,
+numbering and silent closure) is the observer's preamble.  It is built
+once per (automaton, policy) and memoised on the policy, and both the
+built observer (:func:`build_ca_observer`, :func:`attacked_observer`,
+synthesis) and the on-demand one the observability check steps
+(:class:`_ObserverView`) read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .attacks import ObservationAttackStrategy, SensorAttackPolicy, convert_observation_based, ensure_valid_policy
 from .automata import (
@@ -20,8 +27,8 @@ from .automata import (
     SubsetTable,
     Transition,
     _bits,
-    _determinize,
     _subset_moves,
+    _subset_walk,
     _union_moves,
     breadth_first,
 )
@@ -236,35 +243,53 @@ def build_ca_observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
 
 
 def _observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
-    """:func:`build_ca_observer` for a policy already known to be valid."""
-    return CAObserver(_determinize(*_erased(g, policy), g.initial, g.states, g.alphabet))
+    """:func:`build_ca_observer` for a policy already known to be valid: the walk over :func:`_preamble`."""
+    names, moves, start, plant = _preamble(g, policy)
+    return CAObserver(_subset_walk(names, moves, start, plant, g.alphabet))
 
 
-def _erased(g: Automaton, policy: SensorAttackPolicy) -> tuple[set[str], Iterator[Transition]]:
-    """States and transitions of the substituted automaton with its unobservable labels made silent.
+def _preamble(g: Automaton, policy: SensorAttackPolicy) -> tuple[list[str], list[dict[str, int]], int, int]:
+    """Everything the CA-observer of ``g`` under ``policy`` needs before its first subset is visited.
 
-    ``policy`` must be valid; the transitions can be read once.
+    Substitutes the corruption automata, makes the unobservable labels
+    silent, then numbers the states and closes their moves
+    (:func:`~descat.automata._subset_moves`).  Returns the state names in
+    bit order, each state's ``{label: mask}`` closed moves, the start mask
+    and the mask of ``g``'s own states, the plant mask whose intersection
+    with a subset is its estimate; the substituted automaton is not kept.
+
+    Worked out once per automaton (compared by value) and memoised on
+    ``policy``, like :meth:`~descat.attacks.SensorAttackPolicy.restricted_to`,
+    so the observability check and synthesis on one (spec, restricted
+    policy) share it.  Nothing in it is changed after it is built.  An
+    error raised while building it (an injected state name clashing with
+    a state of ``g``) is not memoised, so it is raised again on the next
+    call.  ``policy`` must be valid.
     """
-    states, transitions, _ = _substitute(g, policy)
-    observable = g.alphabet.observable
-    return states, ((src, label if label in observable else EPSILON, dst) for src, label, dst in transitions)
+    key = ("preamble", g)
+    if key not in policy._memo:
+        states, transitions, _ = _substitute(g, policy)
+        observable = g.alphabet.observable
+        erased = ((src, label if label in observable else EPSILON, dst) for src, label, dst in transitions)
+        names, index, moves, start = _subset_moves(states, erased, g.initial)
+        policy._memo[key] = names, moves, start, sum(1 << index[q] for q in g.states)  # distinct bits: sum is OR
+    return policy._memo[key]
 
 
 class _ObserverView:
     """:func:`build_ca_observer`'s observer, stepped on demand instead of built.
 
     A subset of the substituted-and-erased automaton's states is an int
-    mask, numbered as :func:`~descat.automata._subset_moves` numbers them,
-    and stands for the observer state with those members.  Only the
-    numbering and each state's closed moves are worked out up front;
+    mask, numbered as :func:`_preamble` numbers them, and stands for the
+    observer state with those members.  The view reads the memoised
+    preamble, which synthesis on the same (automaton, policy) reads too;
     ``outgoing(mask)`` unions its members' moves when asked, so a search
     that reaches a few subsets names and builds no others.  ``policy``
     must be valid.
     """
 
     def __init__(self, g: Automaton, policy: SensorAttackPolicy):
-        self.names, index, self._moves, self.initial = _subset_moves(*_erased(g, policy), g.initial)
-        self.plant = sum(1 << index[q] for q in g.states)  # the bits are distinct, so the sum is their OR
+        self.names, self._moves, self.initial, self.plant = _preamble(g, policy)
 
     def outgoing(self, mask: int) -> list[tuple[str, int]]:
         """The ``(label, mask)`` moves out of the subset ``mask``, like :meth:`Automaton.outgoing`."""

@@ -18,7 +18,10 @@ only where :func:`large_language_automaton` names its states.  The
 observability check never builds the spec's CA-observer: it steps it on
 demand (:class:`~descat.estimation._ObserverView`), so it builds only
 the observer states its search reaches, except that ``depth=None`` walks
-every observer state once to count them.  An attack is a policy or an
+every observer state once to count them.  The view reads the observer's
+preamble (substitution, erasure, numbering, silent closure) memoised on
+the restricted policy, so synthesis on the same spec and policy does
+not build it again.  An attack is a policy or an
 observation-based strategy, set up on plant and spec by
 :func:`~descat.attacks.transition_based_setup`; every entry point
 validates the whole attack on the plant.

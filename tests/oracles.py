@@ -17,7 +17,10 @@ observation-based attack with a search of their own before composing the
 plant with its context, and ``longest_marked_word_by_closure`` bounds
 marked words by an all-pairs longest-path closure over a graph it trims
 with its own searches.  ``product_by_queue`` composes two automata with a
-queue and a visit helper of its own.
+queue and a visit helper of its own.  ``closures_by_search`` closes every
+state of a silent graph with a depth-first search of its own, and
+``is_subautomaton_by_filter`` induces the spec by filtering every plant
+transition.
 ``observability_by_enumeration`` and ``brute_force_large_language``
 evaluate verification's definitions literally, string by string, on top
 of the library's observer and the oracles' own ``marked_words``.
@@ -61,7 +64,6 @@ from descat import (
     delta_control,
     disabled_set,
     erase_unobservable,
-    is_subautomaton,
     marked_word_length_bound,
     natural_projection,
     parallel_compose_pairs,
@@ -113,6 +115,31 @@ def _eps_closure(adj, states: frozenset[str]) -> frozenset[str]:
                 out.add(dst)
                 stack.append(dst)
     return frozenset(out)
+
+
+def closures_by_search(silent: list[list[int]]) -> list[int]:
+    """Every state's epsilon closure as a bitmask, one search per state; ``silent[i]`` lists ``i``'s successors."""
+    closure = []
+    for v in range(len(silent)):
+        seen = {v}
+        stack = [v]
+        while stack:
+            for w in silent[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        closure.append(sum(1 << w for w in seen))
+    return closure
+
+
+def is_subautomaton_by_filter(h: Automaton, g: Automaton) -> bool:
+    """``h`` is ``g`` induced on ``h``'s states: same alphabet and initial state, induced transitions and markings."""
+    if h.alphabet != g.alphabet:
+        raise InputError("sub-automaton check requires identical alphabets")
+    if h.initial != g.initial or not h.states <= g.states:
+        return False
+    induced = frozenset(t for t in g.transitions if t[0] in h.states and t[2] in h.states)
+    return h.transitions == induced and h.marked == g.marked & h.states
 
 
 def accepts(a: Automaton, word, marked_only=False) -> bool:
@@ -752,7 +779,7 @@ def observability_by_enumeration(
     if depth < 1:
         raise InputError("depth must be at least 1")
     ensure_deterministic(g)
-    if not is_subautomaton(h, g):
+    if not is_subautomaton_by_filter(h, g):
         raise InputError("the specification must be a sub-automaton of the plant")
     restricted, _ = policy.restricted_to(h)
     ensure_valid_policy(h, restricted)

@@ -482,6 +482,73 @@ class TestSubAutomaton:
         with pytest.raises(InputError):
             sub_automaton(g, {"2", "3"})
 
+    def test_matches_the_filtering_definition_on_random_pairs(self):
+        """Induced specs, and specs with a transition added, dropped or swapped, other marks or another initial."""
+        from oracles import is_subautomaton_by_filter
+
+        rng = random.Random(1701)
+        outcomes: dict[tuple[str, bool], int] = {}
+        for _ in range(600):
+            g, _ = random_model(rng, max_states=8)
+            g = Automaton(g.states, g.alphabet, g.transitions, g.initial, {q for q in g.states if rng.random() < 0.4})
+            h = sub_automaton(g, {g.initial} | {q for q in sorted(g.states) if rng.random() < 0.7})
+            states, transitions = sorted(h.states), sorted(h.transitions)
+            absent = [
+                (q, e, d) for q in states for e in sorted(g.alphabet.events) for d in states
+                if (q, e, d) not in h.transitions
+            ]
+            leaving = sorted(t for t in g.transitions if t[0] in h.states and t[2] not in h.states)
+            entering = sorted(t for t in g.transitions if t[0] not in h.states and t[2] in h.states)
+            variants = {"induced": (h.transitions, h.marked, h.initial)}
+            for kind, pool in (("extra", absent), ("leaving", leaving), ("entering", entering)):
+                if pool:
+                    variants[kind] = (h.transitions | {rng.choice(pool)}, h.marked, h.initial)
+            if transitions:
+                dropped = rng.choice(transitions)
+                variants["missing"] = (h.transitions - {dropped}, h.marked, h.initial)
+                # The same number of moves out of the same state, one of them not the plant's.
+                instead = [t for t in absent if t[0] == dropped[0]]
+                if instead:
+                    variants["swapped"] = (h.transitions - {dropped} | {rng.choice(instead)}, h.marked, h.initial)
+            variants["marks"] = (h.transitions, h.marked ^ {rng.choice(states)}, h.initial)
+            if len(states) > 1:
+                variants["initial"] = (h.transitions, h.marked, rng.choice([q for q in states if q != h.initial]))
+            for kind, (kept, marked, initial) in variants.items():
+                spec = Automaton(h.states, g.alphabet, kept, initial, marked)
+                answer = is_subautomaton(spec, g)
+                assert answer == is_subautomaton_by_filter(spec, g), kind
+                outcomes[kind, answer] = outcomes.get((kind, answer), 0) + 1
+        assert outcomes.get(("induced", True), 0) == 600
+        for kind in ("extra", "leaving", "entering", "missing", "swapped", "marks", "initial"):
+            assert outcomes.get((kind, False), 0) >= 100, outcomes
+
+
+class TestClosures:
+    def test_match_one_search_per_state_on_random_silent_graphs(self):
+        from descat.automata import _closures
+        from oracles import closures_by_search
+
+        rng = random.Random(1702)
+        seen = {"cycle": 0, "self-loop": 0, "no silent move": 0, "two cycles": 0}
+        for _ in range(2000):
+            n = rng.randint(1, 14)
+            silent = [sorted({rng.randrange(n) for _ in range(rng.choice((0, 0, 1, 2, 3)))}) for _ in range(n)]
+            closures = _closures(silent)
+            assert closures == closures_by_search(silent)
+            seen["self-loop"] += any(v in out for v, out in enumerate(silent))
+            seen["no silent move"] += any(not out for out in silent)
+            mutual = [v for v in range(n) if any(closures[w] >> v & 1 for w in silent[v] if w != v)]
+            seen["cycle"] += bool(mutual)
+            seen["two cycles"] += len({closures[v] for v in mutual}) > 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_a_long_silent_cycle_needs_no_recursion(self):
+        from descat.automata import _closures
+
+        n = 5000
+        silent = [[(v + 1) % n] for v in range(n)] + [[0]]
+        assert _closures(silent) == [(1 << n) - 1] * n + [(1 << (n + 1)) - 1]
+
 
 class TestMarkedWordLengthBound:
     def test_finite_language(self):

@@ -1,22 +1,28 @@
 """The per-object memo of attack policies and strategies.
 
 A policy or strategy keeps what it has worked out about a plant (its
-problems, the conversion, the transition-based setup), so a repeat call
-must answer exactly as a call on a fresh, equal attack object does.
+problems, the conversion, the transition-based setup, the preamble of a
+spec's CA-observer), so a repeat call must answer exactly as a call on a
+fresh, equal attack object does.
 """
 
 import random
+import warnings
 
 import pytest
 
 import descat.attacks
+import descat.estimation
 import descat.verification
 from descat import (
     AttackerStrategy,
     Automaton,
     DescatError,
+    EventAlphabet,
+    InputError,
     ObservationAttackStrategy,
     SensorAttackPolicy,
+    check_ca_observability_bounded,
     convert_observation_based,
     run_campaign,
     simulate,
@@ -29,16 +35,16 @@ from descat import (
 from conftest import random_attack_automaton, random_model, random_spec, random_strategy
 
 
-def _counting(monkeypatch, name: str) -> list:
-    """Count the calls of ``descat.attacks.<name>``; the list's length is the count."""
+def _counting(monkeypatch, name: str, module=descat.attacks) -> list:
+    """Count the calls of ``<module>.<name>``; the list's length is the count."""
     calls = []
-    original = getattr(descat.attacks, name)
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(descat.attacks, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -310,3 +316,89 @@ class TestNamesAtTheEdges:
         assert main(["synthesize", str(model)]) == 0
         assert "{2,3,tr0/A,tr1/D}" in capsys.readouterr().out
         assert len(named) == 1
+
+
+class TestPreamble:
+    """The spec observer's preamble is built once per (spec, restricted policy); the check and synthesis share it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Calls of the substitution and of the numbering-and-closure step that make up the preamble."""
+        return (
+            _counting(monkeypatch, "_substitute", descat.estimation),
+            _counting(monkeypatch, "_subset_moves", descat.estimation),
+        )
+
+    def test_the_check_and_synthesis_build_it_once(self, built, cycle, cycle_beta):
+        substituted, closed = built
+        for model in (cycle_beta, cycle):
+            policy = _fresh_policy(model.policy)
+            substituted.clear()
+            closed.clear()
+            for depth in (None, 6, None):
+                check_ca_observability_bounded(model.plant, model.spec, policy, depth=depth)
+                synthesize_ca_supervisor(model.plant, model.spec, policy)
+            assert len(substituted) == len(closed) == 1
+
+    def test_a_strategy_builds_one_per_side_once(self, built, cycle_beta, cycle_strategy):
+        substituted, closed = built
+        strategy = _fresh_strategy(cycle_strategy)
+        for _ in range(3):
+            check_ca_observability_bounded(cycle_beta.plant, cycle_beta.spec, strategy, depth=6)
+            synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, strategy)
+        # The check runs on the plant's conversion, synthesis on the spec's own.
+        assert len(substituted) == len(closed) == 2
+
+    def test_a_fresh_equal_attack_builds_it_again_to_the_same_answers(self, built):
+        _, closed = built
+        rng = random.Random(1204)
+        seen = {"policy": 0, "strategy": 0, "cyclic": 0}
+        for _ in range(100):
+            cyclic = rng.random() < 0.5
+            g, policy = random_model(rng, acyclic_attacks=not cyclic)
+            h = random_spec(rng, g)
+            attacks = [(policy, _fresh_policy, "policy")]
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                attacks.append((strategy, _fresh_strategy, "strategy"))
+            for attack, fresh, kind in attacks:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    verdict = check_ca_observability_bounded(g, h, attack, depth=4)
+                    synthesize_ca_supervisor(g, h, attack)
+                    closed.clear()
+                    warm = synthesize_ca_supervisor(g, h, attack)
+                    assert closed == []
+                    cold_attack = fresh(attack)
+                    cold = synthesize_ca_supervisor(g, h, cold_attack)
+                    assert len(closed) == 1
+                    assert check_ca_observability_bounded(g, h, cold_attack, depth=4) == verdict
+                assert cold.observer.table == warm.observer.table
+                assert (cold.control_table, cold.estimate_table) == (warm.control_table, warm.estimate_table)
+                assert (cold.controls, cold.estimates) == (warm.controls, warm.estimates)
+                if kind == "policy":
+                    key = ("preamble", h)
+                    assert attack.restricted_to(h)[0]._memo[key] == cold_attack.restricted_to(h)[0]._memo[key]
+                seen[kind] += 1
+                seen["cyclic"] += cyclic
+        assert min(seen.values()) >= 40, seen
+
+    def test_a_name_clash_raises_again_on_the_next_call(self, built):
+        substituted, closed = built
+        alphabet = EventAlphabet(
+            events={"a", "b"}, controllable={"a", "b"}, observable={"a", "b"}, sensor_attackable={"a"}
+        )
+        # The corruption automaton's state ``A`` is copied as ``tr0/A``, a name the plant already uses.
+        f = Automaton(states={"A", "B"}, alphabet=alphabet, transitions={("A", "a", "B")}, initial="A", marked={"B"})
+        g = Automaton(
+            states={"0", "tr0/A"}, alphabet=alphabet, transitions={("0", "a", "tr0/A"), ("tr0/A", "b", "0")}, initial="0"
+        )
+        policy = SensorAttackPolicy(entries={("0", "a", "tr0/A"): f})
+        calls = (
+            lambda: check_ca_observability_bounded(g, g, policy, depth=3),
+            lambda: synthesize_ca_supervisor(g, g, policy),
+        )
+        outcomes = [_outcome(call) for call in calls + calls]
+        assert outcomes[0][0] is InputError and "collide with existing states" in outcomes[0][1]
+        assert outcomes == [outcomes[0]] * 4
+        assert len(substituted) == 4 and closed == []
