@@ -155,8 +155,9 @@ def simulate(
     other inputs have been checked.  Its observer state is carried
     through the run as a number of the observer's table (see
     :class:`~descat.automata.SubsetTable`) and advanced by each fragment,
-    so a step costs O(fragment), not O(observation so far), and no
-    observer state is named.
+    so a step is one memo lookup of the moves enabled at the plant state
+    under the received control plus one table step over the fragment,
+    not a walk of the observation so far, and no observer state is named.
 
     ``seed`` is the only seed of the run's choices, the plant's and a
     ``random`` attacker's.  Under ``exhaustive`` the run is deterministic
@@ -170,7 +171,9 @@ def simulate(
     across calls (see :func:`~descat.attacks.transition_based_setup`), so
     a sweep over ``max_steps`` pays for it on its first call only.
     """
-    return _PreparedRun(g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps).run(seed)
+    prepared = _PreparedRun(g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps)
+    records, _, _ = prepared.walk(seed, None)
+    return prepared.trace(records, seed)
 
 
 class _PreparedRun:
@@ -179,9 +182,13 @@ class _PreparedRun:
     What stays fixed across the trials of a campaign is worked out once:
     the transition-based setup (itself memoised on the attack object), the
     trace's fragment cap, and (as they are first needed) the fragments the
-    attacker may emit on each attacked transition and the deliveries of
-    each issued control.  Fragments are enumerated once per distinct
-    corruption automaton and then looked up per transition.
+    attacker may emit on each attacked transition, the deliveries of each
+    issued control with the sorted names of each control, and the moves
+    enabled at each plant state under each received control.  Fragments
+    are enumerated once per distinct corruption automaton and then looked
+    up per transition.  A run yields plain records, (event, issued names,
+    received names, fragment, safe) per step; :meth:`trace` turns them
+    into a :class:`Trace` only for a caller that keeps one.
     """
 
     def __init__(self, g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps):
@@ -212,7 +219,9 @@ class _PreparedRun:
         self.fragment_cap = max(map(self._cap, policy.entries.values()), default=cap or 0)
         self._fragments: dict[Transition, list[Word] | None] = {}
         self._words: dict[Automaton, list[Word]] = {}
-        self._deliveries: dict[frozenset[str], list[frozenset[str]]] = {}
+        self._names: dict[frozenset[str], tuple[str, ...]] = {}
+        self._plans: dict[frozenset[str], tuple] = {}
+        self._moves: dict[frozenset[str], dict[str, list]] = {}
 
     def fragment_choices(self, tr: Transition) -> list[Word] | None:
         """Corruption words for ``tr``, shortest first; None when ``tr`` is not attacked."""
@@ -223,76 +232,115 @@ class _PreparedRun:
             self._fragments[tr] = None if f is None else self._words[f]
         return self._fragments[tr]
 
-    def deliveries(self, issued: frozenset[str]) -> list[frozenset[str]]:
-        """Controls the plant may receive for ``issued``, in a fixed order."""
-        if issued not in self._deliveries:
-            self._deliveries[issued] = sorted(
-                delta_control(issued, self.att), key=lambda c: (len(c), tuple(sorted(c)))
-            )
-        return self._deliveries[issued]
+    def names(self, control: frozenset[str]) -> tuple[str, ...]:
+        """``control``'s events, sorted: built once per distinct control."""
+        if control not in self._names:
+            self._names[control] = tuple(sorted(control))
+        return self._names[control]
 
-    def enabled(self, q: str, received: frozenset[str]) -> list[str]:
-        """Plant events that may fire at ``q`` under the received control, sorted."""
-        uncontrollable = self.uncontrollable
-        return sorted(e for e, _ in self.g.outgoing(q) if e in uncontrollable or e in received)
+    def plan(self, issued: frozenset[str]) -> tuple:
+        """``issued``'s names and the controls the plant may receive for it, in a fixed order.
 
-    def trace(self, steps: tuple[TraceStep, ...], seed: int | None) -> Trace:
+        Each delivery is (received, its names, {plant state: moves}); a
+        passive attacker delivers ``issued`` itself.  The moves under a
+        received control are kept in one dict, shared by every issued
+        control that delivers it, and filled by :meth:`moves`.
+        """
+        received = [issued]
+        if self.attacker.kind != "none":
+            received = sorted(delta_control(issued, self.att), key=lambda c: (len(c), self.names(c)))
+        deliveries = [(r, self.names(r), self._moves.setdefault(r, {})) for r in received]
+        plan = self._plans[issued] = (self.names(issued), deliveries)
+        return plan
+
+    def moves(self, q: str, received: frozenset[str], known: dict[str, list]) -> list:
+        """The moves that may fire at ``q`` under ``received``, by event, kept in ``known`` under ``q``.
+
+        A move is (event, target, target safe, fragment, choices): an
+        uncontrollable or received event.  ``choices`` is the attacker's
+        list of corruption words, or None when the transition emits
+        ``fragment``, its projection, without a draw.  Callers read
+        ``known`` first, so each (plant state, received control) is listed once.
+        """
+        uncontrollable, safe, passive = self.uncontrollable, self.h.states, self.attacker.kind == "none"
+        out = known[q] = []
+        for event, dst in self.g.outgoing(q):
+            if event in uncontrollable or event in received:
+                choices = None if passive else self.fragment_choices((q, event, dst))
+                fragment = natural_projection((event,), self.g.alphabet) if choices is None else None
+                out.append((event, dst, dst in safe, fragment, choices))
+        return out
+
+    def safe(self, records: list[tuple]) -> bool:
+        """Whether a run with these records stayed in the specification."""
+        return records[-1][4] if records else self.g.initial in self.h.states
+
+    def trace(self, records: list[tuple], seed: int | None) -> Trace:
+        """The :class:`Trace` of a run's records; an exhaustive run has no seed."""
         return Trace(
-            steps=steps,
-            safe=all(s.safe for s in steps) if steps else self.g.initial in self.h.states,
+            steps=tuple(TraceStep(i, *record) for i, record in enumerate(records, 1)),
+            safe=self.safe(records),
             attacker=self.attacker.kind,
-            seed=seed,
+            seed=None if self.attacker.kind == "exhaustive" else seed,
             fragment_cap=self.fragment_cap,
         )
 
-    def run(self, seed: int | None) -> Trace:
-        """One run of :func:`simulate`."""
-        attacker = self.attacker
-        if attacker.kind == "exhaustive":
-            return self._exhaustive()
-        rng = random.Random(seed)
-        g, h, supervisor = self.g, self.h, self.supervisor
-        table, controls, default = supervisor.observer.table, supervisor.control_table, supervisor.default_control
+    def walk(self, seed: int | None, visited: set | None) -> tuple[list[tuple], int | None, Word]:
+        """One run's records, the observer state it ends in and the fragment not yet read there.
 
-        steps: list[TraceStep] = []
-        q = g.initial
-        # A fragment is read only when a later step needs a control, so
-        # the last one of a run is never read (nor checked for unknown events).
+        Every observer state the run steps to, from the initial one on, is
+        added to ``visited``.  A fragment is read only when a later step
+        needs a control, so the last one is left unread: stepping the
+        returned state by it gives the state after the run.  With
+        ``visited`` None no caller reads the states, and an exhaustive
+        run's records are not stepped again (its returned state is then
+        the initial one).
+
+        A ``random`` or passive run draws from ``random.Random(seed)`` in
+        this order per step: a delivery of the issued control (not when
+        passive), an enabled move, then a corruption word when the
+        transition is attacked, each by ``rng.choice`` on a list in a fixed
+        order, so a seed gives one run.  It stops at ``max_steps`` or when
+        no event is enabled.
+        """
+        table = self.supervisor.observer.table
         x = table.initial
+        if self.attacker.kind == "exhaustive":
+            records = self._exhaustive()
+            if visited is not None:
+                visited.add(x)
+                for r in records[:-1]:
+                    x = table.step(x, r[3])
+                    visited.add(x)
+            return records, x, records[-1][3] if records else ()
+        cover = (set() if visited is None else visited).add
+        cover(x)
+        choice = random.Random(seed).choice
+        step, controls, default = table.step, self.supervisor.control_table, self.supervisor.default_control
+        plans, passive = self._plans, self.attacker.kind == "none"
+        records: list[tuple] = []
+        keep = records.append
+        q = self.g.initial
+        safe = q in self.h.states
         fragment: Word = ()
-        safe = q in h.states
-        for index in range(1, self.max_steps + 1):
-            x = table.step(x, fragment)
+        for _ in range(self.max_steps):
+            x = step(x, fragment)
+            cover(x)
             issued = default if x is None else controls[x]
-            if attacker.kind == "none":
-                received = issued
-            else:
-                received = rng.choice(self.deliveries(issued))
-            enabled = self.enabled(q, received)
+            issued_names, deliveries = plans.get(issued) or self.plan(issued)
+            received, received_names, known = deliveries[0] if passive else choice(deliveries)
+            enabled = known[q] if q in known else self.moves(q, received, known)
             if not enabled:
+                fragment = ()
                 break
-            event = rng.choice(enabled)
-            dst = g.delta(q, event)
-            choices = None if attacker.kind == "none" else self.fragment_choices((q, event, dst))
-            if choices is None:
-                fragment = natural_projection((event,), g.alphabet)
-            else:
-                fragment = rng.choice(choices)
-            q = dst
-            safe = safe and q in h.states
-            steps.append(
-                TraceStep(
-                    index=index,
-                    event=event,
-                    issued=tuple(sorted(issued)),
-                    received=tuple(sorted(received)),
-                    fragment=fragment,
-                    safe=safe,
-                )
-            )
-        return self.trace(tuple(steps), seed)
+            event, q, target_safe, fragment, choices = choice(enabled)
+            if choices is not None:
+                fragment = choice(choices)
+            safe = safe and target_safe
+            keep((event, issued_names, received_names, fragment, safe))
+        return records, x, fragment
 
-    def _exhaustive(self) -> Trace:
+    def _exhaustive(self) -> list[tuple]:
         """Search all attacker and plant choices on a finite arena.
 
         The supervisor is estimate-based, so what a run can do next depends
@@ -331,16 +379,13 @@ class _PreparedRun:
             x = table.step(x, last)
             issued = default if x is None else controls[x]
             out = edges[node] = []
-            for received in self.deliveries(issued):
-                for event in self.enabled(q, received):
-                    dst = g.delta(q, event)
-                    fragments = self.fragment_choices((q, event, dst))
-                    if fragments is None:
-                        fragments = [natural_projection((event,), g.alphabet)]
-                    for fragment in fragments:
+            issued_names, deliveries = self._plans.get(issued) or self.plan(issued)
+            for received, received_names, known in deliveries:
+                for event, dst, _, fragment, choices in known[q] if q in known else self.moves(q, received, known):
+                    for fragment in (fragment,) if choices is None else choices:
                         succ = (dst, x, fragment)
                         level.setdefault(succ, level[node] + 1)
-                        out.append(((event, issued, received, fragment), succ))
+                        out.append(((event, issued_names, received_names, fragment), succ))
             return out
 
         for _, depth, successors, string in breadth_first(start, expand):
@@ -348,22 +393,17 @@ class _PreparedRun:
                 break
             for label, (dst, _, _) in successors:
                 if dst not in h.states:
-                    return self._trace_along(string() + (label,), last_safe=False)
+                    return self._records_along(string() + (label,), last_safe=False)
         height = _heights(edges)
         goal = min(self.max_steps, height.get(start, self.max_steps))
         walk = _tight_walk(start, edges, height, goal, floor=goal)
         if len(walk) < goal:
             walk = _tight_walk(start, edges, height, goal, floor=0)
-        return self._trace_along(walk, last_safe=True)
+        return self._records_along(walk, last_safe=True)
 
-    def _trace_along(self, labels: tuple, last_safe: bool) -> Trace:
-        """The exhaustive trace through the search's edge ``labels``; only the last step may be unsafe."""
-        n = len(labels)
-        steps = tuple(
-            TraceStep(i, event, tuple(sorted(issued)), tuple(sorted(received)), fragment, last_safe or i < n)
-            for i, (event, issued, received, fragment) in enumerate(labels, 1)
-        )
-        return self.trace(steps, None)
+    def _records_along(self, labels: tuple, last_safe: bool) -> list[tuple]:
+        """The exhaustive run's records through the search's edge ``labels``; only the last step may be unsafe."""
+        return [(*label, last_safe or i < len(labels)) for i, label in enumerate(labels, 1)]
 
 
 def _heights(edges: dict) -> dict:
@@ -514,10 +554,15 @@ def run_campaign(
     with ``base_seed``.  An exhaustive attacker ignores the trial count
     (one deterministic search).  The supervisor must be estimate-based, as
     for :func:`simulate`; the inputs are checked once, before the first
-    trial, the attack is converted once per strategy and plant, across
-    calls, and a step costs O(fragment), coverage included.  Coverage
-    counts observer states as table numbers, against the table's size,
-    so a campaign names no observer state.
+    trial, and the attack is converted once per strategy and plant, across
+    calls.  A trial is a run's plain records (see :class:`_PreparedRun`),
+    one memo lookup plus the fragment's table step each; its verdict is
+    read off the last record, and a :class:`Trace` is built only for a
+    trial whose plant string is a new violation, from the records it
+    already has, so no trial is run twice.  Coverage is the set of
+    observer states the runs stepped to, plus each run's last fragment
+    stepped once, counted as table numbers against the table's size, so
+    a campaign names no observer state.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
@@ -530,17 +575,14 @@ def run_campaign(
     table = supervisor.observer.table
     for i in range(runs):
         seed = None if base_seed is None else base_seed + i
-        trace = prepared.run(seed)
-        x = table.initial
-        visited.add(x)
-        for step in trace.steps:
-            x = table.step(x, step.fragment)
-            visited.add(x)
-        if not trace.safe:
+        records, x, unread = prepared.walk(seed, visited)
+        visited.add(table.step(x, unread))
+        if not prepared.safe(records):
             violation_count += 1
-            if trace.plant_string not in seen_violations:
-                seen_violations.add(trace.plant_string)
-                violating.append(trace)
+            string = tuple(record[0] for record in records)
+            if string not in seen_violations:
+                seen_violations.add(string)
+                violating.append(prepared.trace(records, seed))
     visited.discard(None)
     return CampaignReport(
         trials=runs,

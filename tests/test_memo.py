@@ -402,3 +402,45 @@ class TestPreamble:
         assert outcomes[0][0] is InputError and "collide with existing states" in outcomes[0][1]
         assert outcomes == [outcomes[0]] * 4
         assert len(substituted) == 4 and closed == []
+
+
+class TestTracesOnDemand:
+    """A campaign builds trace objects only for the trials it keeps, from the records the run already has."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """How many ``TraceStep`` and ``Trace`` objects the simulation module has constructed."""
+        import descat.simulation
+
+        counts = {"TraceStep": 0, "Trace": 0}
+        for name in counts:
+            original = getattr(descat.simulation, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(descat.simulation, name, counted)
+        return counts
+
+    def test_a_verified_supervisor_builds_no_trace_step(self, built, cycle_beta):
+        sup = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy)
+        report = run_campaign(cycle_beta.plant, cycle_beta.spec, sup, cycle_beta.policy, trials=20, max_steps=20)
+        assert report.violation_count == 0 and report.observer_states_visited > 1
+        assert built == {"TraceStep": 0, "Trace": 0}
+
+    def test_one_trace_per_distinct_violating_string(self, built, cycle):
+        sup = synthesize_ca_supervisor(cycle.plant, cycle.spec, cycle.policy)
+        report = run_campaign(cycle.plant, cycle.spec, sup, cycle.policy, trials=20, max_steps=20)
+        assert report.violation_count > len(report.violating) > 0
+        assert built["Trace"] == len(report.violating) == len(report.distinct_violations)
+        assert built["TraceStep"] == sum(len(trace.steps) for trace in report.violating)
+
+    def test_an_unseeded_campaign_keeps_distinct_violations(self, cycle):
+        sup = synthesize_ca_supervisor(cycle.plant, cycle.spec, cycle.policy)
+        report = run_campaign(cycle.plant, cycle.spec, sup, cycle.policy, trials=50, max_steps=20, base_seed=None)
+        strings = [trace.plant_string for trace in report.violating]
+        assert strings and len(set(strings)) == len(strings)
+        for trace in report.violating:
+            assert trace.seed is None and not trace.safe
+            assert not trace.steps[-1].safe and all(step.safe for step in trace.steps[:-1])

@@ -315,6 +315,7 @@ class TestIncrementalObserver:
                 assert trace.to_text() == ref.to_text()
                 assert trace.as_dict() == ref.as_dict()
                 assert report.as_dict() == expected.as_dict()
+                assert [t.as_dict() for t in report.violating] == [t.as_dict() for t in expected.violating]
                 compared[kind] += 1
                 compared["unsafe"] += not trace.safe
         assert min(compared.values()) >= 10, compared
@@ -346,6 +347,69 @@ class TestIncrementalObserver:
                 simulate(cycle_beta.plant, cycle_beta.spec, ControlOnly(), attack, max_steps=5)
             with pytest.raises(UnsupportedSupervisorError):
                 run_campaign(cycle_beta.plant, cycle_beta.spec, ControlOnly(), attack, trials=2, max_steps=5)
+
+
+class TestCampaignEdges:
+    """Campaigns at the ends of a run against the re-walking oracle, with a policy and with a strategy."""
+
+    ATTACKERS = (AttackerStrategy.none(), AttackerStrategy.random_choices())
+
+    @staticmethod
+    def setups(cycle, cycle_beta, cycle_strategy):
+        """(kind, plant, spec, supervisor, attack): the cycles, then random models that may dead-end."""
+        g, h = cycle_beta.plant, cycle_beta.spec
+        yield "policy", g, h, corpus_supervisor(cycle_beta), cycle_beta.policy
+        yield "strategy", g, h, synthesize_obs_based(g, h, cycle_strategy), cycle_strategy
+        yield "policy", cycle.plant, cycle.spec, corpus_supervisor(cycle), cycle.policy
+        rng = random.Random(811)
+        for _ in range(25):
+            g, policy = random_model(rng)
+            h = random_spec(rng, g)
+            yield "policy", g, h, random_supervisor(rng, g, h, policy), policy
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                sup = outcome(synthesize_obs_based, g, h, strategy)
+                if not isinstance(sup, Exception):
+                    yield "strategy", g, h, sup, strategy
+
+    def test_short_and_dead_ended_runs_match_rewalk(self, cycle, cycle_beta, cycle_strategy):
+        rng = random.Random(812)
+        ends = {(kind, end): 0 for kind in ("policy", "strategy") for end in ("empty", "one", "dead end", "passive")}
+        for kind, g, h, sup, attack in self.setups(cycle, cycle_beta, cycle_strategy):
+            for attacker in self.ATTACKERS:
+                for steps in (0, 1, 12):
+                    seed = rng.randrange(1000)
+                    kwargs = dict(trials=5, max_steps=steps, base_seed=seed, attacker=attacker)
+                    report = outcome(run_campaign, g, h, sup, attack, **kwargs)
+                    expected = outcome(campaign_by_rewalk, g, h, sup, attack, **kwargs)
+                    assert type(report) is type(expected)
+                    if isinstance(expected, Exception):
+                        assert repr(report) == repr(expected)
+                        continue
+                    assert report.as_dict() == expected.as_dict()
+                    assert [t.as_dict() for t in report.violating] == [t.as_dict() for t in expected.violating]
+                    runs = [
+                        simulate_by_rewalk(g, h, sup, attack, attacker=attacker, max_steps=steps, seed=seed + i)
+                        for i in range(5)
+                    ]
+                    ends[kind, "empty"] += steps == 0
+                    ends[kind, "one"] += steps == 1 and any(run.steps for run in runs)
+                    ends[kind, "dead end"] += steps > 1 and any(len(run.steps) < steps for run in runs)
+                    ends[kind, "passive"] += attacker.kind == "none" and steps > 1
+        assert min(ends.values()) >= 3, ends
+
+    def test_coverage_counts_the_state_after_the_last_fragment(self, cycle_beta, cycle_strategy):
+        g, h = cycle_beta.plant, cycle_beta.spec
+        for sup, attack in (
+            (corpus_supervisor(cycle_beta), cycle_beta.policy),
+            (synthesize_obs_based(g, h, cycle_strategy), cycle_strategy),
+        ):
+            for attacker in self.ATTACKERS:
+                trace = simulate(g, h, sup, attack, attacker=attacker, max_steps=1, seed=3)
+                report = run_campaign(g, h, sup, attack, trials=1, max_steps=1, base_seed=3, attacker=attacker)
+                after = sup.observer_state_for(trace.observation)
+                assert trace.steps and after != sup.observer_state_for(())
+                assert report.observer_states_visited == 2
 
 
 class TestDeepExhaustive:
