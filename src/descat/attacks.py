@@ -230,8 +230,17 @@ def delta_control(control: Iterable[str], actuator_attackable: Iterable[str]) ->
 
 
 def actuator_attack_set(alphabet: EventAlphabet, given: Iterable[str] | None) -> frozenset[str]:
-    """The events an actuator attacker may add or remove: ``given``, else the alphabet's actuator-attackable ones."""
-    return alphabet.actuator_attackable if given is None else frozenset(given)
+    """The events an actuator attacker may add or remove: ``given``, else the alphabet's actuator-attackable ones.
+
+    Raises :class:`InputError` for the first event of ``given`` outside the alphabet.
+    """
+    if given is None:
+        return alphabet.actuator_attackable
+    given = tuple(given)
+    unknown = [event for event in given if event not in alphabet.events]
+    if unknown:
+        raise InputError(f"unknown event {unknown[0]!r}")
+    return frozenset(given)
 
 
 def attacked_commands(supervisor, observation: Iterable[str], actuator_attackable: Iterable[str] | None = None) -> frozenset[frozenset[str]]:

@@ -300,7 +300,7 @@ class SubsetTable:
     is marked iff its mask meets ``marked``.  The state ``names``, the
     ``index`` from name to number, the named ``automaton`` and its
     ``members`` are built on first read; a search that steps the table by
-    ``outgoing`` or ``step`` builds none of them.
+    ``rows`` or ``step`` builds none of them.
     """
 
     bit_names: list[str]
@@ -309,10 +309,6 @@ class SubsetTable:
     marked: int
     alphabet: EventAlphabet
     initial: ClassVar[int] = 0
-
-    def outgoing(self, i: int):
-        """The ``(label, j)`` moves out of table state ``i``, labels sorted."""
-        return self.rows[i].items()
 
     def step(self, i: int | None, events: Iterable[str]) -> int | None:
         """Table state reached from ``i`` by ``events``; None when infeasible, and None stays None.
@@ -402,19 +398,26 @@ def _subset_walk(
     """
     found = {start: 0}  # subset mask -> table state, in discovery order
     masks = [start]
-    rows = []
-    for mask in masks:  # grows as subsets are found: a breadth-first queue
-        step = _union_moves(moves, _bits(mask))
-        row = {}
-        for label in sorted(step):
-            target = step[label]
-            j = found.get(target)
-            if j is None:
-                j = found[target] = len(masks)
-                masks.append(target)
-            row[label] = j
-        rows.append(row)
+    rows = [_subset_row(moves, mask, found, masks) for mask in masks]  # masks grows: a breadth-first queue
     return SubsetTable(bit_names, masks, rows, marked, alphabet)
+
+
+def _subset_row(moves: list[dict[str, int]], mask: int, found: dict[int, int], masks: list[int]) -> dict[str, int]:
+    """The ``{label: j}`` move row of the subset ``mask``, labels sorted.
+
+    A target subset not yet in ``found`` is numbered ``len(masks)`` there
+    and appended to ``masks``.
+    """
+    step = _union_moves(moves, _bits(mask))
+    row = {}
+    for label in sorted(step):
+        target = step[label]
+        j = found.get(target)
+        if j is None:
+            j = found[target] = len(masks)
+            masks.append(target)
+        row[label] = j
+    return row
 
 
 def _subset_moves(

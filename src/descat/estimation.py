@@ -28,9 +28,8 @@ from .automata import (
     Transition,
     _bits,
     _subset_moves,
+    _subset_row,
     _subset_walk,
-    _union_moves,
-    breadth_first,
 )
 from .errors import InputError
 
@@ -276,32 +275,39 @@ def _preamble(g: Automaton, policy: SensorAttackPolicy) -> tuple[list[str], list
     return policy._memo[key]
 
 
-class _ObserverView:
+class _ObserverView(dict):
     """:func:`build_ca_observer`'s observer, stepped on demand instead of built.
 
-    A subset of the substituted-and-erased automaton's states is an int
-    mask, numbered as :func:`_preamble` numbers them, and stands for the
-    observer state with those members.  The view reads the memoised
-    preamble, which synthesis on the same (automaton, policy) reads too;
-    ``outgoing(mask)`` unions its members' moves when asked, so a search
-    that reaches a few subsets names and builds no others.  ``policy``
-    must be valid.
+    Its states are numbered on first sight, in the order the rows a
+    search reads reach them, and read as a
+    :class:`~descat.automata.SubsetTable`'s are: state 0 is the initial
+    subset, and ``masks[i]`` is state ``i``'s subset of the
+    substituted-and-erased automaton's states (bits numbered as
+    :func:`_preamble` numbers them).  The view maps a state number to its
+    ``{label: j}`` move row, as the table's ``rows`` do.  A row is built
+    on first read from the memoised preamble, which synthesis on the same
+    (automaton, policy) reads too, and numbers the subsets it moves to,
+    so a search that reaches a few subsets names and builds no others.
+    ``policy`` must be valid.
     """
 
     def __init__(self, g: Automaton, policy: SensorAttackPolicy):
-        self.names, self._moves, self.initial, self.plant = _preamble(g, policy)
+        self.names, self._moves, start, self.plant = _preamble(g, policy)
+        self.masks, self._numbers = [start], {start: 0}
 
-    def outgoing(self, mask: int) -> list[tuple[str, int]]:
-        """The ``(label, mask)`` moves out of the subset ``mask``, like :meth:`Automaton.outgoing`."""
-        return list(_union_moves(self._moves, _bits(mask)).items())
+    def __missing__(self, i: int) -> dict[str, int]:
+        row = self[i] = _subset_row(self._moves, self.masks[i], self._numbers, self.masks)
+        return row
 
-    def estimate(self, mask: int) -> frozenset[str]:
-        """Plant states in the subset ``mask``: :meth:`CAObserver.plant_projection` of its observer state."""
-        return frozenset([self.names[i] for i in _bits(mask & self.plant)])
+    def estimate(self, i: int) -> frozenset[str]:
+        """Plant states in state ``i``'s subset: :meth:`CAObserver.plant_projection` of its observer state."""
+        return frozenset([self.names[b] for b in _bits(self.masks[i] & self.plant)])
 
     def count(self) -> int:
-        """Number of reachable subsets, the built observer's state count; walks them all."""
-        return sum(1 for _ in breadth_first(self.initial, self.outgoing))
+        """Number of reachable subsets, the built observer's state count; reads every row."""
+        for i, _ in enumerate(self.masks):  # reading a row appends the subsets it reaches
+            self[i]
+        return len(self.masks)
 
 
 def attacked_observer(

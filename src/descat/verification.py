@@ -6,22 +6,33 @@ decidable on a finite (plant state, set of observer states) arena, but
 this check stops at a depth bound, so its positive answer is labelled
 ``holds-to-depth``.  The large language (the upper bound of everything
 the attacked closed loop can generate) is realized as a product
-automaton, and its equality with the spec is decided on the fly.  Every
-check is one breadth-first search (``automata.breadth_first``) over a
-finite arena; the closed-loop arena pairs a plant state with the set of
-supervisor-observer states some attacked observation reaches, held as an
-int bitmask over observer states numbered on first sight
-(:class:`_ObserverStepRelation`).  The supervisor's observer is read as
-its int table (:class:`~descat.automata.SubsetTable`), and its controls
-by table number, so verify names no observer state: names are built
-only where :func:`large_language_automaton` names its states.  The
-observability check never builds the spec's CA-observer: it steps it on
-demand (:class:`~descat.estimation._ObserverView`), so it builds only
-the observer states its search reaches, except that ``depth=None`` walks
-every observer state once to count them.  The view reads the observer's
-preamble (substitution, erasure, numbering, silent closure) memoised on
-the restricted policy, so synthesis on the same spec and policy does
-not build it again.  An attack is a policy or an
+automaton, and its equality with the spec is decided on the fly.
+
+Each check is one breadth-first search over a finite arena.  The
+observability check's arena and the closed loop's pair a plant state
+with the set of observer states some attacked observation reaches, held
+as an int mask whose bit ``i`` is the observer's own state number ``i``
+(:class:`_ObserverStepRelation`).  The controllability and
+observability checks run on ``automata.breadth_first``.  Verify and
+:func:`large_language_automaton` walk the closed loop's arena in one
+private loop (:func:`_walk`) that expands, deduplicates and tests each
+node in one pass and rebuilds a string only for the node it stops at.
+Verify's node carries no spec state: the spec is a sub-automaton of the
+deterministic plant, so its state is the node's plant state, and the
+spec's moves are checked against the plant's only at the states the
+walk visits.
+
+The supervisor's observer is read as its int table
+(:class:`~descat.automata.SubsetTable`), and its controls by table
+number, so verify names no observer state: names are built only where
+:func:`large_language_automaton` names its states.  The observability
+check never builds the spec's CA-observer: it steps it on demand
+(:class:`~descat.estimation._ObserverView`, numbered like a table), so
+it builds only the observer states its search reaches, except that
+``depth=None`` walks every observer state once to count them.  The view
+reads the observer's preamble (substitution, erasure, numbering, silent
+closure) memoised on the restricted policy, so synthesis on the same
+spec and policy does not build it again.  An attack is a policy or an
 observation-based strategy, set up on plant and spec by
 :func:`~descat.attacks.transition_based_setup`; every entry point
 validates the whole attack on the plant.
@@ -30,8 +41,8 @@ validates the whole attack on the plant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
-from operator import itemgetter, or_
+from functools import cache
+from itertools import repeat
 from typing import Iterable, Mapping
 
 from .attacks import (
@@ -41,7 +52,7 @@ from .attacks import (
     ensure_valid_policy,
     transition_based_setup,
 )
-from .automata import Automaton, Transition, Word, _bits, breadth_first, ensure_deterministic, ensure_plant_and_spec
+from .automata import Automaton, Word, _bits, _string_to, breadth_first, ensure_deterministic, ensure_plant_and_spec
 from .errors import InputError
 from .estimation import _ObserverView
 from .synthesis import disabled_set, ensure_estimate_based
@@ -141,18 +152,19 @@ def check_ca_observability_bounded(
     depth = depth if depth is not None else 2 * (view.count() + len(g.states))
     relation = _ObserverStepRelation(h, view, policy)
     # An event is disabled at a node iff every tracked state's estimate disables it (any event, if none is).
-    disabled_at = cache(lambda x: disabled_set(view.estimate(x), g, h.states))
-    disabled = relation.fold(disabled_at, frozenset.intersection, frozenset(label for _, label, _ in h.transitions))
+    disabled_at = cache(lambda i: disabled_set(view.estimate(i), g, h.states))
+    everything = frozenset(label for _, label, _ in h.transitions)
+    disabled = cache(lambda mask: everything.intersection(*map(disabled_at, _bits(mask))))
 
     def expand(node):
         q, tracked = node
-        return [(event, (dst, step[tracked])) for event, dst, step in relation.edges[q]]
+        return [(event, (dst, relation.step(kind, tracked))) for event, dst, _, kind in relation.moves(q)]
 
-    for (_, tracked), level, successors, string in breadth_first((h.initial, relation.initial), expand):
+    for (_, tracked), level, successors, string in breadth_first((h.initial, 1), expand):
         if level == depth:
             break
         for event, _ in successors:
-            if event in disabled[tracked]:
+            if event in disabled(tracked):
                 witness = "every feasible observation yields an estimate that must disable the event"
                 return _fails(string(), event, witness, depth)
     return Verdict(status="holds-to-depth", depth=depth)
@@ -176,76 +188,71 @@ class LargeLanguageAutomaton:
         object.__setattr__(self, "components", dict(self.components))
 
 
-class _Memo(dict):
-    """Dict that fills a missing key with ``compute(key)``, so a hit is one subscript."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __missing__(self, key):
-        self[key] = value = self.compute(key)
-        return value
-
-
 class _ObserverStepRelation:
     """Successor relation of sets of observer states across a plant's transitions.
 
-    The observer is a *source*: anything with an ``initial`` key and an
-    ``outgoing(key)`` listing ``(label, key)`` moves.  The supervisor's
-    observer table (:class:`~descat.automata.SubsetTable`) is one, keyed by
-    table number; the spec's
-    :class:`~descat.estimation._ObserverView` is another, keyed by subset
-    mask, which builds only the observer states a search reaches.  A set
-    of keys is an int mask: keys are numbered on first sight, bit ``i``
-    standing for ``keys[i]``, and each key's ``{label: bit}`` row is read
-    lazily off the source.  ``edges[q]`` lists the plant's
-    ``(event, dst, step)`` triples out of ``q``, where ``step`` maps a mask
-    to its successor mask.  Transitions share ``step`` by *kind*: the event
+    The observer is given by its move rows: ``rows[i]`` is observer state
+    ``i``'s ``{label: j}`` row, and state 0 is the initial one.  The
+    supervisor's observer table (:class:`~descat.automata.SubsetTable`)
+    has every row; the spec's :class:`~descat.estimation._ObserverView`
+    builds a row, and numbers the states it reaches, when it is first
+    read.  A set of observer states is an int mask, bit ``i`` standing
+    for state ``i``, so the initial set is the mask 1.
+
+    ``moves(q)`` lists the plant's ``(event, dst, memo, kind)`` moves out
+    of ``q`` when first asked, and :meth:`step` maps a mask to its
+    successor mask across one of them.  Moves share a *kind*: the event
     when unattacked, else the corruption automaton's identity (a policy
     keeps one object per automaton value, see
-    :class:`~descat.attacks.SensorAttackPolicy`).  Under an attacked kind an
-    observer state steps to everything some corruption word can drive it to
-    (product reachability with the corruption automaton, so infinite attack
-    languages are exact); under an event, by the event's projection.  A
-    mask steps to the OR of its members' steps.  Both steps are memoised,
-    per (kind, state) and per (kind, mask).
+    :class:`~descat.attacks.SensorAttackPolicy`).  A kind is the tuple
+    ``(memo, states, source)`` of two plain dicts, ``{mask: mask}`` and
+    ``{state: mask}``, and the event or automaton it stands for; a move
+    carries its kind's ``memo`` too, so a hit is one ``memo.get(mask)``.
+    Under an attacked kind an observer state steps to everything some
+    corruption word can drive it to (product reachability with the
+    corruption automaton, so infinite attack languages are exact); under
+    an event, by the event's projection.  A mask steps to the OR of its
+    members' steps; a mask with one member reads that member's step
+    directly, and the empty mask steps to itself.
     """
 
-    def __init__(self, plant: Automaton, source, policy: SensorAttackPolicy):
-        self.plant = plant
-        self.policy = policy
-        self.keys: list = []
-        self._index = _Memo(lambda key: self.keys.append(key) or len(self.keys) - 1)
-        self._rows = _Memo(lambda i: {label: self._index[x] for label, x in source.outgoing(self.keys[i])})
-        self._steps: dict[str | int, _Memo] = {}
-        self.edges = _Memo(self._edges)
-        self.initial = 1 << self._index[source.initial]
+    __slots__ = ("plant", "policy", "rows", "edges", "_kinds")
 
-    def members(self, mask: int) -> list:
-        """Keys of the observer states in ``mask``."""
-        return [self.keys[i] for i in _bits(mask)]
+    def __init__(self, plant: Automaton, rows, policy: SensorAttackPolicy):
+        self.plant, self.policy, self.rows = plant, policy, rows
+        self.edges: dict[str, list] = {}
+        self._kinds: dict[str | int, tuple] = {}
 
-    def fold(self, value, combine, empty) -> _Memo:
-        """Memo from a mask to ``combine`` of ``value(key)`` over its members, starting at ``empty``."""
-        return _Memo(lambda mask: reduce(combine, map(value, self.members(mask)), empty))
+    def moves(self, q: str) -> list[tuple[str, str, dict[int, int], tuple]]:
+        """The plant's ``(event, dst, memo, kind)`` moves out of ``q``, in its order; listed on first read."""
+        edges = self.edges.get(q)
+        if edges is None:
+            edges = self.edges[q] = []
+            for event, dst in self.plant.outgoing(q):
+                f = self.policy.language_automaton((q, event, dst))
+                key, source = (event, event) if f is None else (id(f), f)
+                kind = self._kinds.setdefault(key, ({0: 0}, {}, source))
+                edges.append((event, dst, kind[0], kind))
+        return edges
 
-    def _edges(self, q: str) -> list[tuple[str, str, _Memo]]:
-        return [(event, dst, self._step((q, event, dst))) for event, dst in self.plant.outgoing(q)]
-
-    def _step(self, tr: Transition) -> _Memo:
-        f = self.policy.language_automaton(tr)
-        kind = tr[1] if f is None else id(f)
-        if kind not in self._steps:
-            states = _Memo(partial(self._project, tr[1]) if f is None else partial(self._corrupt, f))
-            self._steps[kind] = _Memo(lambda mask: reduce(or_, map(states.__getitem__, _bits(mask)), 0))
-        return self._steps[kind]
+    def step(self, kind: tuple, mask: int) -> int:
+        """Successor of ``mask`` across a move of ``kind``, kept in the kind's ``memo``."""
+        memo, states, source = kind
+        nxt = memo.get(mask)
+        if nxt is None:
+            nxt = 0
+            for i in _bits(mask) if mask & (mask - 1) else (mask.bit_length() - 1,):
+                one = states.get(i)
+                if one is None:
+                    one = states[i] = self._project(source, i) if source.__class__ is str else self._corrupt(source, i)
+                nxt |= one
+            memo[mask] = nxt
+        return nxt
 
     def _project(self, event: str, i: int) -> int:
         if event not in self.plant.alphabet.observable:
             return 1 << i
-        nxt = self._rows[i].get(event)
+        nxt = self.rows[i].get(event)
         return 0 if nxt is None else 1 << nxt
 
     def _corrupt(self, f: Automaton, i: int) -> int:
@@ -257,7 +264,7 @@ class _ObserverStepRelation:
             fstate, x = stack.pop()
             if fstate in f.marked:
                 found |= 1 << x
-            row = self._rows[x]
+            row = self.rows[x]
             for label, f2 in f.outgoing(fstate):
                 nxt = (f2, row.get(label))
                 if nxt[1] is not None and nxt not in seen:
@@ -278,10 +285,45 @@ def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator
     ensure_estimate_based(supervisor)
     ensure_deterministic(g)
     g, h, policy = transition_based_setup(g, h, attack)
-    relation = _ObserverStepRelation(g, supervisor.observer.table, policy)
-    unstoppable = g.alphabet.uncontrollable | actuator_attack_set(g.alphabet, actuator_attackable)
-    enabled = relation.fold(supervisor.control_table.__getitem__, frozenset.union, unstoppable)
-    return g, h, relation, enabled
+    relation = _ObserverStepRelation(g, supervisor.observer.table.rows, policy)
+    free = g.alphabet.uncontrollable | actuator_attack_set(g.alphabet, actuator_attackable)
+    return g, h, relation, cache(lambda mask: free.union(*[supervisor.control_table[i] for i in _bits(mask)]))
+
+
+def _walk(relation: _ObserverStepRelation, allowed, visit):
+    """Breadth-first walk of the closed-loop arena from its initial node, until ``visit`` finds something.
+
+    Each node is expanded once, in discovery order: the moves that fire
+    there (``allowed(mask)`` holds their event) are listed in the plant's
+    order, sorted by event, unseen successors are queued, and
+    ``visit(node, events, successors)`` sees the moves as two parallel
+    lists.  Nodes thus come out ordered by the length-lexicographically
+    least string reaching them.  The first value other than None that
+    ``visit`` returns ends the walk, which returns the least string
+    reaching the node, rebuilt from parent pointers, and that value; a
+    walk that exhausts the arena returns None.
+    """
+    edges, moves, step = relation.edges, relation.moves, relation.step
+    start = (relation.plant.initial, 1)
+    parents = {start: None}
+    queue = [start]
+    for node in queue:  # grows as nodes are found: a breadth-first queue
+        q, mask = node
+        out = edges.get(q) or moves(q)
+        fire = allowed(mask)
+        events, successors = [], []
+        for event, dst, memo, kind in out:
+            if event in fire:
+                succ = (dst, memo.get(mask) or step(kind, mask))  # a stored 0 is read again by step
+                if succ not in parents:
+                    parents[succ] = (node, event)
+                    queue.append(succ)
+                events.append(event)
+                successors.append(succ)
+        found = visit(node, events, successors)
+        if found is not None:
+            return _string_to(parents, node), found
+    return None
 
 
 def large_language_automaton(
@@ -295,31 +337,29 @@ def large_language_automaton(
     Its states are the nodes of the closed-loop arena (set-up plant state,
     tracked observer states), named ``q|{x,...}``; every node is marked.
     """
-    g, _, relation, enabled = _closed_loop(g, None, supervisor, attack, actuator_attackable)
+    g, _, relation, allowed = _closed_loop(g, None, supervisor, attack, actuator_attackable)
     state_names = supervisor.observer.table.names
-    named = lambda tracked: [state_names[x] for x in relation.members(tracked)]
+    names, components, edges = {}, {}, []
 
-    def expand(node):
+    def record(node, events, successors):
         q, tracked = node
-        allowed = enabled[tracked]
-        return [(event, (dst, step[tracked])) for event, dst, step in relation.edges[q] if event in allowed]
+        members = sorted([state_names[x] for x in _bits(tracked)])
+        names[node] = name = q + "|{" + ",".join(members) + "}"
+        components[name] = (q, frozenset(members))
+        edges.extend(zip(repeat(name), events, successors))
 
-    start = (g.initial, relation.initial)
-    names: dict[tuple[str, int], str] = {}
-    edges = []
-    for node, _, successors, _ in breadth_first(start, expand):
-        q, tracked = node
-        names[node] = q + "|{" + ",".join(sorted(named(tracked))) + "}"
-        edges.extend((node, event, succ) for event, succ in successors)
+    _walk(relation, allowed, record)
     automaton = Automaton(
-        states=frozenset(names.values()),
+        states=frozenset(components),
         alphabet=g.alphabet,
-        transitions=frozenset((names[src], event, names[dst]) for src, event, dst in edges),
-        initial=names[start],
-        marked=frozenset(names.values()),
+        transitions=frozenset((src, event, names[dst]) for src, event, dst in edges),
+        initial=next(iter(components)),
+        marked=frozenset(components),
     )
-    components = {name: (q, frozenset(named(tracked))) for (q, tracked), name in names.items()}
     return LargeLanguageAutomaton(automaton=automaton, components=components)
+
+
+_NOT_A_SUB_AUTOMATON = "the specification must be a sub-automaton of the plant"
 
 
 def verify_large_language_equals(
@@ -331,33 +371,46 @@ def verify_large_language_equals(
 ) -> Verdict:
     """Exact language equality between the attacked closed loop's upper bound and the spec.
 
-    Walks the closed-loop arena and the set-up spec together, on the fly, and
-    stops at the first event that only one side allows; that string is a
-    shortest distinguishing one.
+    Walks the closed-loop arena on the fly and stops at the first node
+    where some event is allowed by only one of the closed loop and the
+    spec; the string reaching that node, with that event, is a shortest
+    distinguishing one.
+
+    The spec ``h`` must be a sub-automaton of the plant ``g`` (after the
+    attack's set-up): the same initial state, and every spec move out of
+    a state is the plant's move by that event.  The plant is
+    deterministic, so by induction the spec state of every node the walk
+    expands is the node's plant state ``q``, and the spec allows at
+    ``q`` exactly the events of ``h``'s moves out of ``q``.  The node
+    therefore carries no spec state.  The move condition is checked
+    lazily, once per plant state the walk expands, when those events are
+    first listed; where it fails, or where the initial states differ,
+    :class:`InputError` is raised.  The spec may drop plant moves
+    between its states.
     """
-    g, h, relation, enabled = _closed_loop(g, h, supervisor, attack, actuator_attackable)
-    spec = _Memo(lambda r: {event: h.delta(r, event) for event, _ in h.outgoing(r)})
+    g, h, relation, allowed = _closed_loop(g, h, supervisor, attack, actuator_attackable)
+    if h.initial != g.initial:
+        raise InputError(_NOT_A_SUB_AUTOMATON)
+    spec: dict[str, list[str]] = {}
 
-    # A node is (plant state, mask, spec state).  An event only one side
-    # allows ends the walk at its source node, so a successor without a
-    # spec state is never expanded.
-    def expand(node):
-        q, tracked, r = node
-        allowed, right = enabled[tracked], spec[r]
-        return [
-            (event, (dst, step[tracked], right.get(event)))
-            for event, dst, step in relation.edges[q]
-            if event in allowed
-        ]
+    def differs(node, events, _):
+        q = node[0]
+        expected = spec.get(q)
+        if expected is None:
+            moves = h.outgoing(q)
+            if any(g.delta(q, event) != dst for event, dst in moves):
+                raise InputError(_NOT_A_SUB_AUTOMATON)
+            expected = spec[q] = [event for event, _ in moves]
+        if events == expected:
+            return None
+        event = min(set(events).symmetric_difference(expected))
+        if event in expected:
+            return event, "in the specification but not generated by the closed loop"
+        return event, "generated by the closed loop but outside the specification"
 
-    for (_, _, r), _, successors, string in breadth_first((g.initial, relation.initial, h.initial), expand):
-        only = spec[r].keys() ^ set(map(itemgetter(0), successors))
-        if only:
-            event = min(only)
-            side = (
-                "in the specification but not generated by the closed loop"
-                if event in spec[r]
-                else "generated by the closed loop but outside the specification"
-            )
-            return _fails(string(), event, side)
-    return Verdict(status="holds")
+    found = _walk(relation, allowed, differs)
+    if found is None:
+        return Verdict(status="holds")
+    string, (event, side) = found
+    return _fails(string, event, side)
+

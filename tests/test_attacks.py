@@ -27,7 +27,7 @@ from descat import (
     validate_policy,
     validate_strategy,
 )
-from descat.attacks import check_projection_containment
+from descat.attacks import actuator_attack_set, check_projection_containment
 from conftest import make_cycle, make_cycle_strategy, random_model, random_strategy
 from oracles import (
     accepts,
@@ -72,6 +72,41 @@ class TestDeltaControl:
         assert control in out
         for delivered in out:
             assert control - attackable <= delivered <= control | attackable
+
+
+class TestActuatorAttackSet:
+    """The one place an ``actuator_attackable`` override is resolved rejects events outside the alphabet."""
+
+    def test_an_unknown_event_is_an_input_error(self):
+        alphabet = make_cycle().alphabet
+        for given in (["zeta"], ["beta", "zeta", "eta"], iter(["zeta"])):
+            with pytest.raises(InputError, match=r"^unknown event 'zeta'$"):
+                actuator_attack_set(alphabet, given)
+
+    def test_every_entry_point_rejects_an_unknown_event(self):
+        from descat import (
+            check_ca_controllability,
+            large_language_automaton,
+            run_campaign,
+            simulate,
+            synthesize_ca_supervisor,
+            verify_large_language_equals,
+        )
+
+        model = make_cycle(actuator_attackable=("beta",))
+        g, h, policy = model.plant, model.spec, model.policy
+        sup = synthesize_ca_supervisor(g, h, policy)
+        calls = [
+            lambda att: check_ca_controllability(g, h, att),
+            lambda att: verify_large_language_equals(g, h, sup, policy, att),
+            lambda att: large_language_automaton(g, sup, policy, att),
+            lambda att: simulate(g, h, sup, policy, actuator_attackable=att, max_steps=3),
+            lambda att: run_campaign(g, h, sup, policy, actuator_attackable=att, trials=2, max_steps=3),
+        ]
+        for call in calls:
+            call({"beta"})
+            with pytest.raises(InputError, match=r"^unknown event 'zeta'$"):
+                call({"zeta"})
 
 
 class TestPolicyValidation:

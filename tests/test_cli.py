@@ -283,6 +283,11 @@ class TestErrors:
         assert code == 2
         assert "spec" in err
 
+    def test_unknown_actuator_attack_event_is_usage_error(self, capsys):
+        for command in ("verify", "check-controllability", "simulate"):
+            code, out, err = run_cli(capsys, command, CYCLE, "--actuator-attack", "zeta")
+            assert (code, out, err) == (2, "", "error: unknown event 'zeta'\n"), command
+
     def test_unreadable_model_or_unwritable_output_is_usage_error(self, capsys, tmp_path):
         binary = tmp_path / "binary.des"
         binary.write_bytes(b"alphabet:\n  \xff\xfe a\n")

@@ -241,19 +241,20 @@ class TestObservability:
             for module in (descat.automata, descat.attacks, descat.estimation):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
-        relations = []
+        views = []
 
-        class Recorded(descat.verification._ObserverStepRelation):
+        class Recorded(descat.verification._ObserverView):
             def __init__(self, *args):
                 super().__init__(*args)
-                relations.append(self)
+                views.append(self)
 
-        monkeypatch.setattr(descat.verification, "_ObserverStepRelation", Recorded)
+        monkeypatch.setattr(descat.verification, "_ObserverView", Recorded)
         verdict = check_ca_observability_bounded(g, h, policy, depth=3)
         assert calls == []
         assert verdict.as_dict() == expected.as_dict()
-        (relation,) = relations
-        assert 0 < len(relation.keys) < built
+        # The view numbers an observer state when a row the search reads first moves there.
+        (view,) = views
+        assert 0 < len(view.masks) < built
 
     @pytest.mark.parametrize("depth", [3, 5])
     def test_matches_enumeration_on_random_models(self, depth):
@@ -390,11 +391,63 @@ class TestVerifyEquality:
             assert {s for s in large if len(s) <= shorter} == {s for s in spec if len(s) <= shorter}
 
 
+class TestSpecGuard:
+    """Verify keeps no spec state: the spec's moves are checked against the plant's where the walk reaches them."""
+
+    def test_specs_off_the_plant_get_the_oracles_verdict_or_an_input_error(self):
+        rng = random.Random(1931)
+        counts = {"induced": 0, "dropped": 0, "redirected same": 0, "redirected raised": 0}
+        for i in range(300):
+            g, policy = random_model(rng, acyclic_attacks=i % 2 == 0)
+            h = random_spec(rng, g)
+            sup = random_supervisor(rng, g, h, policy)
+            verdict = lambda spec: verify_large_language_equals(g, spec, sup, policy).as_dict()
+            oracle = lambda spec: verify_by_name_sets(g, spec, sup, policy).as_dict()
+            assert verdict(h) == oracle(h)
+            counts["induced"] += 1
+            if not h.transitions:
+                continue
+            moves = sorted(h.transitions)
+            src, event, dst = rng.choice(moves)
+            dropped = _with_transitions(h, h.transitions - {(src, event, dst)})
+            assert verdict(dropped) == oracle(dropped)
+            counts["dropped"] += 1
+            # A move out of the initial state is always reached: the walk expands that state first.
+            initial = [move for move in moves if move[0] == h.initial]
+            src, event, dst = rng.choice(initial if i % 4 == 0 and initial else moves)
+            targets = sorted(h.states - {dst})
+            if not targets:
+                continue
+            redirected = _with_transitions(h, h.transitions - {(src, event, dst)} | {(src, event, rng.choice(targets))})
+            try:
+                found = verdict(redirected)
+            except InputError as error:
+                assert str(error) == "the specification must be a sub-automaton of the plant"
+                counts["redirected raised"] += 1
+                continue
+            assert src != h.initial
+            assert found == oracle(redirected)
+            counts["redirected same"] += 1
+        assert min(counts.values()) >= 10, counts
+
+    def test_a_spec_from_another_initial_state_is_an_input_error(self, cycle_beta):
+        sup = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy)
+        spec = cycle_beta.spec
+        moved = Automaton(states=spec.states, alphabet=spec.alphabet, transitions=spec.transitions, initial="2")
+        with pytest.raises(InputError, match="must be a sub-automaton of the plant"):
+            verify_large_language_equals(cycle_beta.plant, moved, sup, cycle_beta.policy)
+
+
+def _with_transitions(a: Automaton, transitions) -> Automaton:
+    return Automaton(states=a.states, alphabet=a.alphabet, transitions=transitions, initial=a.initial, marked=a.marked)
+
+
 class TestNameSetOracle:
     """The bitmask arena against the walk on frozensets of observer-state names."""
 
     @staticmethod
     def setups():
+        """Random supervisors, and the synthesized ones the command line verifies, under policies and strategies."""
         rng = random.Random(1121)
         for i in range(200):
             g, policy = random_model(rng, acyclic_attacks=i % 2 == 0)
@@ -403,10 +456,16 @@ class TestNameSetOracle:
             strategy = random_strategy(rng, g)
             if strategy is not None:
                 yield g, h, strategy, random_supervisor(rng, g, h, strategy), frozenset()
+            attack = policy if strategy is None or i % 2 == 0 else strategy
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                yield g, h, attack, synthesize_ca_supervisor(g, h, attack), None
 
     def test_all_three_searches_match_on_random_models(self):
         statuses = {"holds": 0, "fails": 0}
         largest = 0
+        # Arenas whose masks all hold one observer state, and arenas with a larger mask: both step paths run.
+        widths = {"single": 0, "multi": 0}
         for g, h, attack, sup, att in self.setups():
             verdict = verify_large_language_equals(g, h, sup, attack, actuator_attackable=att)
             assert verdict.as_dict() == verify_by_name_sets(g, h, sup, attack, att).as_dict()
@@ -415,7 +474,9 @@ class TestNameSetOracle:
             oracle = large_language_by_name_sets(g, sup, attack, att)
             assert lla.automaton == oracle.automaton
             assert lla.components == oracle.components
-            largest = max([largest] + [len(tracked) for _, tracked in lla.components.values()])
+            width = max(len(tracked) for _, tracked in lla.components.values())
+            widths["single" if width == 1 else "multi"] += 1
+            largest = max(largest, width)
             for depth in (1, 3, None):
                 assert (
                     check_ca_observability_bounded(g, h, attack, depth).as_dict()
@@ -423,6 +484,7 @@ class TestNameSetOracle:
                 )
         assert min(statuses.values()) >= 20
         assert largest >= 2
+        assert min(widths.values()) >= 20, widths
 
 
 class TestSimulationAgreement:
