@@ -23,6 +23,8 @@ _RESERVED_EVENT_NAMES = {EPSILON, "eps", "epsilon"}
 
 Transition = tuple[str, str, str]
 Word = tuple[str, ...]
+#: A subset construction's per-label moves: ``(label, has, targets)`` entries (see :func:`_subset_moves`).
+_Moves = list[tuple[str, int, list[int]]]
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,7 @@ class Automaton:
     marked: frozenset[str] = frozenset()
     _succ: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _out: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _sub_of: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "states", frozenset(self.states))
@@ -181,9 +184,16 @@ def ensure_deterministic(a: Automaton, what: str = "plant") -> None:
 
 
 def ensure_plant_and_spec(g: Automaton, h: Automaton) -> None:
-    """Raise :class:`InputError` unless ``g`` is deterministic and ``h`` a sub-automaton of it."""
+    """Raise :class:`InputError` unless ``g`` is deterministic and ``h`` a sub-automaton of it.
+
+    The :func:`is_subautomaton` answer is kept on ``h``, keyed by ``g``
+    (compared by value), so the checks and synthesis on one pair work it
+    out once.
+    """
     ensure_deterministic(g)
-    if not is_subautomaton(h, g):
+    if g not in h._sub_of:
+        h._sub_of[g] = is_subautomaton(h, g)
+    if not h._sub_of[g]:
         raise InputError("the specification must be a sub-automaton of the plant")
 
 
@@ -300,7 +310,9 @@ class SubsetTable:
     is marked iff its mask meets ``marked``.  The state ``names``, the
     ``index`` from name to number, the named ``automaton`` and its
     ``members`` are built on first read; a search that steps the table by
-    ``rows`` or ``step`` builds none of them.
+    ``rows`` or ``step`` builds none of them.  The walk that fills it
+    (:func:`_subset_walk`) works label by label on ints, so it names no
+    state either.
     """
 
     bit_names: list[str]
@@ -376,10 +388,10 @@ def _determinize(
     """:func:`subset_construction` of the automaton these parts describe, as a :class:`SubsetTable`.
 
     The preamble (:func:`_subset_moves`) numbers the states and closes
-    their moves; the walk (:func:`_subset_walk`) visits every reachable
-    subset mask.  A caller that keeps the preamble, as the spec's
-    CA-observer does (see ``descat.estimation``), walks it again without
-    redoing it.  Nothing is named.
+    their moves, label by label; the walk (:func:`_subset_walk`) visits
+    every reachable subset mask.  A caller that keeps the preamble, as
+    the spec's CA-observer does (see ``descat.estimation``), walks it
+    again without redoing it.  Nothing is named.
     """
     bit_names, index, moves, start = _subset_moves(states, transitions, initial)
     marked_mask = 0
@@ -388,49 +400,64 @@ def _determinize(
     return _subset_walk(bit_names, moves, start, marked_mask, alphabet)
 
 
-def _subset_walk(
-    bit_names: list[str], moves: list[dict[str, int]], start: int, marked: int, alphabet: EventAlphabet
-) -> SubsetTable:
+def _subset_walk(bit_names: list[str], moves: _Moves, start: int, marked: int, alphabet: EventAlphabet) -> SubsetTable:
     """The :class:`SubsetTable` of every subset reachable from ``start``, under :func:`_subset_moves`'s moves.
 
     Reads ``bit_names`` and ``moves`` and changes neither, so a kept
-    preamble can be walked any number of times.
+    preamble can be walked any number of times; the unions a walk works
+    out are memoised for that walk alone.
     """
     found = {start: 0}  # subset mask -> table state, in discovery order
     masks = [start]
-    rows = [_subset_row(moves, mask, found, masks) for mask in masks]  # masks grows: a breadth-first queue
+    unions: list[dict[int, int]] = [{} for _ in moves]
+    rows = [_subset_row(moves, mask, found, masks, unions) for mask in masks]  # masks grows: a breadth-first queue
     return SubsetTable(bit_names, masks, rows, marked, alphabet)
 
 
-def _subset_row(moves: list[dict[str, int]], mask: int, found: dict[int, int], masks: list[int]) -> dict[str, int]:
+def _subset_row(moves: _Moves, mask: int, found: dict, masks: list[int], unions: list[dict]) -> dict[str, int]:
     """The ``{label: j}`` move row of the subset ``mask``, labels sorted.
 
+    Label by label (see :func:`_subset_moves`): the members that move on
+    it are ``part = mask & has``, and the target is the OR of their closed
+    targets, read directly for a one-member part and otherwise kept in
+    ``unions`` (one ``{part: target}`` dict per label, held by the caller).
     A target subset not yet in ``found`` is numbered ``len(masks)`` there
     and appended to ``masks``.
     """
-    step = _union_moves(moves, _bits(mask))
     row = {}
-    for label in sorted(step):
-        target = step[label]
-        j = found.get(target)
-        if j is None:
-            j = found[target] = len(masks)
-            masks.append(target)
-        row[label] = j
+    for (label, has, targets), union in zip(moves, unions):
+        part = mask & has
+        if part:
+            target = union.get(part) if part & (part - 1) else targets[part.bit_length() - 1]
+            if target is None:
+                target, rest = 0, part
+                while rest:
+                    low = rest & -rest
+                    target |= targets[low.bit_length() - 1]
+                    rest ^= low
+                union[part] = target
+            j = found.get(target)
+            if j is None:
+                j = found[target] = len(masks)
+                masks.append(target)
+            row[label] = j
     return row
 
 
 def _subset_moves(
     states: Iterable[str], transitions: Iterable[Transition], initial: str
-) -> tuple[list[str], dict[str, int], list[dict[str, int]], int]:
+) -> tuple[list[str], dict[str, int], _Moves, int]:
     """Numbering, closed moves and start mask of the subset construction, before any subset is visited.
 
     Returns the state names in sorted order (bit ``i`` of a subset mask is
     ``names[i]``, so a mask's members, read in bit order, spell its
-    :func:`encode_state_set` name), the index of each name, each state's
-    ``{label: mask}`` moves with every target epsilon-closed, and the
-    closure of ``initial``.  A labelled move from a closed subset is the
-    union of its members' moves (:func:`_union_moves`).
+    :func:`encode_state_set` name), the index of each name, the moves
+    and the closure of ``initial``.  The moves hold one
+    ``(label, has, targets)`` entry per label, in sorted label order:
+    ``has`` masks the states with a move on the label, and ``targets[i]``
+    is the epsilon-closed union of state ``i``'s targets on it (0 when it
+    has none).  A labelled move from a closed subset is the union of its
+    members' targets (:func:`_subset_row`).
     """
     names = sorted(states)
     index = {name: i for i, name in enumerate(names)}
@@ -442,20 +469,17 @@ def _subset_moves(
         else:
             labelled.append((index[src], label, index[dst]))
     closure = _closures(silent)
-    moves: list[dict[str, int]] = [{} for _ in names]
+    by_label: dict[str, list[int]] = {}
     for i, label, j in labelled:
-        out = moves[i]
-        out[label] = out.get(label, 0) | closure[j]
+        targets = by_label.get(label)
+        if targets is None:
+            targets = by_label[label] = [0] * len(names)
+        targets[i] |= closure[j]
+    moves = [
+        (label, sum(1 << i for i, target in enumerate(targets) if target), targets)  # distinct bits: sum is OR
+        for label, targets in sorted(by_label.items())
+    ]
     return names, index, moves, closure[index[initial]]
-
-
-def _union_moves(moves: list[dict[str, int]], members: Iterable[int]) -> dict[str, int]:
-    """``{label: mask}`` move of the subset ``members`` from :func:`_subset_moves`'s per-state moves."""
-    step: dict[str, int] = {}
-    for i in members:
-        for label, mask in moves[i].items():
-            step[label] = step.get(label, 0) | mask
-    return step
 
 
 def _bits(mask: int) -> list[int]:

@@ -41,8 +41,8 @@ def _events(text: str) -> tuple[str, ...]:
 
 
 def _actuator_attack(args) -> tuple[str, ...] | None:
-    """``--actuator-attack``'s events, or None (the alphabet's own) when it is not given."""
-    return _events(args.actuator_attack) if args.actuator_attack else None
+    """``--actuator-attack``'s events, or None (the alphabet's own) when it is not given; empty means none."""
+    return None if args.actuator_attack is None else _events(args.actuator_attack)
 
 
 def _write(text: str, path: str | None) -> None:

@@ -27,6 +27,7 @@ from .automata import (
     SubsetTable,
     Transition,
     _bits,
+    _Moves,
     _subset_moves,
     _subset_row,
     _subset_walk,
@@ -247,15 +248,16 @@ def _observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
     return CAObserver(_subset_walk(names, moves, start, plant, g.alphabet))
 
 
-def _preamble(g: Automaton, policy: SensorAttackPolicy) -> tuple[list[str], list[dict[str, int]], int, int]:
+def _preamble(g: Automaton, policy: SensorAttackPolicy) -> tuple[list[str], _Moves, int, int]:
     """Everything the CA-observer of ``g`` under ``policy`` needs before its first subset is visited.
 
     Substitutes the corruption automata, makes the unobservable labels
     silent, then numbers the states and closes their moves
     (:func:`~descat.automata._subset_moves`).  Returns the state names in
-    bit order, each state's ``{label: mask}`` closed moves, the start mask
-    and the mask of ``g``'s own states, the plant mask whose intersection
-    with a subset is its estimate; the substituted automaton is not kept.
+    bit order, the closed moves as per-label vectors (one ``(label, has,
+    targets)`` entry per label), the start mask and the mask of ``g``'s
+    own states, the plant mask whose intersection with a subset is its
+    estimate; the substituted automaton is not kept.
 
     Worked out once per automaton (compared by value) and memoised on
     ``policy``, like :meth:`~descat.attacks.SensorAttackPolicy.restricted_to`,
@@ -288,15 +290,18 @@ class _ObserverView(dict):
     on first read from the memoised preamble, which synthesis on the same
     (automaton, policy) reads too, and numbers the subsets it moves to,
     so a search that reaches a few subsets names and builds no others.
-    ``policy`` must be valid.
+    Rows are built by the subset walk's own kernel
+    (:func:`~descat.automata._subset_row`), with unions memoised for
+    this view alone.  ``policy`` must be valid.
     """
 
     def __init__(self, g: Automaton, policy: SensorAttackPolicy):
         self.names, self._moves, start, self.plant = _preamble(g, policy)
         self.masks, self._numbers = [start], {start: 0}
+        self._unions: list[dict[int, int]] = [{} for _ in self._moves]
 
     def __missing__(self, i: int) -> dict[str, int]:
-        row = self[i] = _subset_row(self._moves, self.masks[i], self._numbers, self.masks)
+        row = self[i] = _subset_row(self._moves, self.masks[i], self._numbers, self.masks, self._unions)
         return row
 
     def estimate(self, i: int) -> frozenset[str]:
@@ -325,18 +330,22 @@ def attacked_observer(
     """
     if not isinstance(attack, ObservationAttackStrategy):
         ensure_valid_policy(a, attack.restricted_to(a)[0])
-    return _attacked_observer(a, attack)
+    observer, pairs = _attacked_observer(a, attack)
+    return observer, (frozenset if pairs is None else (lambda est: lift_estimate(est, pairs)))
 
 
 def _attacked_observer(
     a: Automaton, attack: SensorAttackPolicy | ObservationAttackStrategy
-) -> tuple[CAObserver, Callable[[frozenset[str]], frozenset[str]]]:
-    """:func:`attacked_observer` for an attack already validated on ``a`` or on a plant ``a`` is a sub-automaton of."""
+) -> tuple[CAObserver, Mapping[str, tuple[str, str]] | None]:
+    """:func:`attacked_observer` for an attack already validated on ``a`` or on a plant ``a`` is a sub-automaton of.
+
+    Returns the observer and, for a strategy, the composition's pairs
+    (None for a policy, whose estimates need no lift).
+    """
     if isinstance(attack, ObservationAttackStrategy):
         conversion = convert_observation_based(a, attack)
-        pairs = conversion.pairs
-        return _observer(conversion.product, conversion.policy), (lambda est: lift_estimate(est, pairs))
-    return _observer(a, attack.restricted_to(a)[0]), frozenset
+        return _observer(conversion.product, conversion.policy), conversion.pairs
+    return _observer(a, attack.restricted_to(a)[0]), None
 
 
 def state_estimate(obs: CAObserver, observation: Iterable[str]) -> frozenset[str]:

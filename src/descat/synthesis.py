@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .attacks import ObservationAttackStrategy, SensorAttackPolicy, transition_based_setup
-from .automata import Automaton, EventAlphabet, SubsetTable, ensure_plant_and_spec
+from .automata import Automaton, EventAlphabet, SubsetTable, _bits, ensure_plant_and_spec
 from .errors import InputError, UnsupportedSupervisorError
 from .estimation import CAObserver, _attacked_observer
 
@@ -22,38 +22,57 @@ class Supervisor:
     that state stands for (already projected onto plant states for
     observation-based synthesis).  Observations the observer cannot follow
     receive ``default_control``, the alphabet's uncontrollable events
-    (derived, not stored).  Verification and simulation read the tables
-    on ints; ``controls`` and ``estimates``, the same maps keyed by
+    (derived, not stored).  Verification and simulation read the control
+    table on ints; ``controls`` and ``estimates``, the same maps keyed by
     observer-state name, are built on first read.
 
     The constructor takes name-keyed ``controls`` and ``estimates``
     covering every observer state and numbers them into the tables;
     synthesis, :meth:`with_control` and :func:`supervisor_union` fill the
-    tables directly, naming nothing.
+    tables directly, naming nothing.  Synthesis leaves ``estimate_table``
+    to be built on first read, from the observer table and the plant
+    state of each table bit; equality, hashing and ``repr`` read it like
+    any other field.
     """
 
     observer: CAObserver
     control_table: tuple[frozenset[str], ...]
-    estimate_table: tuple[frozenset[str], ...]
+    estimate_table: tuple[frozenset[str], ...]  # a field whose value is the cached property below
     alphabet: EventAlphabet
 
     def __init__(self, observer: CAObserver, controls: Mapping, estimates: Mapping, alphabet: EventAlphabet):
-        self._fill(observer, _numbered(observer.table, controls), _numbered(observer.table, estimates), alphabet)
+        table = observer.table
+        self._fill(observer, _numbered(table, controls), alphabet, estimate_table=tuple(_numbered(table, estimates)))
 
     @classmethod
-    def _on_table(cls, observer: CAObserver, control_table, estimate_table, alphabet: EventAlphabet) -> "Supervisor":
+    def _on_table(cls, observer: CAObserver, control_table, alphabet: EventAlphabet, **estimates) -> "Supervisor":
         sup = cls.__new__(cls)
-        sup._fill(observer, control_table, estimate_table, alphabet)
+        sup._fill(observer, control_table, alphabet, **estimates)
         return sup
 
-    def _fill(self, observer, control_table, estimate_table, alphabet) -> None:
+    def _fill(self, observer, control_table, alphabet, **estimates) -> None:
+        """Set the fields, and ``estimate_table`` or ``_plant_of`` (to build it on first read) from ``estimates``.
+
+        ``_plant_of[b]`` is the plant state of the observer table's bit
+        ``b``, for every bit of its marked mask.  A control object shared
+        by several states is checked once, at the first of them.
+        """
+        checked = set()
         for i, control in enumerate(control_table):
-            if not alphabet.uncontrollable <= control:
-                raise InputError(f"control for observer state {observer.table.names[i]!r} drops uncontrollable events")
+            if id(control) not in checked:
+                if not alphabet.uncontrollable <= control:
+                    name = observer.table.names[i]
+                    raise InputError(f"control for observer state {name!r} drops uncontrollable events")
+                checked.add(id(control))
         # Frozen: the fields are set once, here.
-        self.__dict__.update(
-            observer=observer, control_table=tuple(control_table), estimate_table=tuple(estimate_table), alphabet=alphabet
-        )
+        self.__dict__.update(observer=observer, control_table=tuple(control_table), alphabet=alphabet, **estimates)
+
+    @cached_property
+    def estimate_table(self) -> tuple[frozenset[str], ...]:
+        """The estimate of every observer state, in table order; states with one estimate mask share one set."""
+        keys = [mask & self.observer.table.marked for mask in self.observer.table.masks]
+        built = {key: frozenset([self._plant_of[b] for b in _bits(key)]) for key in set(keys)}
+        return tuple(map(built.__getitem__, keys))
 
     @cached_property
     def controls(self) -> dict[str, frozenset[str]]:
@@ -92,7 +111,7 @@ class Supervisor:
         """Copy of this supervisor with one observer state's control replaced."""
         controls = list(self.control_table)
         controls[self.observer.table.number(state)] = frozenset(control)
-        return Supervisor._on_table(self.observer, controls, self.estimate_table, self.alphabet)
+        return Supervisor._on_table(self.observer, controls, self.alphabet, estimate_table=self.estimate_table)
 
 
 def _numbered(table: SubsetTable, by_name: Mapping[str, Iterable[str]]) -> list[frozenset[str]]:
@@ -146,10 +165,12 @@ def synthesize_ca_supervisor(
     on transitions outside ``h`` cannot occur in the closed loop; they are
     dropped with a warning.
 
-    The observer is walked on ints and nothing is named: observer states
-    with the same plant estimate share one estimate and one control,
-    each worked out once from a per-plant-state table of the events that
-    leave the safe states.
+    The observer is walked on ints and nothing is named.  Each event has
+    a mask of the observer table's plant bits whose state has that event
+    leaving the safe states; observer states with one estimate mask share
+    one control, whose disabled events are those whose masks meet it, and
+    states that disable the same events share one control object.  The
+    estimates are built on first read (see :class:`Supervisor`).
     """
     ensure_plant_and_spec(g, h)
     transition_based_setup(g, None, attack)
@@ -160,22 +181,21 @@ def synthesize_ca_supervisor(
                 f"attack policy entries for transitions outside the specification were ignored: {list(dropped)}",
                 stacklevel=2,
             )
-    obs, lift = _attacked_observer(h, attack)
-    table = obs.table
+    obs, pairs = _attacked_observer(h, attack)
+    names, marked = obs.table.bit_names, obs.table.marked
+    plant_of = names if pairs is None else [pairs[name][0] if name in pairs else None for name in names]
+    leaving: dict[str, int] = {}  # event -> plant bits whose state it takes out of the safe states
+    for b in _bits(marked):
+        for event, dst in g.outgoing(plant_of[b]):
+            if dst not in h.states:
+                leaving[event] = leaving.get(event, 0) | 1 << b
+    keys = [mask & marked for mask in obs.table.masks]
     sigma, uncontrollable = g.alphabet.events, g.alphabet.uncontrollable
-    leaving = {q: disabled_set((q,), g, h.states) for q in h.states}
-    decided: dict[int, tuple[frozenset[str], frozenset[str]]] = {}  # estimate mask -> (estimate, control)
-    estimates, controls = [], []
-    for i, mask in enumerate(table.masks):
-        key = mask & table.marked
-        if key not in decided:
-            estimate = lift(obs.estimate(i))
-            disabled = frozenset().union(*map(leaving.__getitem__, estimate))
-            decided[key] = estimate, ((sigma - disabled) | uncontrollable if estimate else uncontrollable)
-        estimate, control = decided[key]
-        estimates.append(estimate)
-        controls.append(control)
-    return Supervisor._on_table(obs, controls, estimates, g.alphabet)
+    control_of, shared = {0: uncontrollable}, {}  # estimate mask -> control; disabled events -> control
+    for key in set(keys) - {0}:
+        disabled = frozenset([event for event, bits in leaving.items() if key & bits])
+        control_of[key] = shared.setdefault(disabled, (sigma - disabled) | uncontrollable)
+    return Supervisor._on_table(obs, list(map(control_of.__getitem__, keys)), g.alphabet, _plant_of=plant_of)
 
 
 def synthesize_obs_based(g: Automaton, h: Automaton, strategy: ObservationAttackStrategy) -> Supervisor:
@@ -199,7 +219,7 @@ def supervisor_union(s1: Supervisor, s2: Supervisor) -> Supervisor:
     """Pointwise union of two supervisors over the same observer."""
     _require_same_observer(s1, s2)
     controls = [c1 | c2 for c1, c2 in zip(s1.control_table, s2.control_table)]
-    return Supervisor._on_table(s1.observer, controls, s1.estimate_table, s1.alphabet)
+    return Supervisor._on_table(s1.observer, controls, s1.alphabet, estimate_table=s1.estimate_table)
 
 
 def compare_permissiveness(s1: Supervisor, s2: Supervisor) -> str:

@@ -20,7 +20,8 @@ with its own searches.  ``product_by_queue`` composes two automata with a
 queue and a visit helper of its own.  ``closures_by_search`` closes every
 state of a silent graph with a depth-first search of its own, and
 ``is_subautomaton_by_filter`` induces the spec by filtering every plant
-transition.
+transition.  ``subset_walk_by_members`` walks the subset construction on
+masks as the library once did, unioning every member's own moves.
 ``observability_by_enumeration`` and ``brute_force_large_language``
 evaluate verification's definitions literally, string by string, on top
 of the library's observer and the oracles' own ``marked_words``.
@@ -130,6 +131,46 @@ def closures_by_search(silent: list[list[int]]) -> list[int]:
                     stack.append(w)
         closure.append(sum(1 << w for w in seen))
     return closure
+
+
+def subset_walk_by_members(a: Automaton) -> tuple[list[int], list[dict[str, int]]]:
+    """Reference for the subset walk's int table: ``(masks, rows)`` of :func:`subset_construction` of ``a``.
+
+    Bit ``i`` is the ``i``-th state name in sorted order.  Every state
+    keeps its own ``{label: mask}`` moves, targets closed by
+    :func:`closures_by_search`, and a subset's move is the union of its
+    members' moves, read member by member; subsets are numbered in
+    breadth-first discovery order, labels tried in sorted order.
+    """
+    names = sorted(a.states)
+    index = {name: i for i, name in enumerate(names)}
+    silent: list[list[int]] = [[] for _ in names]
+    for src, label, dst in a.transitions:
+        if label == EPSILON:
+            silent[index[src]].append(index[dst])
+    closure = closures_by_search(silent)
+    moves: list[dict[str, int]] = [{} for _ in names]
+    for src, label, dst in a.transitions:
+        if label != EPSILON:
+            out = moves[index[src]]
+            out[label] = out.get(label, 0) | closure[index[dst]]
+    masks = [closure[index[a.initial]]]
+    found = {masks[0]: 0}
+    rows = []
+    for mask in masks:  # grows as subsets are found: a breadth-first queue
+        step: dict[str, int] = {}
+        for i in range(len(names)):
+            if mask >> i & 1:
+                for label, target in moves[i].items():
+                    step[label] = step.get(label, 0) | target
+        row = {}
+        for label in sorted(step):
+            if step[label] not in found:
+                found[step[label]] = len(masks)
+                masks.append(step[label])
+            row[label] = found[step[label]]
+        rows.append(row)
+    return masks, rows
 
 
 def is_subautomaton_by_filter(h: Automaton, g: Automaton) -> bool:

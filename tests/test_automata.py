@@ -278,6 +278,46 @@ class TestDeterminize:
         assert min(seen.values()) >= 200, seen
 
 
+class TestSubsetKernel:
+    """The subset walk steps a subset label by label; its table must equal the walk that unions every member."""
+
+    def test_matches_the_per_member_walk_on_random_automata(self):
+        from descat.automata import _determinize, _subset_moves
+        from oracles import subset_walk_by_members
+
+        rng = random.Random(2020)
+        pool = ["q9", "q10", "q1", "tr0/x", "tr0/f0", "tr10/a", "p", "P", "r"]
+        alphabet = small_alphabet(events={"a", "b", "c"}, observable={"a", "b", "c"})
+        seen = {"silent cycle": 0, "silent self-loop": 0, "labelled self-loop": 0, "part met twice": 0,
+                "part on two labels": 0}
+        for _ in range(1500):
+            states = rng.sample(pool, rng.randint(1, len(pool)))
+            transitions = {
+                (rng.choice(states), rng.choice(("a", "b", "c", EPSILON, EPSILON)), rng.choice(states))
+                for _ in range(rng.randint(0, 3 * len(states)))
+            }
+            a = Automaton(states, alphabet, transitions, rng.choice(states), {q for q in states if rng.random() < 0.3})
+            table = _determinize(a.states, a.transitions, a.initial, a.marked, a.alphabet)
+            masks, rows = subset_walk_by_members(a)
+            assert table.masks == masks
+            assert [list(row.items()) for row in table.rows] == [list(row.items()) for row in rows]
+            seen["silent cycle"] += any(
+                label == EPSILON and src != dst and src in unobservable_reach(a, {dst})
+                for src, label, dst in transitions
+            )
+            seen["silent self-loop"] += any(label == EPSILON and src == dst for src, label, dst in transitions)
+            seen["labelled self-loop"] += any(label != EPSILON and src == dst for src, label, dst in transitions)
+            # Parts of two or more members, the ones the walk memoises per label.
+            moves = _subset_moves(a.states, a.transitions, a.initial)[2]
+            parts = [(label, mask & has) for mask in masks for label, has, _ in moves if (mask & has).bit_count() > 1]
+            seen["part met twice"] += len(parts) > len(set(parts))
+            labels_of: dict[int, set[str]] = {}
+            for label, part in parts:
+                labels_of.setdefault(part, set()).add(label)
+            seen["part on two labels"] += any(len(labels) > 1 for labels in labels_of.values())
+        assert min(seen.values()) >= 40, seen
+
+
 class TestParallelCompose:
     def test_universal_single_state_is_identity(self):
         g = make_cycle().plant
@@ -521,6 +561,29 @@ class TestSubAutomaton:
         assert outcomes.get(("induced", True), 0) == 600
         for kind in ("extra", "leaving", "entering", "missing", "swapped", "marks", "initial"):
             assert outcomes.get((kind, False), 0) >= 100, outcomes
+
+
+    def test_the_plant_and_spec_guard_keeps_its_answer_on_the_spec_per_plant(self, monkeypatch):
+        import descat.automata
+        from descat.automata import ensure_plant_and_spec
+
+        calls = []
+        check = descat.automata.is_subautomaton
+        monkeypatch.setattr(descat.automata, "is_subautomaton", lambda h, g: calls.append(g) or check(h, g))
+        model = make_cycle()
+        g, h = model.plant, model.spec
+        twin = Automaton(g.states, g.alphabet, g.transitions, g.initial, g.marked)
+        # A plant without one of the spec's moves.
+        other = Automaton(g.states, g.alphabet, g.transitions - {sorted(h.transitions)[0]}, g.initial, g.marked)
+        for plant in (g, g, twin, other, other, g):
+            if plant is other:
+                with pytest.raises(InputError, match="must be a sub-automaton of the plant"):
+                    ensure_plant_and_spec(plant, h)
+            else:
+                ensure_plant_and_spec(plant, h)
+        assert calls == [g, other]
+        with pytest.raises(InputError, match="identical alphabets"):
+            ensure_plant_and_spec(Automaton(g.states, small_alphabet(), (), g.initial), h)
 
 
 class TestClosures:

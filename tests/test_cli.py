@@ -288,6 +288,13 @@ class TestErrors:
             code, out, err = run_cli(capsys, command, CYCLE, "--actuator-attack", "zeta")
             assert (code, out, err) == (2, "", "error: unknown event 'zeta'\n"), command
 
+    def test_an_empty_actuator_attack_means_no_attackable_actuators(self, capsys):
+        for command in ("verify", "check-controllability", "simulate"):
+            none = run_cli(capsys, command, CYCLE, "--actuator-attack", "")
+            assert none == run_cli(capsys, command, CYCLE, "--actuator-attack", ","), command
+            assert none[0] == 0, command
+            assert run_cli(capsys, command, CYCLE)[0] == 1, command
+
     def test_unreadable_model_or_unwritable_output_is_usage_error(self, capsys, tmp_path):
         binary = tmp_path / "binary.des"
         binary.write_bytes(b"alphabet:\n  \xff\xfe a\n")

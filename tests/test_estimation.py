@@ -221,6 +221,46 @@ class TestObserver:
                 assert obs.plant_states == plant.states
         assert converted > 30
 
+    def test_table_view_and_synthesis_equal_the_per_member_walk_on_random_specs(self):
+        """The spec's observer, built, stepped on demand and synthesized on, under policies and strategies."""
+        import warnings
+
+        from descat import synthesize_ca_supervisor
+        from descat.estimation import _ObserverView, attacked_observer
+        from conftest import random_spec
+        from oracles import subset_walk_by_members
+
+        rng = random.Random(6062)
+        seen = {"acyclic": 0, "cyclic": 0, "strategy": 0}
+        for i in range(150):
+            acyclic = i % 2 == 0
+            g, policy = random_model(rng, acyclic_attacks=acyclic)
+            h = random_spec(rng, g)
+            attacks = [("acyclic" if acyclic else "cyclic", policy)]
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                attacks.append(("strategy", strategy))
+            for kind, attack in attacks:
+                if kind == "strategy":
+                    conversion = convert_observation_based(h, attack)
+                    target, pol = conversion.product, conversion.policy
+                else:
+                    target, pol = h, attack.restricted_to(h)[0]
+                masks, rows = subset_walk_by_members(erase_unobservable(build_g_diamond(target, pol)).automaton)
+                rows = [list(row.items()) for row in rows]
+                view = _ObserverView(target, pol)
+                view.count()
+                assert view.masks == masks
+                assert [list(view[i].items()) for i in range(len(masks))] == rows
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    sup = synthesize_ca_supervisor(g, h, attack)
+                for table in (attacked_observer(h, attack)[0].table, sup.observer.table):
+                    assert table.masks == masks
+                    assert [list(row.items()) for row in table.rows] == rows
+                seen[kind] += 1
+        assert min(seen.values()) >= 40, seen
+
     def test_builds_the_observer_alone_and_closes_each_state_once(self, cycle, monkeypatch):
         import descat.automata
 

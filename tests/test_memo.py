@@ -318,6 +318,23 @@ class TestNamesAtTheEdges:
         assert len(named) == 1
 
 
+class TestSubAutomatonAnswer:
+    """The plant/spec relation is worked out once per (plant, spec) pair and kept on the spec."""
+
+    def test_the_checks_and_synthesis_check_one_pair_once(self, monkeypatch, cycle, cycle_beta):
+        import descat.automata
+
+        calls = _counting(monkeypatch, "is_subautomaton", descat.automata)
+        for model in (cycle, cycle_beta):
+            g, h = _twin(model.plant), _twin(model.spec)
+            for depth in (3, 6):
+                descat.verification.check_ca_controllability(g, h)
+                check_ca_observability_bounded(g, h, model.policy, depth=depth)
+                synthesize_ca_supervisor(g, h, model.policy)
+            synthesize_ca_supervisor(_twin(g), h, model.policy)  # an equal plant
+        assert len(calls) == 2
+
+
 class TestPreamble:
     """The spec observer's preamble is built once per (spec, restricted policy); the check and synthesis share it."""
 

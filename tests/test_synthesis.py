@@ -3,6 +3,7 @@ variant, unions and the permissiveness ordering."""
 
 import dataclasses
 import random
+import re
 import warnings
 
 import pytest
@@ -13,10 +14,12 @@ from descat import (
     InputError,
     SensorAttackPolicy,
     Supervisor,
+    EventAlphabet,
     attacked_commands,
     build_ca_observer,
     compare_permissiveness,
     disabled_set,
+    run_campaign,
     simulate,
     supervisor_union,
     synthesize_ca_supervisor,
@@ -372,3 +375,80 @@ class TestTableAgainstNamedConstruction:
         assert supervisor_union(a, b).control_table == a.control_table
         for sup in (a, b):
             assert "names" not in vars(sup.observer.table)
+
+
+def _hashed(value):
+    """``hash(value)``, or the text of the error it raises (an observer table holds lists)."""
+    try:
+        return hash(value)
+    except TypeError as error:
+        return str(error)
+
+
+class TestLazyEstimates:
+    """Synthesis fills the control table from event masks and builds the estimate table on first read."""
+
+    def test_synthesis_builds_no_estimate_table_until_it_is_read(self, cycle_beta, cycle_strategy):
+        g, h = cycle_beta.plant, cycle_beta.spec
+        for attack in (cycle_beta.policy, cycle_strategy):
+            sup = synthesize_ca_supervisor(g, h, attack)
+            assert verify_large_language_equals(g, h, sup, attack).holds
+            run_campaign(g, h, sup, attack, trials=3, max_steps=10)
+            simulate(g, h, sup, attack, attacker=AttackerStrategy.exhaustive(), max_steps=5)
+            assert sup.control_for(W("alpha")) == {"beta", "lambda", "mu"}
+            assert "estimate_table" not in vars(sup)
+            assert sup.estimate_for(W("alpha")) == {"2", "3"}
+            assert vars(sup)["estimate_table"] is sup.estimate_table
+
+    def test_a_lazy_supervisor_equals_and_hashes_like_one_built_eagerly(self):
+        rng = random.Random(1618)
+        seen = {"acyclic": 0, "cyclic": 0, "strategy": 0}
+        for i in range(80):
+            acyclic = i % 2 == 0
+            g, policy = random_model(rng, acyclic_attacks=acyclic)
+            h = random_spec(rng, g)
+            attacks = [("acyclic" if acyclic else "cyclic", policy)]
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                attacks.append(("strategy", strategy))
+            for kind, attack in attacks:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    source, compared, hashed, shown = [synthesize_ca_supervisor(g, h, attack) for _ in range(4)]
+                eager = Supervisor(source.observer, source.controls, source.estimates, source.alphabet)
+                assert all("estimate_table" not in vars(sup) for sup in (compared, hashed, shown))
+                assert compared == eager and eager == compared
+                assert _hashed(hashed) == _hashed(eager)
+                assert repr(shown) == repr(eager)
+                state = sorted(eager.controls)[-1]
+                assert source.with_control(state, SIGMA | g.alphabet.events) == eager.with_control(
+                    state, SIGMA | g.alphabet.events
+                )
+                assert supervisor_union(source, eager) == eager
+                seen[kind] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_a_dropped_uncontrollable_event_names_the_first_offending_state(self):
+        alphabet = EventAlphabet(events={"a", "u"}, controllable={"a"}, observable={"a", "u"})
+        plant = Automaton(
+            states={"0", "1", "2", "3"},
+            alphabet=alphabet,
+            transitions={("0", "a", "1"), ("1", "a", "2"), ("2", "a", "3"), ("3", "u", "0")},
+            initial="0",
+        )
+        sup = synthesize_ca_supervisor(plant, plant, SensorAttackPolicy.empty())
+        assert sup.observer.table.names == ["{0}", "{1}", "{2}", "{3}"]
+        assert len({id(control) for control in sup.control_table}) == 1  # one shared control object
+        dropped = frozenset({"a"})
+
+        def raises(state):
+            return pytest.raises(InputError, match=re.escape(f"control for observer state '{state}' drops"))
+
+        with raises("{2}"):
+            sup.with_control("{2}", dropped)
+        with raises("{1}"):
+            Supervisor(sup.observer, {**sup.controls, "{1}": dropped, "{3}": dropped}, sup.estimates, alphabet)
+        # One object at several states is checked once, and reported at the first of them.
+        control = sup.control_table[0]
+        with raises("{1}"):
+            Supervisor._on_table(sup.observer, [control, dropped, control, dropped], alphabet, _plant_of=["0"] * 4)
