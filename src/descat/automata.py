@@ -321,6 +321,7 @@ class SubsetTable:
     marked: int
     alphabet: EventAlphabet
     initial: ClassVar[int] = 0
+    __hash__ = None  # the rows and masks are lists
 
     def step(self, i: int | None, events: Iterable[str]) -> int | None:
         """Table state reached from ``i`` by ``events``; None when infeasible, and None stays None.

@@ -186,6 +186,7 @@ class CAObserver:
     """
 
     table: SubsetTable
+    __hash__ = None  # like its table
 
     @property
     def observer(self) -> Automaton:

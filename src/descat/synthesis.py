@@ -31,14 +31,19 @@ class Supervisor:
     synthesis, :meth:`with_control` and :func:`supervisor_union` fill the
     tables directly, naming nothing.  Synthesis leaves ``estimate_table``
     to be built on first read, from the observer table and the plant
-    state of each table bit; equality, hashing and ``repr`` read it like
-    any other field.
+    state of each table bit; equality and ``repr`` read it like any other
+    field.
+
+    A supervisor is unhashable, as its observer is, and
+    ``dataclasses.replace`` is unsupported, because the constructor takes
+    the name-keyed maps rather than the fields.
     """
 
     observer: CAObserver
     control_table: tuple[frozenset[str], ...]
     estimate_table: tuple[frozenset[str], ...]  # a field whose value is the cached property below
     alphabet: EventAlphabet
+    __hash__ = None
 
     def __init__(self, observer: CAObserver, controls: Mapping, estimates: Mapping, alphabet: EventAlphabet):
         table = observer.table

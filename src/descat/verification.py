@@ -15,8 +15,8 @@ as an int mask whose bit ``i`` is the observer's own state number ``i``
 (:class:`_ObserverStepRelation`).  The controllability and
 observability checks run on ``automata.breadth_first``.  Verify and
 :func:`large_language_automaton` walk the closed loop's arena in one
-private loop (:func:`_walk`) that expands, deduplicates and tests each
-node in one pass and rebuilds a string only for the node it stops at.
+private loop (:func:`_walk`) that tests each node before it steps its
+moves and rebuilds a string only for the node it stops at.
 Verify's node carries no spec state: the spec is a sub-automaton of the
 deterministic plant, so its state is the node's plant state, and the
 spec's moves are checked against the plant's only at the states the
@@ -25,14 +25,16 @@ walk visits.
 The supervisor's observer is read as its int table
 (:class:`~descat.automata.SubsetTable`), and its controls by table
 number, so verify names no observer state: names are built only where
-:func:`large_language_automaton` names its states.  The observability
-check never builds the spec's CA-observer: it steps it on demand
-(:class:`~descat.estimation._ObserverView`, numbered like a table), so
-it builds only the observer states its search reaches, except that
-``depth=None`` walks every observer state once to count them.  The view
-reads the observer's preamble (substitution, erasure, numbering, silent
-closure) memoised on the restricted policy, so synthesis on the same
-spec and policy does not build it again.  An attack is a policy or an
+:func:`large_language_automaton` names its states.  Verify walks the
+table's quotient by control and row (:func:`_quotient`), built when the
+walk first steps; the large-language product keeps the table.  The
+observability check never builds the spec's CA-observer: it steps it on
+demand (:class:`~descat.estimation._ObserverView`, numbered like a
+table), so it builds only the observer states its search reaches, except
+that ``depth=None`` walks every observer state once to count them.  The
+view reads the observer's preamble (substitution, erasure, numbering,
+silent closure) memoised on the restricted policy, so synthesis on the
+same spec and policy does not build it again.  An attack is a policy or an
 observation-based strategy, set up on plant and spec by
 :func:`~descat.attacks.transition_based_setup`; every entry point
 validates the whole attack on the plant.
@@ -42,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import count
+from operator import itemgetter, methodcaller
 from typing import Iterable, Mapping
 
 from .attacks import (
@@ -194,10 +197,12 @@ class _ObserverStepRelation:
     The observer is given by its move rows: ``rows[i]`` is observer state
     ``i``'s ``{label: j}`` row, and state 0 is the initial one.  The
     supervisor's observer table (:class:`~descat.automata.SubsetTable`)
-    has every row; the spec's :class:`~descat.estimation._ObserverView`
-    builds a row, and numbers the states it reaches, when it is first
-    read.  A set of observer states is an int mask, bit ``i`` standing
-    for state ``i``, so the initial set is the mask 1.
+    has every row, as do its classes (:func:`_quotient`), which verify
+    passes as a function that the first step calls; the spec's
+    :class:`~descat.estimation._ObserverView` builds a row, and numbers
+    the states it reaches, when it is first read.  A set of observer
+    states is an int mask, bit ``i`` standing for state ``i``, so the
+    initial set is the mask 1.
 
     ``moves(q)`` lists the plant's ``(event, dst, memo, kind)`` moves out
     of ``q`` when first asked, and :meth:`step` maps a mask to its
@@ -228,10 +233,13 @@ class _ObserverStepRelation:
         edges = self.edges.get(q)
         if edges is None:
             edges = self.edges[q] = []
+            entries, kinds = self.policy.entries, self._kinds
             for event, dst in self.plant.outgoing(q):
-                f = self.policy.language_automaton((q, event, dst))
-                key, source = (event, event) if f is None else (id(f), f)
-                kind = self._kinds.setdefault(key, ({0: 0}, {}, source))
+                f = entries.get((q, event, dst))
+                key = event if f is None else id(f)
+                kind = kinds.get(key)
+                if kind is None:
+                    kind = kinds[key] = ({0: 0}, {}, event if f is None else f)
                 edges.append((event, dst, kind[0], kind))
         return edges
 
@@ -240,6 +248,8 @@ class _ObserverStepRelation:
         memo, states, source = kind
         nxt = memo.get(mask)
         if nxt is None:
+            if callable(self.rows):  # rows given as a function are built at the first step
+                self.rows = self.rows()
             nxt = 0
             for i in _bits(mask) if mask & (mask - 1) else (mask.bit_length() - 1,):
                 one = states.get(i)
@@ -273,7 +283,37 @@ class _ObserverStepRelation:
         return found
 
 
-def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator_attackable):
+def _quotient(table, controls) -> tuple[list[int], list[dict[str, int]], list]:
+    """Classes of the table's states by control value and move row: Moore refinement, control as output.
+
+    From the partition by control value (equal controls may be distinct
+    objects), classes split by their members' successor classes until none
+    splits; a missing move goes to a sink, state ``n``, whose control None
+    no state has.  A round gathers each label's successor classes with one
+    ``itemgetter`` (the sink keeps it returning a tuple for one state) and
+    numbers signatures by first occurrence, so state 0 is in class 0.
+    Returns each state's class, and each class's row (its first member's,
+    mapped to classes) and control.
+    """
+    rows = table.rows
+    n = len(rows)
+    columns = [itemgetter(*map(methodcaller("get", label, n), rows), n) for label in sorted(set().union(*rows))]
+    classes = [*controls, None]
+    size = len(dict.fromkeys(classes))
+    while True:
+        signatures = list(zip(classes, *[column(classes) for column in columns]))
+        numbers = dict(zip(dict.fromkeys(signatures), count()))
+        classes = list(map(numbers.__getitem__, signatures))
+        if len(numbers) == size:
+            break
+        size = len(numbers)
+    least = dict(zip(reversed(classes), range(n, -1, -1)))  # each class's first member: the last value written
+    firsts = [least[c] for c in range(size - 1)]  # the sink is the last class
+    class_rows = [{label: classes[j] for label, j in rows[i].items()} for i in firsts]
+    return classes[:n], class_rows, [controls[i] for i in firsts]
+
+
+def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator_attackable, quotient: bool = False):
     """Set-up plant and spec, step relation, and the events each mask lets fire, of the attacked closed loop.
 
     The arena's nodes pair a set-up plant state with the mask of
@@ -281,27 +321,37 @@ def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator
     the string so far reaches.  An event fires iff the plant allows it and
     it is uncontrollable, actuator-attackable, or enabled by the control of
     some tracked state; the mask advances through the step relation.
+    With ``quotient`` the bits are the observer's classes, built at the
+    first step; mask 1 is state 0 and class 0 alike.
     """
     ensure_estimate_based(supervisor)
     ensure_deterministic(g)
     g, h, policy = transition_based_setup(g, h, attack)
-    relation = _ObserverStepRelation(g, supervisor.observer.table.rows, policy)
+    table, controls = supervisor.observer.table, supervisor.control_table
+    reduced = cache(lambda: _quotient(table, controls))
+    relation = _ObserverStepRelation(g, (lambda: reduced()[1]) if quotient else table.rows, policy)
     free = g.alphabet.uncontrollable | actuator_attack_set(g.alphabet, actuator_attackable)
-    return g, h, relation, cache(lambda mask: free.union(*[supervisor.control_table[i] for i in _bits(mask)]))
+
+    def allowed(mask):
+        by = reduced()[2] if quotient and mask != 1 else controls
+        return free.union(*[by[i] for i in _bits(mask)])
+
+    return g, h, relation, cache(allowed)
 
 
 def _walk(relation: _ObserverStepRelation, allowed, visit):
     """Breadth-first walk of the closed-loop arena from its initial node, until ``visit`` finds something.
 
-    Each node is expanded once, in discovery order: the moves that fire
+    Each node is expanded once, in discovery order.  The moves that fire
     there (``allowed(mask)`` holds their event) are listed in the plant's
-    order, sorted by event, unseen successors are queued, and
-    ``visit(node, events, successors)`` sees the moves as two parallel
-    lists.  Nodes thus come out ordered by the length-lexicographically
-    least string reaching them.  The first value other than None that
-    ``visit`` returns ends the walk, which returns the least string
-    reaching the node, rebuilt from parent pointers, and that value; a
-    walk that exhausts the arena returns None.
+    order, sorted by event, and ``visit(node, events, successors)`` sees
+    their events; only when it returns None does the walk step them,
+    filling ``successors`` in parallel with ``events`` and queueing unseen
+    successors.  Nodes thus come out ordered by the
+    length-lexicographically least string reaching them.  The first value
+    other than None that ``visit`` returns ends the walk, which returns the
+    least string reaching the node, rebuilt from parent pointers, and that
+    value; a walk that exhausts the arena returns None.
     """
     edges, moves, step = relation.edges, relation.moves, relation.step
     start = (relation.plant.initial, 1)
@@ -309,20 +359,19 @@ def _walk(relation: _ObserverStepRelation, allowed, visit):
     queue = [start]
     for node in queue:  # grows as nodes are found: a breadth-first queue
         q, mask = node
-        out = edges.get(q) or moves(q)
         fire = allowed(mask)
-        events, successors = [], []
+        out = edges.get(q) or moves(q)
+        successors = []
+        found = visit(node, [move[0] for move in out if move[0] in fire], successors)
+        if found is not None:
+            return _string_to(parents, node), found
         for event, dst, memo, kind in out:
             if event in fire:
                 succ = (dst, memo.get(mask) or step(kind, mask))  # a stored 0 is read again by step
                 if succ not in parents:
                     parents[succ] = (node, event)
                     queue.append(succ)
-                events.append(event)
                 successors.append(succ)
-        found = visit(node, events, successors)
-        if found is not None:
-            return _string_to(parents, node), found
     return None
 
 
@@ -346,13 +395,15 @@ def large_language_automaton(
         members = sorted([state_names[x] for x in _bits(tracked)])
         names[node] = name = q + "|{" + ",".join(members) + "}"
         components[name] = (q, frozenset(members))
-        edges.extend(zip(repeat(name), events, successors))
+        edges.append((name, events, successors))  # the walk fills successors after this returns
 
     _walk(relation, allowed, record)
     automaton = Automaton(
         states=frozenset(components),
         alphabet=g.alphabet,
-        transitions=frozenset((src, event, names[dst]) for src, event, dst in edges),
+        transitions=frozenset(
+            (src, event, names[dst]) for src, events, successors in edges for event, dst in zip(events, successors)
+        ),
         initial=next(iter(components)),
         marked=frozenset(components),
     )
@@ -387,8 +438,18 @@ def verify_large_language_equals(
     first listed; where it fails, or where the initial states differ,
     :class:`InputError` is raised.  The spec may drop plant moves
     between its states.
+
+    The walk steps the supervisor observer's classes (:func:`_quotient`),
+    built at its first step, so a verify failing at the initial node
+    builds none.  Verdict and witness are the unreduced walk's.  The
+    quotient arena is the unreduced arena's image: a mask allows the OR of
+    its members' controls, and a projection or corruption step (product
+    reachability over rows) commutes with a bisimulation quotient.  So
+    every string reaches a node with the same allowed events and spec
+    state, and breadth-first order by least string stops at the same least
+    string and event.
     """
-    g, h, relation, allowed = _closed_loop(g, h, supervisor, attack, actuator_attackable)
+    g, h, relation, allowed = _closed_loop(g, h, supervisor, attack, actuator_attackable, quotient=True)
     if h.initial != g.initial:
         raise InputError(_NOT_A_SUB_AUTOMATON)
     spec: dict[str, list[str]] = {}

@@ -32,7 +32,9 @@ observer, members, controls and estimates from
 observer-state names, with its own step relation; verify, the
 large-language product and the bounded observability check are walked on
 it by ``verify_by_name_sets``, ``large_language_by_name_sets`` and
-``observability_by_name_sets``.  The last two,
+``observability_by_name_sets``.  ``quotient_by_pairs`` partitions an
+observer table by control and row with a pairwise relation it refines
+until it holds still.  The last two,
 ``simulate_by_rewalk`` and ``campaign_by_rewalk``, run the closed loop by
 asking ``control_for`` for the whole observation at every step and by
 re-walking every observation prefix for coverage.
@@ -1068,6 +1070,28 @@ def verify_by_name_sets(g: Automaton, h: Automaton, supervisor, attack, actuator
                 )
                 return Verdict("fails", Counterexample(string(), event, side))
     return Verdict(status="holds")
+
+
+def quotient_by_pairs(rows: list[dict[str, int]], controls) -> list[frozenset[int]]:
+    """The coarsest partition of table states by control value and move row, by pairwise refinement.
+
+    Start from every pair of states with equal controls, and drop a pair
+    while some label moves exactly one of them, or moves both to a pair
+    already dropped.  The classes come out ordered by their least member.
+    """
+    n = len(rows)
+    labels = set().union(*rows)
+    same = {(i, j) for i in range(n) for j in range(n) if controls[i] == controls[j]}
+
+    def related(i, j, label):
+        x, y = rows[i].get(label), rows[j].get(label)
+        return x is None and y is None or x is not None and y is not None and (x, y) in same
+
+    while True:
+        kept = {(i, j) for i, j in same if all(related(i, j, label) for label in labels)}
+        if kept == same:
+            return sorted({frozenset(j for j in range(n) if (i, j) in same) for i in range(n)}, key=min)
+        same = kept
 
 
 def observability_by_name_sets(g: Automaton, h: Automaton, attack, depth: int | None = None) -> Verdict:

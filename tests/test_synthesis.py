@@ -377,14 +377,6 @@ class TestTableAgainstNamedConstruction:
             assert "names" not in vars(sup.observer.table)
 
 
-def _hashed(value):
-    """``hash(value)``, or the text of the error it raises (an observer table holds lists)."""
-    try:
-        return hash(value)
-    except TypeError as error:
-        return str(error)
-
-
 class TestLazyEstimates:
     """Synthesis fills the control table from event masks and builds the estimate table on first read."""
 
@@ -418,7 +410,9 @@ class TestLazyEstimates:
                 eager = Supervisor(source.observer, source.controls, source.estimates, source.alphabet)
                 assert all("estimate_table" not in vars(sup) for sup in (compared, hashed, shown))
                 assert compared == eager and eager == compared
-                assert _hashed(hashed) == _hashed(eager)
+                for value in (hashed, eager, hashed.observer, hashed.observer.table):
+                    with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+                        hash(value)
                 assert repr(shown) == repr(eager)
                 state = sorted(eager.controls)[-1]
                 assert source.with_control(state, SIGMA | g.alphabet.events) == eager.with_control(

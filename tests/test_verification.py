@@ -4,6 +4,7 @@ construction, and its brute-force cross-check."""
 import random
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,9 +29,12 @@ from oracles import (
     large_language_by_name_sets,
     observability_by_enumeration,
     observability_by_name_sets,
+    quotient_by_pairs,
     verify_by_name_sets,
 )
 from conftest import random_model, random_spec, random_strategy, random_supervisor
+import descat.verification
+from descat.verification import _quotient
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -485,6 +489,97 @@ class TestNameSetOracle:
         assert min(statuses.values()) >= 20
         assert largest >= 2
         assert min(widths.values()) >= 20, widths
+
+
+class TestQuotient:
+    """Verify walks the classes of the supervisor's observer by control and row, built at the walk's first step."""
+
+    @staticmethod
+    def check_quotient(rows, controls):
+        """``_quotient``'s classes against the pairwise oracle's; returns how many classes there are."""
+        classes, class_rows, class_controls = _quotient(SimpleNamespace(rows=rows), controls)
+        members = {}
+        for i, c in enumerate(classes):
+            members.setdefault(c, set()).add(i)
+        assert sorted(map(frozenset, members.values()), key=min) == quotient_by_pairs(rows, controls)
+        assert classes[0] == 0 and sorted(members) == list(range(len(class_rows))) == list(range(len(class_controls)))
+        for i, row in enumerate(rows):
+            assert controls[i] == class_controls[classes[i]]
+            assert {label: classes[j] for label, j in row.items()} == class_rows[classes[i]]
+        return len(class_rows)
+
+    def test_classes_match_pairwise_refinement_on_random_tables(self):
+        rng = random.Random(2104)
+        merged = one_state = 0
+        for _ in range(400):
+            n = rng.choice([1, 1, 2, 3, 5, 8, 12])
+            # Half the tables unfold a smaller one: state i copies base state image[i], so some states merge.
+            k = rng.randint(1, n) if rng.random() < 0.5 else n
+            image = [i % k for i in range(n)]
+            rng.shuffle(image)
+            copies = [[i for i in range(n) if image[i] == b] for b in range(k)]
+            base = [{label: rng.randrange(k) for label in "xyz" if rng.random() < 0.7} for _ in range(k)]
+            rows = [{label: rng.choice(copies[b]) for label, b in base[image[i]].items()} for i in range(n)]
+            # Equal controls as distinct objects, as with_control makes them.
+            values = [rng.choice(["a", "ab", "abc"][: rng.randint(1, 3)]) for _ in range(k)]
+            controls = [frozenset(values[image[i]]) for i in range(n)]
+            merged += self.check_quotient(rows, controls) < n
+            one_state += n == 1
+        assert merged >= 100 and one_state >= 50, (merged, one_state)
+
+    def test_classes_match_pairwise_refinement_on_supervisors(self):
+        rng = random.Random(2105)
+        merged = 0
+        for i in range(60):
+            g, policy = random_model(rng, acyclic_attacks=i % 2 == 0)
+            h = random_spec(rng, g)
+            sup = random_supervisor(rng, g, h, policy)
+            merged += self.check_quotient(sup.observer.table.rows, sup.control_table) < len(sup.control_table)
+        assert merged >= 10, merged
+
+    def test_verify_matches_the_unreduced_oracle_on_random_models(self, monkeypatch):
+        """Policies with acyclic and cyclic corruption, strategies, and mutants that fail after one or more events."""
+        built = []
+        monkeypatch.setattr(descat.verification, "_quotient", lambda *a: built.append(_quotient(*a)) or built[-1])
+        rng = random.Random(2106)
+        counts = {"holds": 0, "fails at the initial node": 0, "fails later": 0, "merged": 0, "strategy": 0}
+        for i in range(150):
+            g, policy = random_model(rng, acyclic_attacks=i % 2 == 0)
+            h = random_spec(rng, g)
+            attacks = [(policy, None)]
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                attacks.append((strategy, frozenset()))
+            for attack, att in attacks:
+                for sup in (random_supervisor(rng, g, h, attack), random_supervisor(rng, g, h, attack)):
+                    built.clear()
+                    verdict = verify_large_language_equals(g, h, sup, attack, actuator_attackable=att)
+                    assert verdict.as_dict() == verify_by_name_sets(g, h, sup, attack, att).as_dict()
+                    assert len(built) <= 1
+                    if verdict.holds:
+                        counts["holds"] += 1
+                    elif verdict.counterexample.string:
+                        assert len(built) == 1
+                        counts["fails later"] += 1
+                    else:
+                        assert not built
+                        counts["fails at the initial node"] += 1
+                    counts["merged"] += bool(built) and len(built[0][1]) < len(sup.control_table)
+                    counts["strategy"] += attack is strategy
+        assert min(counts.values()) >= 30, counts
+
+    def test_a_verify_failing_at_the_initial_node_builds_no_quotient(self, monkeypatch, cycle):
+        calls = []
+        monkeypatch.setattr(descat.verification, "_quotient", lambda *a: calls.append(a) or _quotient(*a))
+        g, h, policy = cycle.plant, cycle.spec, cycle.policy
+        sup = synthesize_ca_supervisor(g, h, policy)
+        # Nothing enabled at the initial observer state: the spec's first event is missing at the initial node.
+        stuck = sup.with_control(sup.observer.table.names[0], g.alphabet.uncontrollable)
+        verdict = verify_large_language_equals(g, h, stuck, policy, actuator_attackable=frozenset())
+        assert (verdict.counterexample.string, calls) == ((), [])
+        # The synthesized supervisor fails one event later, after the walk's first step.
+        verdict = verify_large_language_equals(g, h, sup, policy)
+        assert (verdict.counterexample.string, len(calls)) == (("alpha",), 1)
 
 
 class TestSimulationAgreement:
