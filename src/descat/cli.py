@@ -230,10 +230,7 @@ def _cmd_export_dot(doc: ModelDocument, args) -> int:
             raise DescatError("the model has no attack-context automaton")
         obj = doc.sa
     elif what == "diamond":
-        # build_g_diamond validates a policy; a converted strategy's is valid by construction.
-        g, policy = doc.plant, doc.attack
-        if doc.has_observation_strategy:
-            g, _, policy = transition_based_setup(g, None, policy)
+        g, _, policy = transition_based_setup(doc.plant, None, doc.attack)
         obj = build_g_diamond(g, policy)
     else:  # observer
         obj, _ = attacked_observer(doc.plant, doc.attack)
@@ -268,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--actuator-attack", metavar="EVENTS", help="override the attackable actuators")
     p.add_argument("--json", action="store_true")
 
-    p = add("check-observability", _cmd_check_observability, help="bounded CA-observability check")
-    p.add_argument("--depth", type=int, default=None, help="string-length bound (default: 2(|X|+|Q|))")
+    p = add("check-observability", _cmd_check_observability, help="exact CA-observability check")
+    p.add_argument("--depth", type=int, default=None, help="string-length bound (default: none, the check is exact)")
     p.add_argument("--json", action="store_true")
 
     p = add("synthesize", _cmd_synthesize, help="emit the estimate-based supervisor table")

@@ -309,12 +309,6 @@ class _ObserverView(dict):
         """Plant states in state ``i``'s subset: :meth:`CAObserver.plant_projection` of its observer state."""
         return frozenset([self.names[b] for b in _bits(self.masks[i] & self.plant)])
 
-    def count(self) -> int:
-        """Number of reachable subsets, the built observer's state count; reads every row."""
-        for i, _ in enumerate(self.masks):  # reading a row appends the subsets it reaches
-            self[i]
-        return len(self.masks)
-
 
 def attacked_observer(
     a: Automaton, attack: SensorAttackPolicy | ObservationAttackStrategy

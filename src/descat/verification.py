@@ -2,11 +2,12 @@
 
 CA-controllability is decided exactly by reachability.  The
 estimate-consistent formulation of CA-observability checked here is
-decidable on a finite (plant state, set of observer states) arena, but
-this check stops at a depth bound, so its positive answer is labelled
-``holds-to-depth``.  The large language (the upper bound of everything
-the attacked closed loop can generate) is realized as a product
-automaton, and its equality with the spec is decided on the fly.
+decided exactly on a finite (plant state, set of observer states) arena:
+the search saturates by itself, and only a caller's explicit depth bound
+cuts it, labelling its positive answer ``holds-to-depth``.  The large
+language (the upper bound of everything the attacked closed loop can
+generate) is realized as a product automaton, and its equality with the
+spec is decided on the fly.
 
 Each check is one breadth-first search over a finite arena.  The
 observability check's arena and the closed loop's pair a plant state
@@ -30,8 +31,7 @@ table's quotient by control and row (:func:`_quotient`), built when the
 walk first steps; the large-language product keeps the table.  The
 observability check never builds the spec's CA-observer: it steps it on
 demand (:class:`~descat.estimation._ObserverView`, numbered like a
-table), so it builds only the observer states its search reaches, except
-that ``depth=None`` walks every observer state once to count them.  The
+table), so it builds only the observer states its search reaches.  The
 view reads the observer's preamble (substitution, erasure, numbering,
 silent closure) memoised on the restricted policy, so synthesis on the
 same spec and policy does not build it again.  An attack is a policy or an
@@ -52,7 +52,6 @@ from .attacks import (
     ObservationAttackStrategy,
     SensorAttackPolicy,
     actuator_attack_set,
-    ensure_valid_policy,
     transition_based_setup,
 )
 from .automata import Automaton, Word, _bits, _string_to, breadth_first, ensure_deterministic, ensure_plant_and_spec
@@ -126,33 +125,32 @@ def check_ca_controllability(g: Automaton, h: Automaton, actuator_attackable: It
 def check_ca_observability_bounded(
     g: Automaton, h: Automaton, attack: SensorAttackPolicy | ObservationAttackStrategy, depth: int | None = None
 ) -> Verdict:
-    """Depth-bounded check of estimate-consistent observability.
+    """Check of estimate-consistent observability, exact unless cut at ``depth``.
 
     For every string of the safety language extended by one event inside
-    it (up to ``depth`` events total), some feasible attacked observation
-    must have a state estimate from which that event cannot leave the safe
-    states.  If every observation's estimate would force the event to be
-    disabled, the pair is a counterexample.  The observer states of all
+    it, some feasible attacked observation must have a state estimate from
+    which that event cannot leave the safe states.  If every observation's
+    estimate would force the event to be disabled, the pair is a
+    counterexample, with a shortest string.  The observer states of all
     observations of a string are tracked exactly, so infinite corruption
-    languages are handled within the depth.  A positive answer only covers
-    the explored depth.  ``depth=None`` explores ``2 * (|X| + |Q|)`` events,
-    for the spec's CA-observer states ``X`` and the set-up plant's states ``Q``.
+    languages are handled exactly.  The search runs over the finite arena
+    of (plant state, set of observer states) and keeps a visited set, so
+    with ``depth=None`` it saturates and answers ``holds`` or ``fails``.
+    An explicit ``depth`` explores strings of at most ``depth`` events and
+    labels a positive answer ``holds-to-depth``, even when the arena runs
+    out first; its verdicts carry the depth.
 
     The spec's CA-observer is stepped on demand, not built: the search
-    builds only the observer states it reaches, and ``depth=None`` walks
-    every observer state once to count ``X``.  The whole policy is
-    validated on the (set-up) plant first, as verification validates it,
-    and only then restricted to the spec.
+    builds only the observer states it reaches.  The whole attack is set
+    up and validated on the plant first, as verification does, and only
+    then restricted to the spec.
     """
     if depth is not None and depth < 1:
         raise InputError("depth must be at least 1")
     ensure_plant_and_spec(g, h)
-    if isinstance(attack, ObservationAttackStrategy):
-        g, h, attack = transition_based_setup(g, h, attack)
-    ensure_valid_policy(g, attack)
-    policy = attack.restricted_to(h)[0]
+    g, h, policy = transition_based_setup(g, h, attack)
+    policy = policy.restricted_to(h)[0]
     view = _ObserverView(h, policy)
-    depth = depth if depth is not None else 2 * (view.count() + len(g.states))
     relation = _ObserverStepRelation(h, view, policy)
     # An event is disabled at a node iff every tracked state's estimate disables it (any event, if none is).
     disabled_at = cache(lambda i: disabled_set(view.estimate(i), g, h.states))
@@ -170,7 +168,7 @@ def check_ca_observability_bounded(
             if event in disabled(tracked):
                 witness = "every feasible observation yields an estimate that must disable the event"
                 return _fails(string(), event, witness, depth)
-    return Verdict(status="holds-to-depth", depth=depth)
+    return Verdict(status="holds" if depth is None else "holds-to-depth", depth=depth)
 
 
 @dataclass(frozen=True)

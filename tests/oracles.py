@@ -1095,14 +1095,13 @@ def quotient_by_pairs(rows: list[dict[str, int]], controls) -> list[frozenset[in
 
 
 def observability_by_name_sets(g: Automaton, h: Automaton, attack, depth: int | None = None) -> Verdict:
-    """Depth-bounded estimate-consistent observability, walked on name sets.
+    """Estimate-consistent observability, walked on name sets, to saturation or to ``depth``.
 
     Fails at the first (string, event inside the spec) whose every tracked
     observer state's estimate must disable the event.
     """
     g, h, policy = transition_based_setup(g, h, attack)
     observer, _ = attacked_observer(h, policy)
-    depth = depth if depth is not None else 2 * (len(observer.observer.states) + len(g.states))
     step = _NameSetStep(observer.observer, policy, h.alphabet.observable)
 
     def expand(node):
@@ -1117,7 +1116,7 @@ def observability_by_name_sets(g: Automaton, h: Automaton, attack, depth: int | 
             if all(event in disabled_set(observer.plant_projection(x), g, h.states) for x in tracked):
                 witness = "every feasible observation yields an estimate that must disable the event"
                 return Verdict("fails", Counterexample(string(), event, witness), depth)
-    return Verdict(status="holds-to-depth", depth=depth)
+    return Verdict(status="holds" if depth is None else "holds-to-depth", depth=depth)
 
 
 def _rewalk_setup(g, h, policy_or_strategy, actuator_attackable, attacker, max_steps):

@@ -60,11 +60,9 @@ class TestChecks:
         assert "holds-to-depth" in out
         assert "9" in out
 
-    def test_observability_default_depth_heuristic(self, capsys):
-        # 2 * (|observer states| + |plant states|) = 2 * (5 + 4)
+    def test_observability_without_a_depth_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "check-observability", CYCLE_BETA)
-        assert code == 0
-        assert "depth 18" in out
+        assert (code, out) == (0, "CA-observability: holds\n")
 
     def test_verify_exit_codes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", CYCLE_BETA)
@@ -170,7 +168,11 @@ class TestSimulate:
             assert validations("simulate", model, "--trials", "2", "--max-steps", "3") == synthesis + extra
 
     def test_checks_set_the_attack_up_once(self, capsys, monkeypatch):
-        """Beyond loading and synthesis, each check validates a policy once and builds one observer."""
+        """Beyond loading and synthesis, each check validates a policy once and builds one observer.
+
+        A strategy's converted policy is valid by construction, so neither
+        the observability check nor verify validates it again.
+        """
         import descat
 
         # ``_observer`` builds every CA-observer, validated or not; ``_ObserverView`` steps one on demand.
@@ -201,7 +203,7 @@ class TestSimulate:
             loading, _ = counts("check-controllability", model)
             synthesis, _ = counts("synthesize", model)
             for depth in ((), ("--depth", "9")):
-                assert counts("check-observability", model, *depth) == (loading + 1, 1)
+                assert counts("check-observability", model, *depth) == (loading + check, 1)
             assert counts("verify", model) == (synthesis + check, 1)
         assert counts("check-observability", CYCLE_BETA) == (2, 1)
         assert counts("verify", CYCLE_BETA) == (3, 1)
@@ -244,20 +246,22 @@ class TestConvertAndDot:
         assert out == with_spec
 
     def test_export_dot_diamond_validates_the_policy_once(self, capsys, monkeypatch):
-        """Beyond loading, only build_g_diamond validates a policy, as the observer build does."""
+        """Loading works out the policy's problems; the set-up and build_g_diamond read them from the memo.
+
+        The observer build validates the policy's restriction to the plant, a second policy object.
+        """
         import descat
 
         calls = []
-        original = descat.attacks.validate_policy
-        for module in (descat.attacks, descat.modelfile):
-            monkeypatch.setattr(module, "validate_policy", lambda *args: calls.append(1) or original(*args))
+        original = descat.attacks._policy_problems
+        monkeypatch.setattr(descat.attacks, "_policy_problems", lambda *args: calls.append(1) or original(*args))
 
         def validations(*argv):
             calls.clear()
             assert run_cli(capsys, "export-dot", *argv)[0] == 0
             return len(calls)
 
-        assert validations(CYCLE_BETA, "--what", "diamond") == 2
+        assert validations(CYCLE_BETA, "--what", "diamond") == 1
         assert validations(CYCLE_BETA, "--what", "observer") == 2
         assert validations(CYCLE_OBS, "--what", "diamond") == 1
 

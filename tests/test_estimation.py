@@ -249,7 +249,8 @@ class TestObserver:
                 masks, rows = subset_walk_by_members(erase_unobservable(build_g_diamond(target, pol)).automaton)
                 rows = [list(row.items()) for row in rows]
                 view = _ObserverView(target, pol)
-                view.count()
+                for i, _ in enumerate(view.masks):  # reading a row appends the subsets it reaches
+                    view[i]
                 assert view.masks == masks
                 assert [list(view[i].items()) for i in range(len(masks))] == rows
                 with warnings.catch_warnings():

@@ -231,15 +231,19 @@ class TestObservability:
     def test_builds_only_the_observer_states_its_search_reaches(self, monkeypatch):
         import descat
 
-        # A model whose check walks all three levels, on a spec observer of more than 50 states.
+        # A model whose check walks all three levels, and one whose exact check fails, each on a spec
+        # observer of more than 50 states.
         rng = random.Random(1501)
-        while True:
-            g, policy = random_model(rng, max_states=30)
-            h = random_spec(rng, g)
-            built = len(build_ca_observer(h, policy.restricted_to(h)[0]).observer.states)
-            expected = observability_by_name_sets(g, h, policy, 3)
-            if built > 50 and expected.holds:
-                break
+        models = []
+        for depth, holds in ((3, True), (None, False)):
+            while True:
+                g, policy = random_model(rng, max_states=30)
+                h = random_spec(rng, g)
+                built = len(build_ca_observer(h, policy.restricted_to(h)[0]).observer.states)
+                expected = observability_by_name_sets(g, h, policy, depth)
+                if built > 50 and expected.holds == holds:
+                    break
+            models.append((g, h, policy, depth, built, expected))
         calls = []
         for name in ("_observer", "_determinize"):
             for module in (descat.automata, descat.attacks, descat.estimation):
@@ -253,12 +257,46 @@ class TestObservability:
                 views.append(self)
 
         monkeypatch.setattr(descat.verification, "_ObserverView", Recorded)
-        verdict = check_ca_observability_bounded(g, h, policy, depth=3)
-        assert calls == []
-        assert verdict.as_dict() == expected.as_dict()
-        # The view numbers an observer state when a row the search reads first moves there.
-        (view,) = views
-        assert 0 < len(view.masks) < built
+        for g, h, policy, depth, built, expected in models:
+            views.clear()
+            verdict = check_ca_observability_bounded(g, h, policy, depth)
+            assert calls == []
+            assert verdict.as_dict() == expected.as_dict()
+            # The view numbers an observer state when a row the search reads first moves there.
+            (view,) = views
+            assert 0 < len(view.masks) < built
+
+    def test_the_default_is_exact_on_random_models(self):
+        """Without a depth the search saturates: the saturated oracle's verdict, and every explicit depth's answer.
+
+        A failing verdict's string and event are those of every depth above
+        the witness's length, and below it the search holds to that depth; a
+        holding verdict holds to every depth.
+        """
+        rng = random.Random(2207)
+        counts = {"holds": 0, "fails at the empty string": 0, "fails later": 0, "cyclic": 0, "strategy": 0}
+        for i in range(150):
+            g, policy = random_model(rng, acyclic_attacks=i % 2 == 0)
+            h = random_spec(rng, g)
+            strategy = random_strategy(rng, g)
+            for attack in (policy, strategy) if strategy is not None else (policy,):
+                exact = check_ca_observability_bounded(g, h, attack)
+                assert exact.as_dict() == observability_by_name_sets(g, h, attack).as_dict()
+                assert exact.status in ("holds", "fails") and exact.depth is None
+                if exact.holds:
+                    counts["holds"] += 1
+                    cuts = {depth: None for depth in (*range(1, 7), 10**6)}
+                else:
+                    length = len(exact.counterexample.string)
+                    counts["fails later" if length else "fails at the empty string"] += 1
+                    cuts = {depth: exact.counterexample if depth > length else None for depth in range(1, length + 5)}
+                for depth, counterexample in cuts.items():
+                    status = "holds-to-depth" if counterexample is None else "fails"
+                    cut = check_ca_observability_bounded(g, h, attack, depth)
+                    assert (cut.status, cut.counterexample, cut.depth) == (status, counterexample, depth)
+                counts["cyclic"] += attack is policy and i % 2 == 1
+                counts["strategy"] += attack is strategy
+        assert min(counts.values()) >= 10, counts
 
     @pytest.mark.parametrize("depth", [3, 5])
     def test_matches_enumeration_on_random_models(self, depth):
@@ -582,6 +620,27 @@ class TestQuotient:
         assert (verdict.counterexample.string, len(calls)) == (("alpha",), 1)
 
 
+class TestSolvability:
+    """The paper's theorem: the attacked problem is solvable iff the spec is CA-controllable and CA-observable."""
+
+    def test_the_synthesized_supervisor_verifies_iff_both_checks_hold(self):
+        rng = random.Random(2208)
+        outcomes = {(c, o): 0 for c in (True, False) for o in (True, False)}
+        for i in range(300):
+            g, policy = random_model(rng, acyclic_attacks=i % 2 == 0)
+            h = random_spec(rng, g)
+            strategy = random_strategy(rng, g)
+            for attack in (policy, strategy) if strategy is not None else (policy,):
+                controllable = check_ca_controllability(g, h).holds
+                observable = check_ca_observability_bounded(g, h, attack).holds
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    supervisor = synthesize_ca_supervisor(g, h, attack)
+                assert verify_large_language_equals(g, h, supervisor, attack).holds == (controllable and observable)
+                outcomes[controllable, observable] += 1
+        assert min(outcomes.values()) >= 5, outcomes
+
+
 class TestSimulationAgreement:
     def test_simulated_strings_stay_in_large_language(self, cycle_beta):
         from descat import AttackerStrategy, simulate
@@ -636,12 +695,6 @@ class TestEitherAttack:
             assert direct.automaton == set_up.automaton
             assert direct.components == set_up.components
         assert min(statuses.values()) >= 5
-
-    def test_default_depth_is_twice_observer_plus_plant_states(self, cycle_beta):
-        default = check_ca_observability_bounded(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy)
-        assert default.depth == 18
-        explicit = check_ca_observability_bounded(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy, depth=18)
-        assert default.as_dict() == explicit.as_dict()
 
     def test_invalid_policy_raises_the_same_error_everywhere(self, cycle_beta):
         sup = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, cycle_beta.policy)
