@@ -73,12 +73,15 @@ class SensorAttackPolicy:
     state names, the silent-closed moves, the start mask and the plant
     mask, never the substituted transitions.  The observability check and
     synthesis on one (spec, restricted policy) build it once between
-    them.  Nothing in the memo is changed after it is stored.
+    them.  Per plant it holds the move table the closed-loop searches
+    read (``descat.verification._ObserverStepRelation``), whose entry for
+    a plant state is filled on first read and fixed from then on; nothing
+    else in the memo is changed after it is stored.
 
     The copy keeps one object per distinct corruption automaton (compared
-    by value): entries given equal automata share the first of them, so
-    whatever is worked out per corruption language can be keyed on the
-    automaton's identity.
+    by value), listed in the memo under ``"automata"``: entries given
+    equal automata share the first of them, so whatever is worked out per
+    corruption language can be keyed on the automaton's identity.
     """
 
     entries: Mapping[Transition, Automaton]
@@ -88,6 +91,7 @@ class SensorAttackPolicy:
         distinct: dict[Automaton, Automaton] = {}
         entries = {tr: distinct.setdefault(f, f) for tr, f in self.entries.items()}
         object.__setattr__(self, "entries", MappingProxyType(entries))
+        self._memo["automata"] = tuple(distinct)
 
     @classmethod
     def from_transitions(cls, entries: Mapping[Transition, Automaton]) -> "SensorAttackPolicy":
@@ -125,14 +129,14 @@ class SensorAttackPolicy:
     def restricted_to(self, a: Automaton) -> tuple["SensorAttackPolicy", tuple[Transition, ...]]:
         """Restriction to the transitions of ``a`` plus the dropped keys.
 
-        The same restricted policy (with its own memo) comes back on every
-        call with an equal ``a``.
+        The same restricted policy comes back on every call with an equal
+        ``a``: the policy itself when nothing is dropped, else a new one.
         """
         key = ("restricted", a)
         if key not in self._memo:
             kept = {tr: f for tr, f in self.entries.items() if tr in a.transitions}
             dropped = tuple(sorted(tr for tr in self.entries if tr not in a.transitions))
-            self._memo[key] = (SensorAttackPolicy(entries=kept), dropped)
+            self._memo[key] = (SensorAttackPolicy(entries=kept) if dropped else self, dropped)
         return self._memo[key]
 
 

@@ -13,15 +13,17 @@ Each check is one breadth-first search over a finite arena.  The
 observability check's arena and the closed loop's pair a plant state
 with the set of observer states some attacked observation reaches, held
 as an int mask whose bit ``i`` is the observer's own state number ``i``
-(:class:`_ObserverStepRelation`).  The controllability and
-observability checks run on ``automata.breadth_first``.  Verify and
-:func:`large_language_automaton` walk the closed loop's arena in one
-private loop (:func:`_walk`) that tests each node before it steps its
-moves and rebuilds a string only for the node it stops at.
-Verify's node carries no spec state: the spec is a sub-automaton of the
-deterministic plant, so its state is the node's plant state, and the
-spec's moves are checked against the plant's only at the states the
-walk visits.
+(:class:`_ObserverStepRelation`), with the plant's moves listed once per
+(plant, policy) for the check (on spec and restricted policy), verify,
+the product (on set-up plant and policy) and repeat calls alike.  The
+controllability and observability checks run on
+``automata.breadth_first``.  Verify and :func:`large_language_automaton`
+walk the closed loop's arena in one private loop (:func:`_walk`) that
+tests each node before it steps its moves and rebuilds a string only
+for the node it stops at.  Verify's node carries no spec state: the
+spec is a sub-automaton of the deterministic plant, so its state is the
+node's plant state, and the spec's moves are checked against the
+plant's only at the states the walk visits, once per spec in the table.
 
 The supervisor's observer is read as its int table
 (:class:`~descat.automata.SubsetTable`), and its controls by table
@@ -159,7 +161,7 @@ def check_ca_observability_bounded(
 
     def expand(node):
         q, tracked = node
-        return [(event, (dst, relation.step(kind, tracked))) for event, dst, _, kind in relation.moves(q)]
+        return [(event, (dst, relation.step(k, tracked))) for event, dst, k in relation.moves(q)]
 
     for (_, tracked), level, successors, string in breadth_first((h.initial, 1), expand):
         if level == depth:
@@ -202,52 +204,62 @@ class _ObserverStepRelation:
     states is an int mask, bit ``i`` standing for state ``i``, so the
     initial set is the mask 1.
 
-    ``moves(q)`` lists the plant's ``(event, dst, memo, kind)`` moves out
-    of ``q`` when first asked, and :meth:`step` maps a mask to its
-    successor mask across one of them.  Moves share a *kind*: the event
-    when unattacked, else the corruption automaton's identity (a policy
-    keeps one object per automaton value, see
-    :class:`~descat.attacks.SensorAttackPolicy`).  A kind is the tuple
-    ``(memo, states, source)`` of two plain dicts, ``{mask: mask}`` and
-    ``{state: mask}``, and the event or automaton it stands for; a move
-    carries its kind's ``memo`` too, so a hit is one ``memo.get(mask)``.
-    Under an attacked kind an observer state steps to everything some
-    corruption word can drive it to (product reachability with the
-    corruption automaton, so infinite attack languages are exact); under
-    an event, by the event's projection.  A mask steps to the OR of its
-    members' steps; a mask with one member reads that member's step
-    directly, and the empty mask steps to itself.
+    The plant's moves come from a table memoised on the policy per plant
+    (by value), so every relation on one (plant, policy) shares it, one
+    call at a time (filling it is not thread-safe): ``edges[q]`` lists
+    the ``(event, dst, k)`` moves out of ``q`` in the plant's order,
+    filled on first read and never changed, and ``specs`` verify's
+    expected events per spec and state.  ``k`` numbers the move's
+    *kind*, ``sources[k]``: the event when unattacked, else the
+    corruption automaton (one object per value in a policy, see
+    :class:`~descat.attacks.SensorAttackPolicy`).  What depends on the
+    rows is the relation's own: per kind, a ``{mask: mask}`` memo
+    (``memos[k]``, so a hit is one ``memos[k].get(mask)``) and a
+    ``{state: mask}`` memo.  Under an attacked kind an observer state
+    steps to everything some corruption word can drive it to (product
+    reachability with the corruption automaton, so infinite attack
+    languages are exact); under an event, by the event's projection.  A
+    mask steps to the OR of its members' steps; a mask with one member
+    reads that member's step directly, and the empty mask to itself.
     """
 
-    __slots__ = ("plant", "policy", "rows", "edges", "_kinds")
+    __slots__ = ("plant", "rows", "entries", "edges", "sources", "kinds", "specs", "memos", "_states")
 
     def __init__(self, plant: Automaton, rows, policy: SensorAttackPolicy):
-        self.plant, self.policy, self.rows = plant, policy, rows
-        self.edges: dict[str, list] = {}
-        self._kinds: dict[str | int, tuple] = {}
+        memo, key = policy._memo, ("moves", plant)
+        self.edges, self.sources, self.kinds, self.specs = memo.get(key) or memo.setdefault(key, ({}, [], {}, {}))
+        self.plant, self.rows, self.entries = plant, rows, policy.entries
+        self.memos: list[dict[int, int]] = [{0: 0} for _ in self.sources]
+        self._states: list[dict[int, int]] = [{} for _ in self.sources]
 
-    def moves(self, q: str) -> list[tuple[str, str, dict[int, int], tuple]]:
-        """The plant's ``(event, dst, memo, kind)`` moves out of ``q``, in its order; listed on first read."""
-        edges = self.edges.get(q)
-        if edges is None:
-            edges = self.edges[q] = []
-            entries, kinds = self.policy.entries, self._kinds
+    def moves(self, q: str) -> list[tuple[str, str, int]]:
+        """The plant's ``(event, dst, k)`` moves out of ``q``, in its order; listed into the table on first read."""
+        out = self.edges.get(q)
+        if out is None:
+            entries, kinds, sources = self.entries, self.kinds, self.sources
+            out = []
             for event, dst in self.plant.outgoing(q):
                 f = entries.get((q, event, dst))
                 key = event if f is None else id(f)
-                kind = kinds.get(key)
-                if kind is None:
-                    kind = kinds[key] = ({0: 0}, {}, event if f is None else f)
-                edges.append((event, dst, kind[0], kind))
-        return edges
+                k = kinds.get(key)
+                if k is None:
+                    k = kinds[key] = len(sources)
+                    sources.append(event if f is None else f)
+                out.append((event, dst, k))
+            self.edges[q] = out
+            while len(self.memos) < len(sources):  # one memo per kind the table has numbered
+                self.memos.append({0: 0})
+                self._states.append({})
+        return out
 
-    def step(self, kind: tuple, mask: int) -> int:
-        """Successor of ``mask`` across a move of ``kind``, kept in the kind's ``memo``."""
-        memo, states, source = kind
+    def step(self, k: int, mask: int) -> int:
+        """Successor of ``mask`` across a move of kind ``k``, kept in ``memos[k]``."""
+        memo = self.memos[k]
         nxt = memo.get(mask)
         if nxt is None:
             if callable(self.rows):  # rows given as a function are built at the first step
                 self.rows = self.rows()
+            states, source = self._states[k], self.sources[k]
             nxt = 0
             for i in _bits(mask) if mask & (mask - 1) else (mask.bit_length() - 1,):
                 one = states.get(i)
@@ -320,52 +332,54 @@ def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator
     it is uncontrollable, actuator-attackable, or enabled by the control of
     some tracked state; the mask advances through the step relation.
     With ``quotient`` the bits are the observer's classes, built at the
-    first step; mask 1 is state 0 and class 0 alike.
+    first step, which every mask but the initial 1 comes from; mask 1 is
+    state 0 and class 0 alike, and so are their controls.
     """
     ensure_estimate_based(supervisor)
     ensure_deterministic(g)
     g, h, policy = transition_based_setup(g, h, attack)
     table, controls = supervisor.observer.table, supervisor.control_table
-    reduced = cache(lambda: _quotient(table, controls))
-    relation = _ObserverStepRelation(g, (lambda: reduced()[1]) if quotient else table.rows, policy)
+    reduced: list = []  # the quotient's classes, rows and controls, once the first step has built them
+
+    def rows():
+        reduced.extend(_quotient(table, controls))
+        return reduced[1]
+
+    relation = _ObserverStepRelation(g, rows if quotient else table.rows, policy)
     free = g.alphabet.uncontrollable | actuator_attack_set(g.alphabet, actuator_attackable)
-
-    def allowed(mask):
-        by = reduced()[2] if quotient and mask != 1 else controls
-        return free.union(*[by[i] for i in _bits(mask)])
-
-    return g, h, relation, cache(allowed)
+    return g, h, relation, lambda mask: free.union(*[(reduced[2] if reduced else controls)[i] for i in _bits(mask)])
 
 
 def _walk(relation: _ObserverStepRelation, allowed, visit):
     """Breadth-first walk of the closed-loop arena from its initial node, until ``visit`` finds something.
 
     Each node is expanded once, in discovery order.  The moves that fire
-    there (``allowed(mask)`` holds their event) are listed in the plant's
-    order, sorted by event, and ``visit(node, events, successors)`` sees
-    their events; only when it returns None does the walk step them,
-    filling ``successors`` in parallel with ``events`` and queueing unseen
-    successors.  Nodes thus come out ordered by the
-    length-lexicographically least string reaching them.  The first value
-    other than None that ``visit`` returns ends the walk, which returns the
-    least string reaching the node, rebuilt from parent pointers, and that
-    value; a walk that exhausts the arena returns None.
+    there (``allowed(mask)``, kept per mask, holds their event) are
+    listed in the plant's order, sorted by event, and ``visit(node,
+    events, successors)`` sees their events; only when it returns None
+    does the walk step them, filling ``successors`` in parallel with
+    ``events`` and queueing unseen successors.  Nodes thus come out
+    ordered by the length-lexicographically least string reaching them.
+    The first value other than None that ``visit`` returns ends the walk,
+    which returns the least string reaching the node, rebuilt from parent
+    pointers, and that value; a walk that exhausts the arena returns None.
     """
-    edges, moves, step = relation.edges, relation.moves, relation.step
+    edges, moves, memos, step = relation.edges, relation.moves, relation.memos, relation.step
     start = (relation.plant.initial, 1)
     parents = {start: None}
+    fires: dict[int, frozenset[str]] = {}
     queue = [start]
     for node in queue:  # grows as nodes are found: a breadth-first queue
         q, mask = node
-        fire = allowed(mask)
+        fire = fires.get(mask) or fires.setdefault(mask, allowed(mask))
         out = edges.get(q) or moves(q)
         successors = []
         found = visit(node, [move[0] for move in out if move[0] in fire], successors)
         if found is not None:
             return _string_to(parents, node), found
-        for event, dst, memo, kind in out:
+        for event, dst, k in out:
             if event in fire:
-                succ = (dst, memo.get(mask) or step(kind, mask))  # a stored 0 is read again by step
+                succ = (dst, memos[k].get(mask) or step(k, mask))  # a stored 0 is read again by step
                 if succ not in parents:
                     parents[succ] = (node, event)
                     queue.append(succ)
@@ -433,9 +447,10 @@ def verify_large_language_equals(
     ``q`` exactly the events of ``h``'s moves out of ``q``.  The node
     therefore carries no spec state.  The move condition is checked
     lazily, once per plant state the walk expands, when those events are
-    first listed; where it fails, or where the initial states differ,
-    :class:`InputError` is raised.  The spec may drop plant moves
-    between its states.
+    first listed, and kept with them in the plant's move table for later
+    calls on the spec; where it fails, or where the initial states
+    differ, :class:`InputError` is raised, again on every call.  The spec
+    may drop plant moves between its states.
 
     The walk steps the supervisor observer's classes (:func:`_quotient`),
     built at its first step, so a verify failing at the initial node
@@ -450,7 +465,7 @@ def verify_large_language_equals(
     g, h, relation, allowed = _closed_loop(g, h, supervisor, attack, actuator_attackable, quotient=True)
     if h.initial != g.initial:
         raise InputError(_NOT_A_SUB_AUTOMATON)
-    spec: dict[str, list[str]] = {}
+    spec = relation.specs.setdefault(h, {})
 
     def differs(node, events, _):
         q = node[0]

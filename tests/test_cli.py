@@ -246,9 +246,10 @@ class TestConvertAndDot:
         assert out == with_spec
 
     def test_export_dot_diamond_validates_the_policy_once(self, capsys, monkeypatch):
-        """Loading works out the policy's problems; the set-up and build_g_diamond read them from the memo.
+        """Loading works out the policy's problems; the set-up, build_g_diamond and the observer read the memo.
 
-        The observer build validates the policy's restriction to the plant, a second policy object.
+        The observer build validates the policy's restriction to the plant, which drops nothing and so is the
+        policy itself.
         """
         import descat
 
@@ -262,7 +263,7 @@ class TestConvertAndDot:
             return len(calls)
 
         assert validations(CYCLE_BETA, "--what", "diamond") == 1
-        assert validations(CYCLE_BETA, "--what", "observer") == 2
+        assert validations(CYCLE_BETA, "--what", "observer") == 1
         assert validations(CYCLE_OBS, "--what", "diamond") == 1
 
 class TestErrors:

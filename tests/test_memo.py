@@ -24,6 +24,7 @@ from descat import (
     SensorAttackPolicy,
     check_ca_observability_bounded,
     convert_observation_based,
+    large_language_automaton,
     run_campaign,
     simulate,
     synthesize_ca_supervisor,
@@ -32,7 +33,7 @@ from descat import (
     validate_strategy,
     verify_large_language_equals,
 )
-from conftest import random_attack_automaton, random_model, random_spec, random_strategy
+from conftest import random_attack_automaton, random_model, random_spec, random_strategy, random_supervisor
 
 
 def _counting(monkeypatch, name: str, module=descat.attacks) -> list:
@@ -461,3 +462,123 @@ class TestTracesOnDemand:
         for trace in report.violating:
             assert trace.seed is None and not trace.safe
             assert not trace.steps[-1].safe and all(step.safe for step in trace.steps[:-1])
+
+
+class TestMoveTable:
+    """A plant's moves are listed once per (plant, policy), in a table the closed-loop searches share.
+
+    The table is memoised on the policy as ``(edges, sources, kinds, specs)`` under ``("moves", plant)``.
+    """
+
+    @pytest.fixture
+    def listed(self, monkeypatch):
+        """The (table, plant state) pairs whose moves the step relations have listed."""
+        calls = []
+        moves = descat.verification._ObserverStepRelation.moves
+
+        def counted(self, q):
+            if q not in self.edges:
+                calls.append((id(self.edges), q))
+            return moves(self, q)
+
+        monkeypatch.setattr(descat.verification._ObserverStepRelation, "moves", counted)
+        return calls
+
+    def test_a_warm_table_answers_as_a_cold_one(self):
+        rng = random.Random(1207)
+        seen = {"policy": 0, "strategy": 0, "cyclic": 0, "holds": 0, "fails": 0}
+        for i in range(150):
+            cyclic = i % 2 == 1
+            g, policy = random_model(rng, acyclic_attacks=not cyclic)
+            h = random_spec(rng, g)
+            attacks = [(policy, _fresh_policy, "policy")]
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                attacks.append((strategy, _fresh_strategy, "strategy"))
+            for attack, fresh, kind in attacks:
+                supervisor = random_supervisor(rng, g, h, attack)
+                check_ca_observability_bounded(g, h, attack)
+                lla = [large_language_automaton(g, supervisor, attack) for _ in range(2)]
+                warm = [verify_large_language_equals(g, h, supervisor, attack) for _ in range(2)]
+                cold = verify_large_language_equals(g, h, supervisor, fresh(attack))
+                assert warm == [cold] * 2
+                cold_lla = large_language_automaton(g, supervisor, fresh(attack))
+                for product in lla:
+                    assert product.automaton == cold_lla.automaton
+                    assert list(product.components.items()) == list(cold_lla.components.items())
+                seen[kind] += 1
+                seen["cyclic"] += cyclic
+                seen["holds" if cold.holds else "fails"] += 1
+        assert seen["policy"] + seen["strategy"] >= 200, seen
+        assert min(seen.values()) >= 40, seen
+
+    def test_one_policy_keeps_a_table_per_plant(self):
+        rng = random.Random(1208)
+        checked = 0
+        while checked < 30:
+            g, policy = random_model(rng)
+            free = sorted(tr for tr in g.transitions if tr not in policy.entries and tr[0] != g.initial)
+            if not free:
+                continue
+            # Dropping an unattacked move leaves the policy valid for the smaller plant too.
+            other = Automaton(
+                states=g.states, alphabet=g.alphabet, transitions=g.transitions - {rng.choice(free)}, initial=g.initial
+            )
+            for plant in (g, other, g, other):
+                h = random_spec(rng, plant)
+                supervisor = random_supervisor(rng, plant, h, policy)
+                assert verify_large_language_equals(plant, h, supervisor, policy) == verify_large_language_equals(
+                    plant, h, supervisor, _fresh_policy(policy)
+                )
+                edges = policy._memo["moves", plant][0]
+                assert all([event for event, _, _ in edges[q]] == [e for e, _ in plant.outgoing(q)] for q in edges)
+            assert policy._memo["moves", g][0] is not policy._memo["moves", other][0]
+            checked += 1
+
+    def test_check_then_two_verifies_list_each_state_once(self, listed, cycle_beta, cycle_strategy):
+        for attack in (_fresh_policy(cycle_beta.policy), _fresh_strategy(cycle_strategy)):
+            supervisor = synthesize_ca_supervisor(cycle_beta.plant, cycle_beta.spec, attack)
+            listed.clear()
+            check_ca_observability_bounded(cycle_beta.plant, cycle_beta.spec, attack)
+            after_check = len(listed)
+            first = verify_large_language_equals(cycle_beta.plant, cycle_beta.spec, supervisor, attack)
+            after_verify = len(listed)
+            assert first.holds and after_verify > after_check > 0
+            assert verify_large_language_equals(cycle_beta.plant, cycle_beta.spec, supervisor, attack) == first
+            large_language_automaton(cycle_beta.plant, supervisor, attack)
+            assert len(listed) == after_verify
+            assert len(set(listed)) == len(listed)
+
+    def test_a_verify_failing_at_the_initial_node_lists_only_the_initial_state(self, listed):
+        rng = random.Random(1209)
+        found = 0
+        while found < 10:
+            g, policy = random_model(rng)
+            h = random_spec(rng, g)
+            supervisor = random_supervisor(rng, g, h, policy)
+            policy = _fresh_policy(policy)
+            listed.clear()
+            verdict = verify_large_language_equals(g, h, supervisor, policy)
+            if verdict.holds or verdict.counterexample.string:
+                continue
+            edges, _, _, specs = policy._memo["moves", g]
+            assert [q for _, q in listed] == list(edges) == list(specs[h]) == [g.initial]
+            found += 1
+
+    def test_a_spec_off_the_plant_raises_on_every_call(self, cycle_beta):
+        g, spec, policy = cycle_beta.plant, cycle_beta.spec, _fresh_policy(cycle_beta.policy)
+        supervisor = synthesize_ca_supervisor(g, spec, policy)
+        src, event, dst = next(tr for tr in sorted(spec.transitions) if tr[0] == spec.initial)
+        target = next(q for q in sorted(spec.states) if q != dst)
+        redirected = Automaton(
+            states=spec.states,
+            alphabet=spec.alphabet,
+            transitions=spec.transitions - {(src, event, dst)} | {(src, event, target)},
+            initial=spec.initial,
+        )
+        for _ in range(3):
+            with pytest.raises(InputError, match="must be a sub-automaton of the plant"):
+                verify_large_language_equals(g, redirected, supervisor, policy)
+            assert verify_large_language_equals(g, spec, supervisor, policy).holds
+        specs = policy._memo["moves", g][3]
+        assert specs[redirected] == {} and specs[spec]
