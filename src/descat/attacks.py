@@ -73,25 +73,24 @@ class SensorAttackPolicy:
     state names, the silent-closed moves, the start mask and the plant
     mask, never the substituted transitions.  The observability check and
     synthesis on one (spec, restricted policy) build it once between
-    them.  Per plant it holds the move table the closed-loop searches
-    read (``descat.verification._ObserverStepRelation``), whose entry for
-    a plant state is filled on first read and fixed from then on; nothing
-    else in the memo is changed after it is stored.
+    them.  Only the move tables of ``verification._ObserverStepRelation``
+    grow once stored, a state at a time, unlocked: one thread per policy.
 
     The copy keeps one object per distinct corruption automaton (compared
-    by value), listed in the memo under ``"automata"``: entries given
-    equal automata share the first of them, so whatever is worked out per
-    corruption language can be keyed on the automaton's identity.
+    by value), listed in ``automata``: entries given equal automata share
+    the first of them, so whatever is worked out per corruption language
+    can be keyed on the automaton's identity.
     """
 
     entries: Mapping[Transition, Automaton]
+    automata: tuple[Automaton, ...] = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         distinct: dict[Automaton, Automaton] = {}
         entries = {tr: distinct.setdefault(f, f) for tr, f in self.entries.items()}
         object.__setattr__(self, "entries", MappingProxyType(entries))
-        self._memo["automata"] = tuple(distinct)
+        object.__setattr__(self, "automata", tuple(distinct))
 
     @classmethod
     def from_transitions(cls, entries: Mapping[Transition, Automaton]) -> "SensorAttackPolicy":
@@ -136,8 +135,8 @@ class SensorAttackPolicy:
         if key not in self._memo:
             kept = {tr: f for tr, f in self.entries.items() if tr in a.transitions}
             dropped = tuple(sorted(tr for tr in self.entries if tr not in a.transitions))
-            self._memo[key] = (SensorAttackPolicy(entries=kept) if dropped else self, dropped)
-        return self._memo[key]
+            self._memo[key] = (SensorAttackPolicy(entries=kept), dropped) if dropped else None  # None: self
+        return self._memo[key] or (self, ())
 
 
 def _corruption_defects(

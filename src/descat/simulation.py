@@ -205,18 +205,17 @@ class _PreparedRun:
         # A corruption automaton's cap: the given one, else twice its
         # states, which covers all its simple accepting paths.
         self._cap = (lambda f: cap) if cap is not None else (lambda f: 2 * len(f.states))
-        automata = policy._memo["automata"]  # one object per distinct corruption automaton
         if cap is not None and attacker.kind != "none":
             # The attacker only emits words within the cap: a transition
             # without one could never fire.  Each distinct automaton is
             # searched once.
-            shortest = {id(f): shortest_marked_length(f) for f in automata}
+            shortest = {id(f): shortest_marked_length(f) for f in policy.automata}
             short = [tr for tr, f in policy.sorted_entries() if shortest[id(f)] > cap]
             if short:
                 raise InputError(
                     "; ".join(f"fragment_cap {cap} admits no corruption word for transition {tr!r}" for tr in short)
                 )
-        self.fragment_cap = max(map(self._cap, automata), default=cap or 0)
+        self.fragment_cap = max(map(self._cap, policy.automata), default=cap or 0)
         self._fragments: dict[Transition, list[Word] | None] = {}
         self._words: dict[Automaton, list[Word]] = {}
         self._names: dict[frozenset[str], tuple[str, ...]] = {}

@@ -13,17 +13,17 @@ Each check is one breadth-first search over a finite arena.  The
 observability check's arena and the closed loop's pair a plant state
 with the set of observer states some attacked observation reaches, held
 as an int mask whose bit ``i`` is the observer's own state number ``i``
-(:class:`_ObserverStepRelation`), with the plant's moves listed once per
-(plant, policy) for the check (on spec and restricted policy), verify,
-the product (on set-up plant and policy) and repeat calls alike.  The
-controllability and observability checks run on
-``automata.breadth_first``.  Verify and :func:`large_language_automaton`
-walk the closed loop's arena in one private loop (:func:`_walk`) that
-tests each node before it steps its moves and rebuilds a string only
-for the node it stops at.  Verify's node carries no spec state: the
-spec is a sub-automaton of the deterministic plant, so its state is the
-node's plant state, and the spec's moves are checked against the
-plant's only at the states the walk visits, once per spec in the table.
+(:class:`_ObserverStepRelation`), whose moves, plant's and spec's, are
+listed once per set-up (plant, policy) into a table on the policy: verify
+reads what the check listed, as repeat calls do.  The controllability and
+observability checks run on ``automata.breadth_first``.  Verify and
+:func:`large_language_automaton` walk the closed loop's arena in one
+private loop (:func:`_walk`) that tests each node before it steps its
+moves and rebuilds a string only for the node it stops at.  Verify's
+node carries no spec state: the spec is a sub-automaton of the
+deterministic plant, so its state is the node's plant state, and the
+spec's moves are checked against the plant's only at the states the
+walk visits.
 
 The supervisor's observer is read as its int table
 (:class:`~descat.automata.SubsetTable`), and its controls by table
@@ -145,23 +145,25 @@ def check_ca_observability_bounded(
     The spec's CA-observer is stepped on demand, not built: the search
     builds only the observer states it reaches.  The whole attack is set
     up and validated on the plant first, as verification does, and only
-    then restricted to the spec.
+    then restricted to the spec.  The spec's moves go into the set-up's
+    move table on the attack, which verify reads: one thread per attack.
     """
     if depth is not None and depth < 1:
         raise InputError("depth must be at least 1")
     ensure_plant_and_spec(g, h)
     g, h, policy = transition_based_setup(g, h, attack)
-    policy = policy.restricted_to(h)[0]
-    view = _ObserverView(h, policy)
-    relation = _ObserverStepRelation(h, view, policy)
+    view = _ObserverView(h, policy.restricted_to(h)[0])
+    relation = _ObserverStepRelation(g, view, policy, h)  # the spec's moves, from the plant's table
     # An event is disabled at a node iff every tracked state's estimate disables it (any event, if none is).
     disabled_at = cache(lambda i: disabled_set(view.estimate(i), g, h.states))
     everything = frozenset(label for _, label, _ in h.transitions)
     disabled = cache(lambda mask: everything.intersection(*map(disabled_at, _bits(mask))))
+    spec_edges, spec_moves, memos, step = relation.spec_edges, relation.spec_moves, relation.memos, relation.step
 
     def expand(node):
         q, tracked = node
-        return [(event, (dst, relation.step(k, tracked))) for event, dst, k in relation.moves(q)]
+        moves = (spec_edges.get(q) or spec_moves(q))[0]
+        return [(event, (dst, memos[k].get(tracked) or step(k, tracked))) for event, dst, k in moves]
 
     for (_, tracked), level, successors, string in breadth_first((h.initial, 1), expand):
         if level == depth:
@@ -204,40 +206,36 @@ class _ObserverStepRelation:
     states is an int mask, bit ``i`` standing for state ``i``, so the
     initial set is the mask 1.
 
-    The plant's moves come from a table memoised on the policy per plant
-    (by value), so every relation on one (plant, policy) shares it, one
-    call at a time (filling it is not thread-safe): ``edges[q]`` lists
-    the ``(event, dst, k)`` moves out of ``q`` in the plant's order,
-    filled on first read and never changed, and ``specs`` verify's
-    expected events per spec and state.  ``k`` numbers the move's
-    *kind*, ``sources[k]``: the event when unattacked, else the
-    corruption automaton (one object per value in a policy, see
-    :class:`~descat.attacks.SensorAttackPolicy`).  What depends on the
-    rows is the relation's own: per kind, a ``{mask: mask}`` memo
-    (``memos[k]``, so a hit is one ``memos[k].get(mask)``) and a
-    ``{state: mask}`` memo.  Under an attacked kind an observer state
+    The plant's moves come from a table on the policy per plant (by
+    value), one thread at a time: ``edges[q]`` lists the ``(event, dst,
+    k)`` moves out of ``q`` in the plant's order, and ``specs[spec][q]``
+    (``spec_edges[q]``) a sub-automaton's moves among them, each filled on
+    first read and never changed.  ``k`` numbers the move's *kind*,
+    ``sources[k]``: the event when unattacked, else the corruption
+    automaton (one object per value in a policy).  Per kind, the relation
+    keeps a ``{mask: mask}`` memo, ``memos[k]``, so a hit is one
+    ``memos[k].get(mask)``.  Under an attacked kind an observer state
     steps to everything some corruption word can drive it to (product
     reachability with the corruption automaton, so infinite attack
     languages are exact); under an event, by the event's projection.  A
-    mask steps to the OR of its members' steps; a mask with one member
-    reads that member's step directly, and the empty mask to itself.
+    mask steps to the OR of its members' steps, the steps of their
+    one-member masks, and the empty mask steps to itself.
     """
 
-    __slots__ = ("plant", "rows", "entries", "edges", "sources", "kinds", "specs", "memos", "_states")
+    __slots__ = ("plant", "rows", "entries", "edges", "sources", "kinds", "specs", "spec", "spec_edges", "memos")
 
-    def __init__(self, plant: Automaton, rows, policy: SensorAttackPolicy):
+    def __init__(self, plant: Automaton, rows, policy: SensorAttackPolicy, spec: Automaton | None = None):
         memo, key = policy._memo, ("moves", plant)
         self.edges, self.sources, self.kinds, self.specs = memo.get(key) or memo.setdefault(key, ({}, [], {}, {}))
-        self.plant, self.rows, self.entries = plant, rows, policy.entries
+        self.plant, self.rows, self.entries, self.spec = plant, rows, policy.entries, spec
+        self.spec_edges = self.specs.get(spec, {})  # put in specs once a state has passed
         self.memos: list[dict[int, int]] = [{0: 0} for _ in self.sources]
-        self._states: list[dict[int, int]] = [{} for _ in self.sources]
 
     def moves(self, q: str) -> list[tuple[str, str, int]]:
         """The plant's ``(event, dst, k)`` moves out of ``q``, in its order; listed into the table on first read."""
         out = self.edges.get(q)
         if out is None:
-            entries, kinds, sources = self.entries, self.kinds, self.sources
-            out = []
+            entries, kinds, sources, out = self.entries, self.kinds, self.sources, []
             for event, dst in self.plant.outgoing(q):
                 f = entries.get((q, event, dst))
                 key = event if f is None else id(f)
@@ -245,12 +243,24 @@ class _ObserverStepRelation:
                 if k is None:
                     k = kinds[key] = len(sources)
                     sources.append(event if f is None else f)
+                    self.memos.append({0: 0})
                 out.append((event, dst, k))
             self.edges[q] = out
-            while len(self.memos) < len(sources):  # one memo per kind the table has numbered
-                self.memos.append({0: 0})
-                self._states.append({})
         return out
+
+    def spec_moves(self, q: str) -> tuple[list[tuple[str, str, int]], list[str]]:
+        """The spec's moves out of ``q`` among the plant's, and their events; kept once all are the plant's."""
+        found = self.spec_edges.get(q)
+        if found is None:
+            mine, moves = self.spec.outgoing(q), self.edges.get(q) or self.moves(q)
+            if mine != self.plant.outgoing(q):  # else the spec keeps every plant move out of q
+                moves = [move for move in moves if move[:2] in mine]
+                if len(moves) != len(mine):  # the plant is deterministic: one move per event
+                    raise InputError(_NOT_A_SUB_AUTOMATON)
+            if not self.spec_edges:
+                self.specs[self.spec] = self.spec_edges
+            found = self.spec_edges[q] = moves, [event for event, _, _ in moves]
+        return found
 
     def step(self, k: int, mask: int) -> int:
         """Successor of ``mask`` across a move of kind ``k``, kept in ``memos[k]``."""
@@ -259,12 +269,11 @@ class _ObserverStepRelation:
         if nxt is None:
             if callable(self.rows):  # rows given as a function are built at the first step
                 self.rows = self.rows()
-            states, source = self._states[k], self.sources[k]
-            nxt = 0
+            source, nxt = self.sources[k], 0
             for i in _bits(mask) if mask & (mask - 1) else (mask.bit_length() - 1,):
-                one = states.get(i)
+                one = memo.get(1 << i)  # a one-member mask's step is its member's
                 if one is None:
-                    one = states[i] = self._project(source, i) if source.__class__ is str else self._corrupt(source, i)
+                    one = memo[1 << i] = self._project(source, i) if source.__class__ is str else self._corrupt(source, i)
                 nxt |= one
             memo[mask] = nxt
         return nxt
@@ -332,8 +341,7 @@ def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator
     it is uncontrollable, actuator-attackable, or enabled by the control of
     some tracked state; the mask advances through the step relation.
     With ``quotient`` the bits are the observer's classes, built at the
-    first step, which every mask but the initial 1 comes from; mask 1 is
-    state 0 and class 0 alike, and so are their controls.
+    first step; before it the only mask is 1, state 0 and class 0 alike.
     """
     ensure_estimate_based(supervisor)
     ensure_deterministic(g)
@@ -345,7 +353,7 @@ def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator
         reduced.extend(_quotient(table, controls))
         return reduced[1]
 
-    relation = _ObserverStepRelation(g, rows if quotient else table.rows, policy)
+    relation = _ObserverStepRelation(g, rows if quotient else table.rows, policy, h)
     free = g.alphabet.uncontrollable | actuator_attack_set(g.alphabet, actuator_attackable)
     return g, h, relation, lambda mask: free.union(*[(reduced[2] if reduced else controls)[i] for i in _bits(mask)])
 
@@ -397,6 +405,7 @@ def large_language_automaton(
 
     Its states are the nodes of the closed-loop arena (set-up plant state,
     tracked observer states), named ``q|{x,...}``; every node is marked.
+    Moves come from the set-up's move table on the attack: one thread per attack at a time.
     """
     g, _, relation, allowed = _closed_loop(g, None, supervisor, attack, actuator_attackable)
     state_names = supervisor.observer.table.names
@@ -447,10 +456,10 @@ def verify_large_language_equals(
     ``q`` exactly the events of ``h``'s moves out of ``q``.  The node
     therefore carries no spec state.  The move condition is checked
     lazily, once per plant state the walk expands, when those events are
-    first listed, and kept with them in the plant's move table for later
-    calls on the spec; where it fails, or where the initial states
-    differ, :class:`InputError` is raised, again on every call.  The spec
-    may drop plant moves between its states.
+    first listed; where it fails, or where the initial states differ,
+    :class:`InputError` is raised, again on every call.  The spec may
+    drop plant moves between its states.  Moves come from the set-up's
+    move table on the attack, which the check fills too: one thread per attack.
 
     The walk steps the supervisor observer's classes (:func:`_quotient`),
     built at its first step, so a verify failing at the initial node
@@ -465,16 +474,10 @@ def verify_large_language_equals(
     g, h, relation, allowed = _closed_loop(g, h, supervisor, attack, actuator_attackable, quotient=True)
     if h.initial != g.initial:
         raise InputError(_NOT_A_SUB_AUTOMATON)
-    spec = relation.specs.setdefault(h, {})
+    spec_edges, spec_moves = relation.spec_edges, relation.spec_moves
 
     def differs(node, events, _):
-        q = node[0]
-        expected = spec.get(q)
-        if expected is None:
-            moves = h.outgoing(q)
-            if not set(moves) <= set(g.outgoing(q)):  # the plant is deterministic: one move per event
-                raise InputError(_NOT_A_SUB_AUTOMATON)
-            expected = spec[q] = [event for event, _ in moves]
+        expected = (spec_edges.get(node[0]) or spec_moves(node[0]))[1]
         if events == expected:
             return None
         event = min(set(events).symmetric_difference(expected))

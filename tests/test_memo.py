@@ -123,6 +123,7 @@ class TestIdentity:
         assert other != f
         policy = SensorAttackPolicy(entries={tr1: f, tr2: twin})
         assert policy.entries[tr1] is policy.entries[tr2] is f
+        assert len(policy.automata) == 1 and policy.automata[0] is f
         restricted, _ = policy.restricted_to(cycle.plant)
         assert restricted.entries[tr2] is f
         uniform = SensorAttackPolicy.uniform(cycle.plant, {tr1[1]: twin}, overrides={tr2: f})
@@ -184,6 +185,9 @@ class TestSoundness:
             restricted, dropped = policy.restricted_to(h)
             again, dropped_again = policy.restricted_to(_twin(h))
             assert again is restricted and dropped_again == dropped
+            # A restriction that drops nothing is the policy itself, which its memo does not refer to.
+            assert (restricted is policy) == (not dropped)
+            assert policy not in (policy._memo["restricted", h] or ())
             assert list(restricted.entries.items()) == list(_fresh_policy(policy).restricted_to(h)[0].entries.items())
             returned = validate_policy(g, policy)
             returned.append("not a problem")
@@ -542,12 +546,11 @@ class TestMoveTable:
             check_ca_observability_bounded(cycle_beta.plant, cycle_beta.spec, attack)
             after_check = len(listed)
             first = verify_large_language_equals(cycle_beta.plant, cycle_beta.spec, supervisor, attack)
-            after_verify = len(listed)
-            assert first.holds and after_verify > after_check > 0
+            # The closed loop of a verified supervisor stays in the spec, whose states the check has listed.
+            assert first.holds and len(listed) == after_check > 0
             assert verify_large_language_equals(cycle_beta.plant, cycle_beta.spec, supervisor, attack) == first
             large_language_automaton(cycle_beta.plant, supervisor, attack)
-            assert len(listed) == after_verify
-            assert len(set(listed)) == len(listed)
+            assert len(set(listed)) == len(listed) and len({table for table, _ in listed}) == 1
 
     def test_a_verify_failing_at_the_initial_node_lists_only_the_initial_state(self, listed):
         rng = random.Random(1209)
@@ -581,4 +584,4 @@ class TestMoveTable:
                 verify_large_language_equals(g, redirected, supervisor, policy)
             assert verify_large_language_equals(g, spec, supervisor, policy).holds
         specs = policy._memo["moves", g][3]
-        assert specs[redirected] == {} and specs[spec]
+        assert redirected not in specs and specs[spec]
