@@ -74,7 +74,8 @@ class SensorAttackPolicy:
     mask, never the substituted transitions.  The observability check and
     synthesis on one (spec, restricted policy) build it once between
     them.  Only the move tables of ``verification._ObserverStepRelation``
-    grow once stored, a state at a time, unlocked: one thread per policy.
+    and the run tables of ``simulation._PreparedRun`` grow once stored,
+    unlocked: one thread per policy.
 
     The copy keeps one object per distinct corruption automaton (compared
     by value), listed in ``automata``: entries given equal automata share

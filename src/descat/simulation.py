@@ -9,6 +9,7 @@ control after every emitted observation fragment.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -169,7 +170,12 @@ def simulate(
 
     The attack is checked and converted once per strategy and plant,
     across calls (see :func:`~descat.attacks.transition_based_setup`), so
-    a sweep over ``max_steps`` pays for it on its first call only.
+    a sweep over ``max_steps`` pays for it on its first call only.  So
+    are the run tables (see :class:`_PreparedRun`): they are kept on the
+    attack per set-up, and every later ``simulate`` or
+    :func:`run_campaign` on it reads them, random and exhaustive attackers
+    alike.  They grow unlocked, so one attack object serves one thread at
+    a time.
     """
     prepared = _PreparedRun(g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps)
     records, _, _ = prepared.walk(seed, None)
@@ -179,16 +185,20 @@ def simulate(
 class _PreparedRun:
     """The checked inputs of :func:`simulate`, ready to run once per seed.
 
-    What stays fixed across the trials of a campaign is worked out once:
-    the transition-based setup (itself memoised on the attack object), the
-    trace's fragment cap, and (as they are first needed) the fragments the
-    attacker may emit on each attacked transition, the deliveries of each
-    issued control with the sorted names of each control, and the moves
-    enabled at each plant state under each received control.  Fragments
-    are enumerated once per distinct corruption automaton and then looked
-    up per transition.  A run yields plain records, (event, issued names,
-    received names, fragment, safe) per step; :meth:`trace` turns them
-    into a :class:`Trace` only for a caller that keeps one.
+    The transition-based setup is memoised on the attack object.  The run
+    tables do not depend on the supervisor: the fragments the attacker may
+    emit on each attacked transition, the deliveries of each issued
+    control with the sorted names of each control, and the moves enabled
+    at each plant state under each received control.  They are filled as
+    first needed and kept in the (converted) policy's memo under
+    ``("runs", plant, spec, passive, fragment_cap, actuator set)``, with
+    plant and spec compared by value, so every call on one set-up shares
+    them, one thread at a time.  Fragments are enumerated once per
+    distinct corruption automaton (keyed on its identity in the policy's
+    ``automata``) and then looked up per transition.  A run yields plain
+    records, (event, issued names, received names, fragment, safe) per
+    step; :meth:`trace` turns them into a :class:`Trace` only for a
+    caller that keeps one.
     """
 
     def __init__(self, g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps):
@@ -216,19 +226,17 @@ class _PreparedRun:
                     "; ".join(f"fragment_cap {cap} admits no corruption word for transition {tr!r}" for tr in short)
                 )
         self.fragment_cap = max(map(self._cap, policy.automata), default=cap or 0)
-        self._fragments: dict[Transition, list[Word] | None] = {}
-        self._words: dict[Automaton, list[Word]] = {}
-        self._names: dict[frozenset[str], tuple[str, ...]] = {}
-        self._plans: dict[frozenset[str], tuple] = {}
-        self._moves: dict[frozenset[str], dict[str, list]] = {}
+        memo, key = policy._memo, ("runs", g, h, attacker.kind == "none", cap, self.att)
+        tables = memo.get(key) or memo.setdefault(key, ({}, {}, {}, {}, {}))
+        self._fragments, self._words, self._names, self._plans, self._moves = tables
 
     def fragment_choices(self, tr: Transition) -> list[Word] | None:
         """Corruption words for ``tr``, shortest first; None when ``tr`` is not attacked."""
         if tr not in self._fragments:
             f = self.policy.language_automaton(tr)
-            if f is not None and f not in self._words:
-                self._words[f] = sorted(bounded_marked_language(f, self._cap(f)), key=lambda w: (len(w), w))
-            self._fragments[tr] = None if f is None else self._words[f]
+            if f is not None and id(f) not in self._words:
+                self._words[id(f)] = sorted(bounded_marked_language(f, self._cap(f)), key=lambda w: (len(w), w))
+            self._fragments[tr] = None if f is None else self._words[id(f)]
         return self._fragments[tr]
 
     def names(self, control: frozenset[str]) -> tuple[str, ...]:
@@ -387,17 +395,21 @@ class _PreparedRun:
                         out.append(((event, issued_names, received_names, fragment), succ))
             return out
 
+        longest = _walk_lengths(edges)
         for _, depth, successors, string in breadth_first(start, expand):
-            if depth == self.max_steps:
+            if depth == self.max_steps:  # a walk reaches the bound
+                goal = self.max_steps
                 break
             for label, (dst, _, _) in successors:
                 if dst not in h.states:
                     return self._records_along(string() + (label,), last_safe=False)
-        height = _heights(edges)
-        goal = min(self.max_steps, height.get(start, self.max_steps))
-        walk = _tight_walk(start, edges, height, goal, floor=goal)
+        else:
+            goal = longest(start, self.max_steps)
+        # An edge's fragment is a listed corruption word (sorted, longest last) or one event's projection.
+        span = max([1] + [len(words[-1]) for words in self._words.values() if words])
+        walk = _tight_walk(start, edges, longest, goal, span, floor=goal)
         if len(walk) < goal:
-            walk = _tight_walk(start, edges, height, goal, floor=0)
+            walk = _tight_walk(start, edges, longest, goal, span, floor=0)
         return self._records_along(walk, last_safe=True)
 
     def _records_along(self, labels: tuple, last_safe: bool) -> list[tuple]:
@@ -405,45 +417,79 @@ class _PreparedRun:
         return [(*label, last_safe or i < len(labels)) for i, label in enumerate(labels, 1)]
 
 
-def _heights(edges: dict) -> dict:
-    """Length of the longest walk from each arena node that reaches no cycle.
+def _walk_lengths(edges: dict):
+    """``longest(node, cap)``: the least of ``cap`` and the longest walk from ``node`` along ``edges``.
 
-    Nodes that reach a cycle can walk forever and are left out.  A node
-    without edges, a dead end or one at the step bound, has height 0.
+    A node that reaches a cycle walks forever; a node without edges, a
+    dead end or one at the step bound, walks 0 steps.  Each query searches
+    depth first, only as deep as its cap, and stops at a child as soon as
+    the cap is reached.  An answer below the cap is exact and kept in
+    ``exact``; an answer at the cap is a lower bound, kept in ``least``.  A
+    cycle met on the search path means every node on the path walks
+    forever, which ``least`` keeps as infinity.  The search keeps its own
+    stack, so a cap beyond the recursion limit is fine.
     """
-    parents: dict = {}
-    for node, out in edges.items():
-        for _, child in out:
-            parents.setdefault(child, []).append(node)
-    waiting = {node: len(out) for node, out in edges.items()}
-    ready = [node for node in edges.keys() | parents.keys() if not waiting.get(node)]
-    height = {}
-    while ready:
-        node = ready.pop()
-        height[node] = max((height[child] + 1 for _, child in edges.get(node, ())), default=0)
-        for parent in parents.get(node, ()):
-            waiting[parent] -= 1
-            if not waiting[parent]:
-                ready.append(parent)
-    return height
+    exact: dict = {}
+    least: dict = {}
+
+    def known(node, cap: int):
+        if cap <= 0:
+            return 0
+        if node in exact:
+            return min(cap, exact[node])
+        return cap if least.get(node, 0) >= cap else None
+
+    def longest(node, cap: int) -> int:
+        found = known(node, cap)
+        if found is not None:
+            return found
+        path = {node}
+        stack = [[node, cap, 0, (child for _, child in edges.get(node, ()))]]
+        while True:
+            frame = stack[-1]
+            node, cap, best, children = frame
+            child = next(children, None) if best < cap else None
+            if child is not None:
+                if child in path:
+                    for node in path:
+                        least[node] = math.inf
+                    return stack[0][1]
+                found = known(child, cap - 1)
+                if found is None:
+                    path.add(child)
+                    stack.append([child, cap - 1, 0, (grandchild for _, grandchild in edges.get(child, ()))])
+                else:
+                    frame[2] = max(best, found + 1)
+                continue
+            if best < cap:
+                exact[node] = best
+            else:
+                least[node] = cap
+            stack.pop()
+            if not stack:
+                return best
+            path.remove(node)
+            stack[-1][2] = max(stack[-1][2], best + 1)
+
+    return longest
 
 
-def _tight_walk(start, edges: dict, height: dict, goal: int, floor: int) -> tuple:
+def _tight_walk(start, edges: dict, longest, goal: int, span: int, floor: int) -> tuple:
     """Labels of the least of the longest tight walks of length at most ``goal``.
 
     Depth first in emission order, so walks are met least first.  A child
     is skipped when its (plant state, observation) was entered before (a
     later walk there has the same futures and is not less), when it
     cannot walk on to depth ``floor`` or past the longest walk found so
-    far, or when a shorter walk reaches its plant state with its
-    observation.  With ``floor=goal`` the search gives up early when no
-    tight walk reaches ``goal``.  The last test reads ``reach``, kept for
-    the prefixes of the current observation (see :func:`_extend_reach`).
+    far (``longest``, see :func:`_walk_lengths`), or when a shorter walk
+    reaches its plant state with its observation.  With ``floor=goal`` the
+    search gives up early when no tight walk reaches ``goal``.  The last
+    test reads ``reach``, kept for the prefixes of the current observation
+    (see :func:`_extend_reach`); ``span`` bounds the length of a fragment.
     """
     best: tuple = ()
     labels: list = []
     entered = {(start[0], ())}
-    span = max((len(label[3]) for out in edges.values() for label, _ in out), default=0)
     reach = [_settle({0: [start]}, edges)]
     stack = [(start, (), iter(edges.get(start, ())))]
     while stack and len(best) < goal:
@@ -452,7 +498,7 @@ def _tight_walk(start, edges: dict, height: dict, goal: int, floor: int) -> tupl
         need = max(floor, len(best) + 1) - depth
         for label, child in out:
             key = (child[0], observation + label[3])
-            if key in entered or height.get(child, goal) < need:
+            if key in entered or longest(child, need) < need:
                 continue
             del reach[len(observation) + 1 :]
             _extend_reach(reach, edges, key[1], span)
@@ -554,7 +600,8 @@ def run_campaign(
     (one deterministic search).  The supervisor must be estimate-based, as
     for :func:`simulate`; the inputs are checked once, before the first
     trial, and the attack is converted once per strategy and plant, across
-    calls.  A trial is a run's plain records (see :class:`_PreparedRun`),
+    calls.  The trials read the set-up's run tables, which
+    :func:`simulate` shares across calls, one thread at a time.  A trial is a run's plain records (see :class:`_PreparedRun`),
     one memo lookup plus the fragment's table step each; its verdict is
     read off the last record, and a :class:`Trace` is built only for a
     trial whose plant string is a new violation, from the records it

@@ -37,7 +37,9 @@ observer table by control and row with a pairwise relation it refines
 until it holds still.  The last two,
 ``simulate_by_rewalk`` and ``campaign_by_rewalk``, run the closed loop by
 asking ``control_for`` for the whole observation at every step and by
-re-walking every observation prefix for coverage.
+re-walking every observation prefix for coverage.  ``heights_by_ranking``
+ranks every node of an exhaustive-attacker arena by its longest walk at
+once, from parent lists over every edge, as the simulator once did.
 """
 
 from __future__ import annotations
@@ -1243,6 +1245,30 @@ def simulate_by_rewalk(
         safe = safe and q in h.states
         steps.append(TraceStep(index, event, tuple(sorted(issued)), tuple(sorted(received)), fragment, safe))
     return make_trace(steps, effective_seed)
+
+
+def heights_by_ranking(edges: dict) -> dict:
+    """Length of the longest walk from each arena node that reaches no cycle.
+
+    Nodes that reach a cycle can walk forever and are left out.  A node
+    without edges, a dead end or one at the step bound, has height 0.
+    ``edges`` maps a node to its ``(label, child)`` pairs.
+    """
+    parents: dict = {}
+    for node, out in edges.items():
+        for _, child in out:
+            parents.setdefault(child, []).append(node)
+    waiting = {node: len(out) for node, out in edges.items()}
+    ready = [node for node in edges.keys() | parents.keys() if not waiting.get(node)]
+    height = {}
+    while ready:
+        node = ready.pop()
+        height[node] = max((height[child] + 1 for _, child in edges.get(node, ())), default=0)
+        for parent in parents.get(node, ()):
+            waiting[parent] -= 1
+            if not waiting[parent]:
+                ready.append(parent)
+    return height
 
 
 def campaign_by_rewalk(

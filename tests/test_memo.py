@@ -585,3 +585,84 @@ class TestMoveTable:
             assert verify_large_language_equals(g, spec, supervisor, policy).holds
         specs = policy._memo["moves", g][3]
         assert redirected not in specs and specs[spec]
+
+
+class TestRunTables:
+    """A set-up's run tables are listed once and kept on the attack across simulations and campaigns.
+
+    They are memoised on the (converted) policy under ``("runs", plant, spec,
+    passive, fragment_cap, actuator set)``, with plant and spec compared by value.
+    """
+
+    ATTACKERS = (
+        AttackerStrategy.random_choices(),
+        AttackerStrategy.exhaustive(),
+        AttackerStrategy.none(),
+        AttackerStrategy(kind="exhaustive", fragment_cap=2),
+    )
+
+    @staticmethod
+    def runs(plant, h, supervisor, attack, attacker, actuator_attackable=None):
+        """A simulation's and a campaign's answers, as text."""
+        trace = simulate(plant, h, supervisor, attack, actuator_attackable, attacker=attacker, max_steps=7, seed=3)
+        report = run_campaign(plant, h, supervisor, attack, actuator_attackable, trials=6, max_steps=7, attacker=attacker)
+        return trace.to_text(), trace.as_dict(), report.as_dict(), [t.to_text() for t in report.violating]
+
+    @staticmethod
+    def tables(attack, g) -> dict:
+        """The run tables on ``attack``'s transition-based policy for ``g``, by key."""
+        policy = transition_based_setup(g, None, attack)[2]
+        return {key: value for key, value in policy._memo.items() if key[0] == "runs"}
+
+    def test_warm_tables_answer_as_cold_ones(self):
+        rng = random.Random(2401)
+        seen = {"policy": 0, "strategy": 0, "cyclic": 0, "safe": 0, "unsafe": 0}
+        for i in range(60):
+            cyclic = i % 3 == 2
+            g, policy = random_model(rng, acyclic_attacks=not cyclic)
+            h = random_spec(rng, g)
+            attacks = [(policy, _fresh_policy, "policy")]
+            strategy = random_strategy(rng, g)
+            if strategy is not None:
+                attacks.append((strategy, _fresh_strategy, "strategy"))
+            for attack, fresh, kind in attacks:
+                supervisor = random_supervisor(rng, g, h, attack)
+                for attacker in self.ATTACKERS:
+                    answer = _same_on_repeat_twin_and_fresh(
+                        lambda plant, a: self.runs(plant, h, supervisor, a, attacker), attack, fresh, g
+                    )
+                    if answer[0] == "ok":
+                        seen["safe" if answer[1][2]["violations"] == 0 else "unsafe"] += 1
+                seen[kind] += 1
+                seen["cyclic"] += cyclic
+        assert min(seen.values()) >= 20, seen
+
+    def test_each_set_up_keeps_its_own_tables(self):
+        rng = random.Random(2402)
+        checked = 0
+        while checked < 30:
+            g, policy = random_model(rng)
+            att = g.alphabet.actuator_attackable
+            h, other_h = random_spec(rng, g), random_spec(rng, g)
+            if not att or not policy.entries or h == other_h:
+                continue
+            supervisor = random_supervisor(rng, g, h, policy)
+            random_attacker = AttackerStrategy.random_choices()
+            variants = [
+                (h, random_attacker, None),
+                (other_h, random_attacker, None),
+                (h, AttackerStrategy(kind="random", fragment_cap=4), None),
+                (h, AttackerStrategy.none(), None),
+                (h, random_attacker, sorted(att)[:-1]),
+            ]
+            for spec, attacker, actuator_attackable in variants * 2:
+                warm = self.runs(g, spec, supervisor, policy, attacker, actuator_attackable)
+                cold = self.runs(g, spec, supervisor, _fresh_policy(policy), attacker, actuator_attackable)
+                assert warm == cold
+            tables = self.tables(policy, g)
+            assert len(tables) == len(variants)
+            assert len({id(value) for value in tables.values()}) == len(variants)
+            # The exhaustive attacker reads the random attacker's tables.
+            simulate(g, h, supervisor, policy, attacker=AttackerStrategy.exhaustive(), max_steps=5)
+            assert self.tables(policy, g) == tables
+            checked += 1

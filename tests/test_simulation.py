@@ -1,6 +1,7 @@
 """Closed-loop simulation: trace soundness, reproducibility and campaigns."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -14,13 +15,14 @@ from descat import (
     UnsupportedSupervisorError,
     delta_control,
     enumerate_language,
+    natural_projection,
     run_campaign,
     simulate,
     synthesize_ca_supervisor,
     synthesize_obs_based,
     verify_large_language_equals,
 )
-from oracles import brute_force_large_language, campaign_by_rewalk, simulate_by_rewalk
+from oracles import brute_force_large_language, campaign_by_rewalk, heights_by_ranking, simulate_by_rewalk
 from conftest import random_model, random_spec, random_strategy, random_supervisor
 
 W = lambda text: tuple(text.split())
@@ -518,6 +520,90 @@ class TestDeepExhaustive:
         assert 0 < reads[800] <= 2 * reads[400], reads
 
 
+    def test_past_the_recursion_limit(self, cycle_beta):
+        """A safe 2000-step run: deeper than Python's default recursion limit, so no search may recurse per step."""
+        g, h, policy = cycle_beta.plant, cycle_beta.spec, cycle_beta.policy
+        sup = corpus_supervisor(cycle_beta)
+        trace = simulate(g, h, sup, policy, attacker=AttackerStrategy.exhaustive(), max_steps=2000)
+        assert trace.safe and len(trace.steps) == 2000
+        assert_replays(trace, g, h, sup, policy)
+
+
+def assert_replays(trace, g, h, sup, policy):
+    """Each step of ``trace`` is a legal closed-loop step of ``sup`` under ``policy``.
+
+    The supervisor's observer is stepped one fragment at a time, where
+    ``control_for`` would re-read the whole observation at every step.
+    """
+    from descat.automata import run
+
+    table, att = sup.observer.table, g.alphabet.actuator_attackable
+    x, q, safe = table.initial, g.initial, g.initial in h.states
+    for i, step in enumerate(trace.steps, 1):
+        issued = sup.default_control if x is None else sup.control_table[x]
+        assert step.index == i and step.issued == tuple(sorted(issued))
+        assert frozenset(step.received) in delta_control(issued, att)
+        assert step.event in step.received or step.event in g.alphabet.uncontrollable
+        dst = g.delta(q, step.event)
+        assert dst is not None
+        f = policy.language_automaton((q, step.event, dst))
+        if f is None:
+            assert step.fragment == natural_projection((step.event,), g.alphabet)
+        else:
+            assert run(f, step.fragment) & f.marked
+        q, safe = dst, safe and dst in h.states
+        assert step.safe == safe
+        x = table.step(x, step.fragment)
+    assert trace.safe == safe
+
+
+class TestWalkLengths:
+    """The exhaustive attacker's on-demand walk lengths against a ranking of the whole arena."""
+
+    @staticmethod
+    def random_edges(rng):
+        """An edge map with cycles, self-loops, dead ends, childless nodes and nodes no edge enters."""
+        nodes = list(range(rng.randint(1, 14)))
+        edges = {}
+        for node in nodes:
+            if rng.random() < 0.15:
+                continue  # never expanded: no entry at all
+            out = [(("e", k), rng.choice(nodes)) for k in range(rng.choice((0, 0, 1, 1, 2, 3)))]
+            if rng.random() < 0.6:  # most edges go forward, so long acyclic walks are common
+                out = [(label, node + rng.randint(1, 2)) for label, _ in out]
+            edges[node] = out
+        return edges
+
+    def test_matches_the_ranking_oracle(self):
+        from descat.simulation import _walk_lengths
+
+        rng = random.Random(2424)
+        seen = {"cyclic": 0, "deep": 0, "self-loop": 0, "unexpanded": 0}
+        for _ in range(400):
+            edges = self.random_edges(rng)
+            oracle = heights_by_ranking(edges)
+            nodes = sorted(edges.keys() | {child for out in edges.values() for _, child in out})
+            queries = [(node, cap) for node in nodes for cap in range(13)]
+            rng.shuffle(queries)
+            longest = _walk_lengths(edges)
+            for node, cap in queries:
+                assert longest(node, cap) == min(cap, oracle.get(node, math.inf)), (edges, node, cap)
+            seen["cyclic"] += any(node not in oracle for node in nodes)
+            seen["deep"] += max(oracle.values(), default=0) >= 4
+            seen["self-loop"] += any(node == child for node, out in edges.items() for _, child in out)
+            seen["unexpanded"] += any(node not in edges for node in nodes)
+        assert min(seen.values()) >= 40, seen
+
+    def test_a_long_chain_without_recursion(self):
+        from descat.simulation import _walk_lengths
+
+        edges = {i: [("e", i + 1)] for i in range(5000)}
+        longest = _walk_lengths(edges)
+        assert longest(0, 10**6) == 5000 and longest(4990, 20) == 10 and longest(0, 7) == 7
+        edges[5000] = [("e", 0)]
+        assert _walk_lengths(edges)(2500, 10**6) == 10**6
+
+
 class TestFragmentCap:
     """A cap below the shortest word of an attack language is rejected before any trial."""
 
@@ -573,7 +659,12 @@ class TestPolicyValidatedOnce:
         assert len(calls) == 2
 
     def test_fragments_are_enumerated_once_per_distinct_automaton(self, cycle_beta, monkeypatch):
-        """Two transitions attacked by equal automata (one a copy) share one enumeration."""
+        """Two transitions attacked by equal automata (one a copy) share one enumeration per set-up.
+
+        The run tables are kept on the attack across calls, and random and
+        exhaustive attackers share them, so a campaign and a simulation of
+        each kind enumerate the words once between them.
+        """
         import descat.simulation
         from descat import Automaton, ObservationAttackStrategy
 
@@ -590,13 +681,13 @@ class TestPolicyValidatedOnce:
         g, h = cycle_beta.plant, cycle_beta.spec
         for attack in (policy, strategy):
             sup = synthesize_ca_supervisor(g, h, attack)
+            calls.clear()
             for attacker in (AttackerStrategy.random_choices(), AttackerStrategy.exhaustive()):
-                calls.clear()
                 report = run_campaign(g, h, sup, attack, trials=20, max_steps=12, attacker=attacker)
-                assert calls == [f] and report.observer_states_visited > 2
-                calls.clear()
+                assert report.observer_states_visited > 2
                 trace = simulate(g, h, sup, attack, attacker=attacker, max_steps=12, seed=1)
-                assert calls == [f] and {"lambda", "mu"} <= set(trace.plant_string)
+                assert {"lambda", "mu"} <= set(trace.plant_string)
+            assert calls == [f]
 
     def test_policy_is_reported_before_nondeterminism(self, cycle_beta):
         g = dataclasses.replace(cycle_beta.plant, transitions=cycle_beta.plant.transitions | {("1", "alpha", "4")})
