@@ -68,12 +68,13 @@ class SensorAttackPolicy:
     has worked out about a plant: :func:`validate_policy` and
     :meth:`restricted_to` run once per distinct plant (compared by value)
     the policy has been used with, and the memo lives and dies with the
-    policy.  The memo also holds, per automaton, the preamble of its
-    CA-observer under the policy (``descat.estimation._preamble``): the
-    state names, the silent-closed moves, the start mask and the plant
-    mask, never the substituted transitions.  The observability check and
-    synthesis on one (spec, restricted policy) build it once between
-    them.  Only the move tables of ``verification._ObserverStepRelation``
+    policy.  The memo also holds, per automaton, its CA-observer under the
+    policy (``descat.estimation._observer_walk``): the preamble (state
+    names, silent-closed moves, start and plant masks, never the
+    substituted transitions) and the rows walked so far.  The
+    observability check and synthesis on one (spec, restricted policy)
+    share it, and so do the check's step memos kept beside it.  The
+    observer walk, the move tables of ``verification._ObserverStepRelation``
     and the run tables of ``simulation._PreparedRun`` grow once stored,
     unlocked: one thread per policy.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import islice
 from typing import ClassVar, Iterable
 
 from .errors import InputError
@@ -311,7 +312,7 @@ class SubsetTable:
     ``index`` from name to number, the named ``automaton`` and its
     ``members`` are built on first read; a search that steps the table by
     ``rows`` or ``step`` builds none of them.  The walk that fills it
-    (:func:`_subset_walk`) works label by label on ints, so it names no
+    (:class:`_SubsetWalk`) works label by label on ints, so it names no
     state either.
     """
 
@@ -389,30 +390,49 @@ def _determinize(
     """:func:`subset_construction` of the automaton these parts describe, as a :class:`SubsetTable`.
 
     The preamble (:func:`_subset_moves`) numbers the states and closes
-    their moves, label by label; the walk (:func:`_subset_walk`) visits
-    every reachable subset mask.  A caller that keeps the preamble, as
-    the spec's CA-observer does (see ``descat.estimation``), walks it
-    again without redoing it.  Nothing is named.
+    their moves, label by label; the walk (:class:`_SubsetWalk`) visits
+    every reachable subset mask.  A caller that keeps the walk, as each
+    CA-observer does (see ``descat.estimation``), reads rows on demand and
+    completes it once.  Nothing is named.
     """
     bit_names, index, moves, start = _subset_moves(states, transitions, initial)
     marked_mask = 0
     for name in marked:
         marked_mask |= 1 << index[name]
-    return _subset_walk(bit_names, moves, start, marked_mask, alphabet)
+    return _SubsetWalk(bit_names, moves, start, marked_mask, alphabet).table
 
 
-def _subset_walk(bit_names: list[str], moves: _Moves, start: int, marked: int, alphabet: EventAlphabet) -> SubsetTable:
-    """The :class:`SubsetTable` of every subset reachable from ``start``, under :func:`_subset_moves`'s moves.
+class _SubsetWalk(dict):
+    """The subset walk from ``start`` under :func:`_subset_moves`'s moves, advanced on demand.
 
-    Reads ``bit_names`` and ``moves`` and changes neither, so a kept
-    preamble can be walked any number of times; the unions a walk works
-    out are memoised for that walk alone.
+    ``self[i]`` is table state ``i``'s ``{label: j}`` row.  Rows are built
+    in table order (breadth-first, labels sorted) by :func:`_subset_row`:
+    reading row ``i`` first builds every row before it, numbering in
+    ``masks`` the subsets they move to, so a search that reads a few rows
+    builds a breadth-first prefix of the table and names nothing.
+    :attr:`table` builds the rest, once, and is the whole
+    :class:`SubsetTable`, sharing ``masks`` and the rows.  The walk reads
+    ``bit_names`` and ``moves`` and changes neither.
     """
-    found = {start: 0}  # subset mask -> table state, in discovery order
-    masks = [start]
-    unions: list[dict[int, int]] = [{} for _ in moves]
-    rows = [_subset_row(moves, mask, found, masks, unions) for mask in masks]  # masks grows: a breadth-first queue
-    return SubsetTable(bit_names, masks, rows, marked, alphabet)
+
+    def __init__(self, bit_names: list[str], moves: _Moves, start: int, marked: int, alphabet: EventAlphabet):
+        self.bit_names, self.moves, self.marked, self.alphabet = bit_names, moves, marked, alphabet
+        self.masks, self.found = [start], {start: 0}  # subset mask -> table state, in discovery order
+        self.unions: list[dict[int, int]] = [{} for _ in moves]
+
+    def __missing__(self, i: int) -> dict[str, int]:
+        moves, masks, found, unions = self.moves, self.masks, self.found, self.unions
+        for n in range(len(self), i + 1):
+            self[n] = _subset_row(moves, masks[n], found, masks, unions)
+        return self[i]
+
+    @cached_property
+    def table(self) -> SubsetTable:
+        """Every subset reachable from ``start``, as a :class:`SubsetTable`."""
+        moves, masks, found, unions = self.moves, self.masks, self.found, self.unions
+        for n, mask in enumerate(islice(masks, len(self), None), len(self)):  # masks grows: a breadth-first queue
+            self[n] = _subset_row(moves, mask, found, masks, unions)
+        return SubsetTable(self.bit_names, masks, list(self.values()), self.marked, self.alphabet)
 
 
 def _subset_row(moves: _Moves, mask: int, found: dict, masks: list[int], unions: list[dict]) -> dict[str, int]:

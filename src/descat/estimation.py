@@ -6,12 +6,14 @@ unobservable labels, and determinize.  The resulting observer maps each
 feasible attacked observation to the exact set of plant states the system
 may currently be in.
 
-Everything before the first subset is visited (substitution, erasure,
-numbering and silent closure) is the observer's preamble.  It is built
-once per (automaton, policy) and memoised on the policy, and both the
-built observer (:func:`build_ca_observer`, :func:`attacked_observer`,
-synthesis) and the on-demand one the observability check steps
-(:class:`_ObserverView`) read it.
+There is one observer per (automaton, policy), memoised on the policy
+(:func:`_observer_walk`): its preamble (substitution, erasure, numbering
+and silent closure), then a subset walk that builds rows in table order
+on demand.  The observability check steps it and so builds only a
+breadth-first prefix; :func:`build_ca_observer`, :func:`attacked_observer`
+and synthesis complete it once and share the one :class:`CAObserver`, so
+a repeat call walks nothing.  Callers must not change the shared
+observer, and one attack object serves one thread at a time.
 """
 
 from __future__ import annotations
@@ -24,13 +26,10 @@ from .attacks import ObservationAttackStrategy, SensorAttackPolicy, convert_obse
 from .automata import (
     EPSILON,
     Automaton,
-    SubsetTable,
     Transition,
     _bits,
-    _Moves,
     _subset_moves,
-    _subset_row,
-    _subset_walk,
+    _SubsetWalk,
 )
 from .errors import InputError
 
@@ -237,77 +236,60 @@ def build_ca_observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
 
     Its marked language is exactly the set of observations the supervisor
     can receive, and the plant projection of the state reached by an
-    observation is the state estimate for it.
+    observation is the state estimate for it.  The observer is built once
+    per ``g`` (compared by value) and memoised on ``policy``: every call,
+    and synthesis on the same automaton and policy, returns the one shared
+    object, which callers must not change (one thread per policy).
     """
     ensure_valid_policy(g, policy)
     return _observer(g, policy)
 
 
 def _observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
-    """:func:`build_ca_observer` for a policy already known to be valid: the walk over :func:`_preamble`."""
-    names, moves, start, plant = _preamble(g, policy)
-    return CAObserver(_subset_walk(names, moves, start, plant, g.alphabet))
+    """:func:`build_ca_observer` for a policy already known to be valid: the shared, completed :func:`_observer_walk`."""
+    return _observer_walk(g, policy).observer
 
 
-def _preamble(g: Automaton, policy: SensorAttackPolicy) -> tuple[list[str], _Moves, int, int]:
-    """Everything the CA-observer of ``g`` under ``policy`` needs before its first subset is visited.
+class _ObserverWalk(_SubsetWalk):
+    """The CA-observer of one (automaton, policy) as a subset walk advanced on demand (see :func:`_observer_walk`)."""
 
-    Substitutes the corruption automata, makes the unobservable labels
-    silent, then numbers the states and closes their moves
-    (:func:`~descat.automata._subset_moves`).  Returns the state names in
-    bit order, the closed moves as per-label vectors (one ``(label, has,
-    targets)`` entry per label), the start mask and the mask of ``g``'s
-    own states, the plant mask whose intersection with a subset is its
-    estimate; the substituted automaton is not kept.
+    @cached_property
+    def observer(self) -> CAObserver:
+        """The whole walk as one :class:`CAObserver`, shared by every caller."""
+        return CAObserver(self.table)
 
-    Worked out once per automaton (compared by value) and memoised on
-    ``policy``, like :meth:`~descat.attacks.SensorAttackPolicy.restricted_to`,
-    so the observability check and synthesis on one (spec, restricted
-    policy) share it.  Nothing in it is changed after it is built.  An
-    error raised while building it (an injected state name clashing with
-    a state of ``g``) is not memoised, so it is raised again on the next
-    call.  ``policy`` must be valid.
+    def estimate(self, i: int) -> frozenset[str]:
+        """Plant states in state ``i``'s subset, read before the walk is whole: :meth:`CAObserver.estimate`."""
+        return frozenset([self.bit_names[b] for b in _bits(self.masks[i] & self.marked)])
+
+
+def _observer_walk(g: Automaton, policy: SensorAttackPolicy) -> _ObserverWalk:
+    """The CA-observer of ``g`` under ``policy``, one per automaton (compared by value), memoised on ``policy``.
+
+    Its preamble substitutes the corruption automata, makes the
+    unobservable labels silent, then numbers the states and closes their
+    moves (:func:`~descat.automata._subset_moves`); the substituted
+    automaton is not kept.  The walk then numbers observer states as a
+    :class:`~descat.automata.SubsetTable` does, breadth-first with labels
+    sorted, whoever reads first: the observability check reads rows on
+    demand and so builds a breadth-first prefix, and :func:`_observer`
+    completes it once for synthesis, :func:`build_ca_observer` and
+    :func:`attacked_observer`.  A state number, and so a mask of them,
+    means the same to every caller across calls.  Callers must not change
+    what they read, and the walk grows unlocked: one thread per policy.
+    An error raised in the preamble (an injected state name clashing
+    with a state of ``g``) is not memoised, so it is raised again on the
+    next call.  ``policy`` must be valid.
     """
-    key = ("preamble", g)
+    key = ("observer", g)
     if key not in policy._memo:
         states, transitions, _ = _substitute(g, policy)
         observable = g.alphabet.observable
         erased = ((src, label if label in observable else EPSILON, dst) for src, label, dst in transitions)
         names, index, moves, start = _subset_moves(states, erased, g.initial)
-        policy._memo[key] = names, moves, start, sum(1 << index[q] for q in g.states)  # distinct bits: sum is OR
+        plant = sum(1 << index[q] for q in g.states)  # distinct bits: sum is OR
+        policy._memo[key] = _ObserverWalk(names, moves, start, plant, g.alphabet)
     return policy._memo[key]
-
-
-class _ObserverView(dict):
-    """:func:`build_ca_observer`'s observer, stepped on demand instead of built.
-
-    Its states are numbered on first sight, in the order the rows a
-    search reads reach them, and read as a
-    :class:`~descat.automata.SubsetTable`'s are: state 0 is the initial
-    subset, and ``masks[i]`` is state ``i``'s subset of the
-    substituted-and-erased automaton's states (bits numbered as
-    :func:`_preamble` numbers them).  The view maps a state number to its
-    ``{label: j}`` move row, as the table's ``rows`` do.  A row is built
-    on first read from the memoised preamble, which synthesis on the same
-    (automaton, policy) reads too, and numbers the subsets it moves to,
-    so a search that reaches a few subsets names and builds no others.
-    Rows are built by the subset walk's own kernel
-    (:func:`~descat.automata._subset_row`), with unions memoised for
-    this view alone.  ``policy`` must be valid.
-    """
-
-    def __init__(self, g: Automaton, policy: SensorAttackPolicy):
-        self.names, self._moves, start, self.plant = _preamble(g, policy)
-        self.masks, self._numbers = [start], {start: 0}
-        self._unions: list[dict[int, int]] = [{} for _ in self._moves]
-
-    def __missing__(self, i: int) -> dict[str, int]:
-        row = self[i] = _subset_row(self._moves, self.masks[i], self._numbers, self.masks, self._unions)
-        return row
-
-    def estimate(self, i: int) -> frozenset[str]:
-        """Plant states in state ``i``'s subset: :meth:`CAObserver.plant_projection` of its observer state."""
-        return frozenset([self.names[b] for b in _bits(self.masks[i] & self.plant)])
 
 
 def attacked_observer(
@@ -321,7 +303,9 @@ def attacked_observer(
     :func:`convert_observation_based`), the observer is built on the
     composition without validating the converted policy again (it is valid
     by construction), and the lift projects each estimate through the
-    composition's pairs.
+    composition's pairs.  The observer is the one memoised on the
+    (restricted or converted) policy, shared with synthesis on ``a``:
+    callers must not change it, and one attack serves one thread at a time.
     """
     if not isinstance(attack, ObservationAttackStrategy):
         ensure_valid_policy(a, attack.restricted_to(a)[0])

@@ -31,12 +31,13 @@ number, so verify names no observer state: names are built only where
 :func:`large_language_automaton` names its states.  Verify walks the
 table's quotient by control and row (:func:`_quotient`), built when the
 walk first steps; the large-language product keeps the table.  The
-observability check never builds the spec's CA-observer: it steps it on
-demand (:class:`~descat.estimation._ObserverView`, numbered like a
-table), so it builds only the observer states its search reaches.  The
-view reads the observer's preamble (substitution, erasure, numbering,
-silent closure) memoised on the restricted policy, so synthesis on the
-same spec and policy does not build it again.  An attack is a policy or an
+observability check steps the spec's CA-observer, the one memoised on
+the restricted policy (:func:`~descat.estimation._observer_walk`), whose
+rows are built in table order on first read: a check builds only a
+breadth-first prefix, which synthesis on the same spec and policy
+completes.  The numbering is fixed across calls, so the check keeps its
+step memos and disabled sets beside the set-up too, and a repeat check
+steps nothing again.  An attack is a policy or an
 observation-based strategy, set up on plant and spec by
 :func:`~descat.attacks.transition_based_setup`; every entry point
 validates the whole attack on the plant.
@@ -58,7 +59,7 @@ from .attacks import (
 )
 from .automata import Automaton, Word, _bits, _string_to, breadth_first, ensure_deterministic, ensure_plant_and_spec
 from .errors import InputError
-from .estimation import _ObserverView
+from .estimation import _observer_walk
 from .synthesis import disabled_set, ensure_estimate_based
 
 
@@ -142,23 +143,29 @@ def check_ca_observability_bounded(
     labels a positive answer ``holds-to-depth``, even when the arena runs
     out first; its verdicts carry the depth.
 
-    The spec's CA-observer is stepped on demand, not built: the search
-    builds only the observer states it reaches.  The whole attack is set
-    up and validated on the plant first, as verification does, and only
-    then restricted to the spec.  The spec's moves go into the set-up's
-    move table on the attack, which verify reads: one thread per attack.
+    The spec's CA-observer is the one synthesis reads, stepped on demand:
+    the search builds its rows in table order up to the last one it
+    reads, a breadth-first prefix.  The whole attack is set up and
+    validated on the plant first, as verification does, and only then
+    restricted to the spec.  The spec's moves go into the set-up's move
+    table on the attack, which verify reads, and the per-kind step memos
+    and disabled sets are kept on the set-up policy per (plant, spec):
+    one thread per attack.
     """
     if depth is not None and depth < 1:
         raise InputError("depth must be at least 1")
     ensure_plant_and_spec(g, h)
     g, h, policy = transition_based_setup(g, h, attack)
-    view = _ObserverView(h, policy.restricted_to(h)[0])
-    relation = _ObserverStepRelation(g, view, policy, h)  # the spec's moves, from the plant's table
-    # An event is disabled at a node iff every tracked state's estimate disables it (any event, if none is).
-    disabled_at = cache(lambda i: disabled_set(view.estimate(i), g, h.states))
-    everything = frozenset(label for _, label, _ in h.transitions)
-    disabled = cache(lambda mask: everything.intersection(*map(disabled_at, _bits(mask))))
-    spec_edges, spec_moves, memos, step = relation.spec_edges, relation.spec_moves, relation.memos, relation.step
+    walk = _observer_walk(h, policy.restricted_to(h)[0])
+    memo, key = policy._memo, ("check", g, h)
+    if key not in memo:  # the walk's numbers are fixed, so its step memos and disabled sets are kept
+        # An event is disabled at a node iff every tracked state's estimate disables it (any event, if none is).
+        disabled_at = cache(lambda i: disabled_set(walk.estimate(i), g, h.states))
+        everything = frozenset(label for _, label, _ in h.transitions)
+        memo[key] = [], cache(lambda mask: everything.intersection(*map(disabled_at, _bits(mask))))
+    memos, disabled = memo[key]
+    relation = _ObserverStepRelation(g, walk, policy, h, memos)  # the spec's moves, from the plant's table
+    spec_edges, spec_moves, step = relation.spec_edges, relation.spec_moves, relation.step
 
     def expand(node):
         q, tracked = node
@@ -200,11 +207,10 @@ class _ObserverStepRelation:
     ``i``'s ``{label: j}`` row, and state 0 is the initial one.  The
     supervisor's observer table (:class:`~descat.automata.SubsetTable`)
     has every row, as do its classes (:func:`_quotient`), which verify
-    passes as a function that the first step calls; the spec's
-    :class:`~descat.estimation._ObserverView` builds a row, and numbers
-    the states it reaches, when it is first read.  A set of observer
-    states is an int mask, bit ``i`` standing for state ``i``, so the
-    initial set is the mask 1.
+    passes as a function that the first step calls; the spec's observer
+    walk (:func:`~descat.estimation._observer_walk`) builds rows in table
+    order up to each one read.  A set of observer states is an int mask,
+    bit ``i`` standing for state ``i``, so the initial set is the mask 1.
 
     The plant's moves come from a table on the policy per plant (by
     value), one thread at a time: ``edges[q]`` lists the ``(event, dst,
@@ -214,22 +220,25 @@ class _ObserverStepRelation:
     ``sources[k]``: the event when unattacked, else the corruption
     automaton (one object per value in a policy).  Per kind, the relation
     keeps a ``{mask: mask}`` memo, ``memos[k]``, so a hit is one
-    ``memos[k].get(mask)``.  Under an attacked kind an observer state
-    steps to everything some corruption word can drive it to (product
-    reachability with the corruption automaton, so infinite attack
-    languages are exact); under an event, by the event's projection.  A
-    mask steps to the OR of its members' steps, the steps of their
-    one-member masks, and the empty mask steps to itself.
+    ``memos[k].get(mask)``; a caller whose rows keep their numbers across
+    calls passes in ``memos`` it keeps, as the check does.  Under an
+    attacked kind an observer state steps to everything some corruption
+    word can drive it to (product reachability with the corruption
+    automaton, so infinite attack languages are exact, reading a row only
+    where the corruption goes on); under an event, by the event's
+    projection.  A mask steps to the OR of its members' steps, the steps
+    of their one-member masks, and the empty mask steps to itself.
     """
 
     __slots__ = ("plant", "rows", "entries", "edges", "sources", "kinds", "specs", "spec", "spec_edges", "memos")
 
-    def __init__(self, plant: Automaton, rows, policy: SensorAttackPolicy, spec: Automaton | None = None):
+    def __init__(self, plant: Automaton, rows, policy: SensorAttackPolicy, spec: Automaton | None = None, memos=None):
         memo, key = policy._memo, ("moves", plant)
         self.edges, self.sources, self.kinds, self.specs = memo.get(key) or memo.setdefault(key, ({}, [], {}, {}))
         self.plant, self.rows, self.entries, self.spec = plant, rows, policy.entries, spec
         self.spec_edges = self.specs.get(spec, {})  # put in specs once a state has passed
-        self.memos: list[dict[int, int]] = [{0: 0} for _ in self.sources]
+        self.memos: list[dict[int, int]] = [] if memos is None else memos
+        self.memos += [{0: 0} for _ in self.sources[len(self.memos) :]]  # kinds listed since the memos were
 
     def moves(self, q: str) -> list[tuple[str, str, int]]:
         """The plant's ``(event, dst, k)`` moves out of ``q``, in its order; listed into the table on first read."""
@@ -285,7 +294,7 @@ class _ObserverStepRelation:
         return 0 if nxt is None else 1 << nxt
 
     def _corrupt(self, f: Automaton, i: int) -> int:
-        found = 0
+        found, rows = 0, self.rows
         start = (f.initial, i)
         seen = {start}
         stack = [start]
@@ -293,9 +302,8 @@ class _ObserverStepRelation:
             fstate, x = stack.pop()
             if fstate in f.marked:
                 found |= 1 << x
-            row = self.rows[x]
-            for label, f2 in f.outgoing(fstate):
-                nxt = (f2, row.get(label))
+            for label, f2 in f.outgoing(fstate):  # a row is read only where the corruption goes on
+                nxt = (f2, rows[x].get(label))
                 if nxt[1] is not None and nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)

@@ -175,21 +175,24 @@ class TestSimulate:
         """
         import descat
 
-        # ``_observer`` builds every CA-observer, validated or not; ``_ObserverView`` steps one on demand.
+        # ``_observer`` completes every CA-observer, validated or not; the observability check instead
+        # steps one on demand, fetched by ``_observer_walk``.  ``_observer`` reads that walk too, so the
+        # walk is counted where the check fetches it only.
         calls = {"validate_policy": 0, "_observer": 0}
+        everywhere = (descat.attacks, descat.estimation, descat.modelfile, descat.verification)
         counters = (
-            ("validate_policy", descat.attacks, "validate_policy"),
-            ("_observer", descat.estimation, "_observer"),
-            ("_ObserverView", descat.estimation, "_observer"),
+            ("validate_policy", descat.attacks, "validate_policy", everywhere),
+            ("_observer", descat.estimation, "_observer", everywhere),
+            ("_observer_walk", descat.verification, "_observer", (descat.verification,)),
         )
-        for name, home, counter in counters:
+        for name, home, counter, modules in counters:
             original = getattr(home, name)
 
             def counted(*args, counter=counter, original=original):
                 calls[counter] += 1
                 return original(*args)
 
-            for module in (descat.attacks, descat.estimation, descat.modelfile, descat.verification):
+            for module in modules:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
 

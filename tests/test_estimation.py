@@ -222,43 +222,57 @@ class TestObserver:
         assert converted > 30
 
     def test_table_view_and_synthesis_equal_the_per_member_walk_on_random_specs(self):
-        """The spec's observer, built, stepped on demand and synthesized on, under policies and strategies."""
+        """The spec's one memoised observer equals the per-member walk, whichever reader fills it first.
+
+        Under policies (acyclic and cyclic corruption languages) and
+        strategies, in two orders: a depth-limited check and a read of one
+        numbered row fill a breadth-first prefix, then synthesis completes
+        it; and :func:`build_ca_observer` builds it cold on an equal attack.
+        Masks, rows and numbering are the oracle's in both, and synthesis
+        and :func:`attacked_observer` return the one shared observer.
+        """
         import warnings
 
-        from descat import synthesize_ca_supervisor
-        from descat.estimation import _ObserverView, attacked_observer
+        from descat import ObservationAttackStrategy, check_ca_observability_bounded, synthesize_ca_supervisor
+        from descat.estimation import _observer_walk, attacked_observer
         from conftest import random_spec
         from oracles import subset_walk_by_members
 
+        def parts(table):
+            return table.masks, [list(row.items()) for row in table.rows]
+
         rng = random.Random(6062)
-        seen = {"acyclic": 0, "cyclic": 0, "strategy": 0}
+        seen = {"acyclic": 0, "cyclic": 0, "strategy": 0, "prefix": 0}
         for i in range(150):
             acyclic = i % 2 == 0
             g, policy = random_model(rng, acyclic_attacks=acyclic)
             h = random_spec(rng, g)
-            attacks = [("acyclic" if acyclic else "cyclic", policy)]
+            attacks = [("acyclic" if acyclic else "cyclic", policy, SensorAttackPolicy(entries=policy.entries))]
             strategy = random_strategy(rng, g)
             if strategy is not None:
-                attacks.append(("strategy", strategy))
-            for kind, attack in attacks:
+                attacks.append(("strategy", strategy, ObservationAttackStrategy(sa=strategy.sa, omega=strategy.omega)))
+            for kind, attack, twin in attacks:
                 if kind == "strategy":
-                    conversion = convert_observation_based(h, attack)
-                    target, pol = conversion.product, conversion.policy
+                    # The check runs on the plant's conversion; synthesis's observer is the spec's own.
+                    conversions = convert_observation_based(h, attack), convert_observation_based(h, twin)
+                    (target, pol), (_, twin_pol) = [(c.product, c.policy) for c in conversions]
                 else:
-                    target, pol = h, attack.restricted_to(h)[0]
-                masks, rows = subset_walk_by_members(erase_unobservable(build_g_diamond(target, pol)).automaton)
-                rows = [list(row.items()) for row in rows]
-                view = _ObserverView(target, pol)
-                for i, _ in enumerate(view.masks):  # reading a row appends the subsets it reaches
-                    view[i]
-                assert view.masks == masks
-                assert [list(view[i].items()) for i in range(len(masks))] == rows
+                    target, pol, twin_pol = h, attack.restricted_to(h)[0], twin.restricted_to(h)[0]
+                expected = subset_walk_by_members(erase_unobservable(build_g_diamond(target, pol)).automaton)
+                expected = expected[0], [list(row.items()) for row in expected[1]]
+                walk = _observer_walk(target, pol)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
+                    check_ca_observability_bounded(g, h, attack, depth=3)
+                    walk[rng.randrange(len(walk.masks))]  # a numbered row: it and every row before it are built
+                    seen["prefix"] += len(walk) < len(expected[0])
+                    assert walk.masks == expected[0][: len(walk.masks)]
+                    assert [list(row.items()) for row in walk.values()] == expected[1][: len(walk)]
                     sup = synthesize_ca_supervisor(g, h, attack)
-                for table in (attacked_observer(h, attack)[0].table, sup.observer.table):
-                    assert table.masks == masks
-                    assert [list(row.items()) for row in table.rows] == rows
+                assert sup.observer is attacked_observer(h, attack)[0] is walk.observer
+                assert parts(sup.observer.table) == expected
+                cold = build_ca_observer(target, twin_pol)
+                assert cold is not sup.observer and parts(cold.table) == expected
                 seen[kind] += 1
         assert min(seen.values()) >= 40, seen
 

@@ -1,9 +1,9 @@
 """The per-object memo of attack policies and strategies.
 
 A policy or strategy keeps what it has worked out about a plant (its
-problems, the conversion, the transition-based setup, the preamble of a
-spec's CA-observer), so a repeat call must answer exactly as a call on a
-fresh, equal attack object does.
+problems, the conversion, the transition-based setup, a spec's
+CA-observer and the check's step memos beside it), so a repeat call must
+answer exactly as a call on a fresh, equal attack object does.
 """
 
 import random
@@ -79,6 +79,10 @@ def _fresh_policy(policy: SensorAttackPolicy) -> SensorAttackPolicy:
 
 def _fresh_strategy(strategy: ObservationAttackStrategy) -> ObservationAttackStrategy:
     return ObservationAttackStrategy(sa=strategy.sa, omega=strategy.omega)
+
+
+def _fresh_attack(attack):
+    return _fresh_strategy(attack) if isinstance(attack, ObservationAttackStrategy) else _fresh_policy(attack)
 
 
 def _same_on_repeat_twin_and_fresh(call, attack, fresh, g, view=lambda value: value):
@@ -399,8 +403,9 @@ class TestPreamble:
                 assert (cold.control_table, cold.estimate_table) == (warm.control_table, warm.estimate_table)
                 assert (cold.controls, cold.estimates) == (warm.controls, warm.estimates)
                 if kind == "policy":
-                    key = ("preamble", h)
-                    assert attack.restricted_to(h)[0]._memo[key] == cold_attack.restricted_to(h)[0]._memo[key]
+                    warm_walk, cold_walk = (a.restricted_to(h)[0]._memo["observer", h] for a in (attack, cold_attack))
+                    assert (warm_walk.bit_names, warm_walk.moves) == (cold_walk.bit_names, cold_walk.moves)
+                    assert warm_walk.table == cold_walk.table
                 seen[kind] += 1
                 seen["cyclic"] += cyclic
         assert min(seen.values()) >= 40, seen
@@ -424,6 +429,97 @@ class TestPreamble:
         assert outcomes[0][0] is InputError and "collide with existing states" in outcomes[0][1]
         assert outcomes == [outcomes[0]] * 4
         assert len(substituted) == 4 and closed == []
+        assert not [key for key in policy._memo if key[0] in ("observer", "check")]
+
+
+class TestOneObserver:
+    """One spec observer per (spec, restricted policy): the check reads a prefix, synthesis completes it once.
+
+    The walk is memoised under ``("observer", spec)``; the check's step
+    memos and disabled sets under ``("check", plant, spec)`` on the set-up policy.
+    """
+
+    @staticmethod
+    def models(seed: int, count: int, max_states: int = 6):
+        rng = random.Random(seed)
+        for i in range(count):
+            g, policy = random_model(rng, max_states, acyclic_attacks=i % 2 == 0)
+            yield rng, g, random_spec(rng, g), policy
+
+    def test_check_synthesis_and_attacked_observer_build_each_row_once(self, monkeypatch, cycle, cycle_beta):
+        import descat.automata
+        from descat.estimation import attacked_observer
+
+        rows = _counting(monkeypatch, "_subset_row", descat.automata)
+        corpus = [(None, model.plant, model.spec, model.policy) for model in (cycle, cycle_beta)]
+        checked = 0
+        for _, g, h, policy in corpus + list(self.models(2501, 60, max_states=12)):
+            policy = _fresh_policy(policy)
+            rows.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                check_ca_observability_bounded(g, h, policy)
+                first = synthesize_ca_supervisor(g, h, policy)
+                observer, _ = attacked_observer(h, policy)
+                second = synthesize_ca_supervisor(g, h, policy)
+            assert first.observer is observer is second.observer
+            assert sorted(args[1] for args in rows) == sorted(observer.table.masks)
+            checked += 1
+        assert checked == 62
+
+    def test_a_check_failing_at_the_initial_node_builds_a_breadth_first_prefix(self, monkeypatch):
+        import descat.automata
+
+        rows = _counting(monkeypatch, "_subset_row", descat.automata)
+        found = smaller = 0
+        for _, g, h, policy in self.models(2502, 300, max_states=20):
+            policy = _fresh_policy(policy)
+            rows.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                verdict = check_ca_observability_bounded(g, h, policy)
+                if verdict.holds or verdict.counterexample.string:
+                    continue
+                built = [args[1] for args in rows]
+                walk = policy.restricted_to(h)[0]._memo["observer", h]
+                assert "table" not in vars(walk) and list(walk) == list(range(len(built)))
+                whole = synthesize_ca_supervisor(g, h, _fresh_policy(policy)).observer.table
+            assert built == whole.masks[: len(built)] and walk.masks == whole.masks[: len(walk.masks)]
+            smaller += len(built) < len(whole.masks)
+            found += 1
+        assert found >= 60 and smaller >= found * 3 // 4, (found, smaller)
+
+    def test_each_spec_keeps_its_own_check_memos(self):
+        seen = {"holds": 0, "fails": 0}
+        for rng, g, h, policy in self.models(2504, 80):
+            other = random_spec(rng, g)
+            for spec in (h, other, h, other):
+                for depth in (3, None):
+                    verdict = check_ca_observability_bounded(g, spec, policy, depth)
+                    assert verdict == check_ca_observability_bounded(g, spec, _fresh_policy(policy), depth)
+                    seen["holds" if verdict.holds else "fails"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_a_second_depth_limited_check_computes_no_corruption_step(self, monkeypatch, cycle_beta, cycle_strategy):
+        corrupt = descat.verification._ObserverStepRelation._corrupt
+        steps = []
+        monkeypatch.setattr(
+            descat.verification._ObserverStepRelation, "_corrupt", lambda *args: steps.append(args) or corrupt(*args)
+        )
+        corpus = [(cycle_beta.plant, cycle_beta.spec, _fresh_policy(cycle_beta.policy))]
+        corpus.append((cycle_beta.plant, cycle_beta.spec, _fresh_strategy(cycle_strategy)))
+        corpus += [(g, h, _fresh_policy(policy)) for _, g, h, policy in self.models(2503, 40)]
+        stepped = 0
+        for g, h, attack in corpus:
+            steps.clear()
+            expected = [check_ca_observability_bounded(g, h, _fresh_attack(attack), depth=d) for d in (4, 3)]
+            steps.clear()
+            assert check_ca_observability_bounded(g, h, attack, depth=4) == expected[0]
+            stepped += bool(steps)
+            steps.clear()
+            assert [check_ca_observability_bounded(g, h, attack, depth=d) for d in (4, 3)] == expected
+            assert steps == []
+        assert stepped >= 20, stepped
 
 
 class TestTracesOnDemand:

@@ -239,8 +239,10 @@ class TestObservability:
             while True:
                 g, policy = random_model(rng, max_states=30)
                 h = random_spec(rng, g)
-                built = len(build_ca_observer(h, policy.restricted_to(h)[0]).observer.states)
-                expected = observability_by_name_sets(g, h, policy, depth)
+                # On an equal but distinct policy, so that the check below finds no observer built.
+                twin = SensorAttackPolicy(entries=policy.entries)
+                built = len(build_ca_observer(h, twin.restricted_to(h)[0]).observer.states)
+                expected = observability_by_name_sets(g, h, twin, depth)
                 if built > 50 and expected.holds == holds:
                     break
             models.append((g, h, policy, depth, built, expected))
@@ -249,22 +251,19 @@ class TestObservability:
             for module in (descat.automata, descat.attacks, descat.estimation):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
-        views = []
-
-        class Recorded(descat.verification._ObserverView):
-            def __init__(self, *args):
-                super().__init__(*args)
-                views.append(self)
-
-        monkeypatch.setattr(descat.verification, "_ObserverView", Recorded)
+        walks = []
+        fetch = descat.verification._observer_walk
+        monkeypatch.setattr(descat.verification, "_observer_walk", lambda *args: walks.append(fetch(*args)) or walks[-1])
         for g, h, policy, depth, built, expected in models:
-            views.clear()
+            walks.clear()
             verdict = check_ca_observability_bounded(g, h, policy, depth)
             assert calls == []
             assert verdict.as_dict() == expected.as_dict()
-            # The view numbers an observer state when a row the search reads first moves there.
-            (view,) = views
-            assert 0 < len(view.masks) < built
+            # The walk builds rows in table order up to the last one the search reads, and numbers the
+            # subsets they move to; it is never completed.
+            (walk,) = walks
+            assert 0 < len(walk.masks) < built
+            assert list(walk) == list(range(len(walk))) and "table" not in vars(walk)
 
     def test_the_default_is_exact_on_random_models(self):
         """Without a depth the search saturates: the saturated oracle's verdict, and every explicit depth's answer.
