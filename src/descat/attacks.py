@@ -64,19 +64,9 @@ class SensorAttackPolicy:
     well-formedness of the attack automata.
 
     ``entries`` is a read-only mapping over a private copy of the one
-    given, so a policy never changes.  That lets a policy memoise what it
-    has worked out about a plant: :func:`validate_policy` and
-    :meth:`restricted_to` run once per distinct plant (compared by value)
-    the policy has been used with, and the memo lives and dies with the
-    policy.  The memo also holds, per automaton, its CA-observer under the
-    policy (``descat.estimation._observer_walk``): the preamble (state
-    names, silent-closed moves, start and plant masks, never the
-    substituted transitions) and the rows walked so far.  The
-    observability check and synthesis on one (spec, restricted policy)
-    share it, and so do the check's step memos kept beside it.  The
-    observer walk, the move tables of ``verification._ObserverStepRelation``
-    and the run tables of ``simulation._PreparedRun`` grow once stored,
-    unlocked: one thread per policy.
+    given, so a policy never changes and can memoise what it has worked
+    out about a plant (see :class:`_SetUp`): its validation, restriction,
+    CA-observer and set-ups.  A copy or pickle starts with an empty memo.
 
     The copy keeps one object per distinct corruption automaton (compared
     by value), listed in ``automata``: entries given equal automata share
@@ -93,6 +83,9 @@ class SensorAttackPolicy:
         entries = {tr: distinct.setdefault(f, f) for tr, f in self.entries.items()}
         object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "automata", tuple(distinct))
+
+    def __reduce__(self):
+        return SensorAttackPolicy, (dict(self.entries),)
 
     @classmethod
     def from_transitions(cls, entries: Mapping[Transition, Automaton]) -> "SensorAttackPolicy":
@@ -354,17 +347,15 @@ class ObservationAttackStrategy:
     :func:`validate_strategy` checks all three; "over the observable
     events" covers ``sa``'s declared alphabet as well as its labels, since
     composing the plant with ``sa`` would drop the plant's moves on a
-    declared unobservable event.  ``omega`` maps a
-    pair (context state, sensor-attackable event) to the corruption
-    language emitted when that event is observed in that context; events
-    outside the attackable set always pass through unchanged.
+    declared unobservable event.  ``omega`` maps a pair (context state,
+    sensor-attackable event) to the corruption language emitted when that
+    event is observed in that context; events outside the attackable set
+    always pass through unchanged.
 
     ``omega`` is a read-only mapping over a private copy of the one given,
-    so a strategy never changes.  That lets it memoise what it has worked
-    out about a plant: :func:`validate_strategy` and
-    :func:`convert_observation_based` compose and check once per distinct
-    plant (compared by value), and :func:`transition_based_setup` once per
-    plant and spec.  The memo lives and dies with the strategy.
+    so a strategy never changes and can memoise, as a policy does, what it
+    has worked out about a plant: its validation, conversion and set-ups.
+    A copy or pickle starts with an empty memo.
     """
 
     sa: Automaton
@@ -373,6 +364,9 @@ class ObservationAttackStrategy:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", MappingProxyType(dict(self.omega)))
+
+    def __reduce__(self):
+        return ObservationAttackStrategy, (self.sa, dict(self.omega))
 
     def corruption(self, z: str, event: str) -> Automaton | None:
         return self.omega.get((z, event))
@@ -547,6 +541,9 @@ class ObservationConversion:
     def __post_init__(self):
         object.__setattr__(self, "pairs", MappingProxyType(dict(self.pairs)))
 
+    def __reduce__(self):
+        return ObservationConversion, (self.product, self.policy, dict(self.pairs))
+
 
 def convert_observation_based(g: Automaton, strategy: ObservationAttackStrategy) -> ObservationConversion:
     """Rewrite an observation-based sensor attack as a transition-based policy.
@@ -578,23 +575,65 @@ def transition_based_setup(
     the composed states whose plant state is in ``h``.  A missing spec
     (``None``) stays missing.
 
-    Either way the work is done once per attack and plant (and spec), and
-    memoised on the attack object: a repeat call returns the same
-    automata and policy, and an invalid attack raises the same error again.
+    The set-up is memoised on the attack (:class:`_SetUp`): a repeat call
+    returns the same automata and policy, and an invalid attack raises
+    the same error again.
 
     This is the one validity rule of the library: an attack is valid for
     a plant as a whole, and only then restricted to a spec.  The checks,
     synthesis, verification and simulation all validate it on the plant.
     """
+    setup = _setup(g, h, attack)
+    return setup.plant, setup.spec, setup.policy
+
+
+class _SetUp:
+    """One (attack, plant, spec) set-up and everything the procedures have built on it.
+
+    ``plant``, ``spec`` and ``policy`` are what :func:`transition_based_setup`
+    returns; the other slots are filled on first use and read by later calls:
+
+    - ``edges``, ``sources``, ``kinds``: the plant's move table
+      (``verification._ObserverStepRelation``), shared by its set-ups.
+    - ``spec_edges``: the spec's moves among the plant's, per state.
+    - ``check``: the observability check's step memos and disabled sets,
+      None until the first check.
+    - ``runs``: ``simulation._PreparedRun``'s tables, keyed by (passive,
+      fragment cap, actuator set).
+
+    The memo rule for every memo on an attack object: what it has worked
+    out about a plant (validation, restriction, conversion, CA-observers,
+    set-ups) is kept per plant and spec, compared by value, for the
+    attack's life and only ever extended; callers must not change it.
+    Nothing is locked, so one attack object serves one thread at a time.
+    """
+
+    __slots__ = ("plant", "spec", "policy", "edges", "sources", "kinds", "spec_edges", "check", "runs")
+
+    def __init__(self, plant: Automaton, spec: Automaton | None, policy: SensorAttackPolicy, moves=None):
+        self.plant, self.spec, self.policy = plant, spec, policy
+        self.edges, self.sources, self.kinds = ({}, [], {}) if moves is None else (moves.edges, moves.sources, moves.kinds)
+        self.spec_edges, self.check, self.runs = {}, None, {}
+
+
+def _setup(g: Automaton, h: Automaton | None, attack: SensorAttackPolicy | ObservationAttackStrategy) -> _SetUp:
+    """The set-up of ``attack`` on ``g`` and ``h``, memoised on the attack under ``("setup", g, h)``.
+
+    A policy is validated on every call (the report is memoised), so an
+    invalid attack of either kind raises on every call.
+    """
     if not isinstance(attack, ObservationAttackStrategy):
         ensure_valid_policy(g, attack)
-        return g, h, attack
-    key = ("setup", g, h)
-    if key not in attack._memo:
+    return attack._memo.get(("setup", g, h)) or _new_setup(g, h, attack)
+
+
+def _new_setup(g: Automaton, h: Automaton | None, attack: SensorAttackPolicy | ObservationAttackStrategy) -> _SetUp:
+    """:func:`_setup`'s set-up, made and memoised; a spec's shares the move table of the spec-less one."""
+    plant, spec, policy = g, h, attack
+    if isinstance(attack, ObservationAttackStrategy):
         conversion = convert_observation_based(g, attack)
-        spec = h
+        plant, policy = conversion.product, conversion.policy
         if h is not None:
-            safe = frozenset(name for name, (q, _) in conversion.pairs.items() if q in h.states)
-            spec = sub_automaton(conversion.product, safe)
-        attack._memo[key] = (conversion.product, spec, conversion.policy)
-    return attack._memo[key]
+            spec = sub_automaton(plant, frozenset(name for name, (q, _) in conversion.pairs.items() if q in h.states))
+    base = None if h is None else attack._memo.get(("setup", g, None)) or _new_setup(g, None, attack)
+    return attack._memo.setdefault(("setup", g, h), _SetUp(plant, spec, policy, moves=base))

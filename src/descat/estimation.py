@@ -7,13 +7,8 @@ feasible attacked observation to the exact set of plant states the system
 may currently be in.
 
 There is one observer per (automaton, policy), memoised on the policy
-(:func:`_observer_walk`): its preamble (substitution, erasure, numbering
-and silent closure), then a subset walk that builds rows in table order
-on demand.  The observability check steps it and so builds only a
-breadth-first prefix; :func:`build_ca_observer`, :func:`attacked_observer`
-and synthesis complete it once and share the one :class:`CAObserver`, so
-a repeat call walks nothing.  Callers must not change the shared
-observer, and one attack object serves one thread at a time.
+and walked on demand (:func:`_observer_walk`), so the observability
+check, synthesis and the builders here share it.
 """
 
 from __future__ import annotations
@@ -236,10 +231,9 @@ def build_ca_observer(g: Automaton, policy: SensorAttackPolicy) -> CAObserver:
 
     Its marked language is exactly the set of observations the supervisor
     can receive, and the plant projection of the state reached by an
-    observation is the state estimate for it.  The observer is built once
-    per ``g`` (compared by value) and memoised on ``policy``: every call,
-    and synthesis on the same automaton and policy, returns the one shared
-    object, which callers must not change (one thread per policy).
+    observation is the state estimate for it.  Every call, and synthesis
+    on the same automaton and policy, returns one shared observer
+    (:func:`_observer_walk`).
     """
     ensure_valid_policy(g, policy)
     return _observer(g, policy)
@@ -275,11 +269,11 @@ def _observer_walk(g: Automaton, policy: SensorAttackPolicy) -> _ObserverWalk:
     demand and so builds a breadth-first prefix, and :func:`_observer`
     completes it once for synthesis, :func:`build_ca_observer` and
     :func:`attacked_observer`.  A state number, and so a mask of them,
-    means the same to every caller across calls.  Callers must not change
-    what they read, and the walk grows unlocked: one thread per policy.
-    An error raised in the preamble (an injected state name clashing
-    with a state of ``g``) is not memoised, so it is raised again on the
-    next call.  ``policy`` must be valid.
+    means the same to every caller across calls (memo rules:
+    :class:`~descat.attacks._SetUp`).  An error raised in the preamble
+    (an injected state name clashing with a state of ``g``) is not
+    memoised, so it is raised again on the next call.  ``policy`` must be
+    valid.
     """
     key = ("observer", g)
     if key not in policy._memo:
@@ -304,8 +298,7 @@ def attacked_observer(
     composition without validating the converted policy again (it is valid
     by construction), and the lift projects each estimate through the
     composition's pairs.  The observer is the one memoised on the
-    (restricted or converted) policy, shared with synthesis on ``a``:
-    callers must not change it, and one attack serves one thread at a time.
+    (restricted or converted) policy, shared with synthesis on ``a``.
     """
     if not isinstance(attack, ObservationAttackStrategy):
         ensure_valid_policy(a, attack.restricted_to(a)[0])

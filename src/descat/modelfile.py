@@ -55,8 +55,8 @@ class ModelDocument:
     The three attack mappings are read-only views over private copies, so
     a document never changes.  That lets it build its policy and its
     strategy once each, on first request: every caller gets the same
-    attack object, and with it that object's memo (see
-    :class:`~descat.attacks.SensorAttackPolicy`), from loading on.
+    attack object, and with it that object's memo, from loading on.  A
+    copy or pickle builds its own on first request.
     """
 
     alphabet: EventAlphabet
@@ -70,6 +70,10 @@ class ModelDocument:
     def __post_init__(self):
         for name in ("policy_events", "policy_transitions", "omega"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):
+        mappings = dict(self.policy_events), dict(self.policy_transitions)
+        return ModelDocument, (self.alphabet, self.plant, self.safe_states, *mappings, self.sa, dict(self.omega))
 
     @property
     def has_transition_policy(self) -> bool:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .attacks import actuator_attack_set, delta_control, transition_based_setup
+from .attacks import _setup, actuator_attack_set, delta_control
 from .automata import (
     Automaton,
     Transition,
@@ -43,8 +43,10 @@ class AttackerStrategy:
     run when one exists.  ``fragment_cap`` bounds the corruption words
     considered for attack languages with cycles (default: twice the
     corruption automaton's state count, which covers all simple accepting
-    paths); a cap below the shortest word of some attack language is an
-    :class:`InputError`.
+    paths).  A cap is None or a nonnegative int, else :class:`InputError`;
+    0 is valid, since a corruption language may hold the empty word.  A
+    cap below the shortest word of some attack language is an
+    :class:`InputError` when the run is set up.
     """
 
     kind: str = "random"
@@ -53,6 +55,8 @@ class AttackerStrategy:
     def __post_init__(self):
         if self.kind not in ATTACKER_KINDS:
             raise InputError(f"unknown attacker kind {self.kind!r}")
+        if self.fragment_cap is not None and (type(self.fragment_cap) is not int or self.fragment_cap < 0):  # no bool
+            raise InputError(f"fragment_cap must be None or a nonnegative int, not {self.fragment_cap!r}")
 
     @classmethod
     def none(cls) -> "AttackerStrategy":
@@ -156,9 +160,7 @@ def simulate(
     other inputs have been checked.  Its observer state is carried
     through the run as a number of the observer's table (see
     :class:`~descat.automata.SubsetTable`) and advanced by each fragment,
-    so a step is one memo lookup of the moves enabled at the plant state
-    under the received control plus one table step over the fragment,
-    not a walk of the observation so far, and no observer state is named.
+    not by a walk of the observation so far, and no state is named.
 
     ``seed`` is the only seed of the run's choices, the plant's and a
     ``random`` attacker's.  Under ``exhaustive`` the run is deterministic
@@ -168,14 +170,8 @@ def simulate(
     arena of plant and observer states, so the nodes expanded stop growing
     with ``max_steps`` once that arena is saturated.
 
-    The attack is checked and converted once per strategy and plant,
-    across calls (see :func:`~descat.attacks.transition_based_setup`), so
-    a sweep over ``max_steps`` pays for it on its first call only.  So
-    are the run tables (see :class:`_PreparedRun`): they are kept on the
-    attack per set-up, and every later ``simulate`` or
-    :func:`run_campaign` on it reads them, random and exhaustive attackers
-    alike.  They grow unlocked, so one attack object serves one thread at
-    a time.
+    The set-up and its run tables (:class:`_PreparedRun`) are kept on the
+    attack, so a sweep over ``max_steps`` builds them on its first call.
     """
     prepared = _PreparedRun(g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps)
     records, _, _ = prepared.walk(seed, None)
@@ -185,26 +181,24 @@ def simulate(
 class _PreparedRun:
     """The checked inputs of :func:`simulate`, ready to run once per seed.
 
-    The transition-based setup is memoised on the attack object.  The run
-    tables do not depend on the supervisor: the fragments the attacker may
-    emit on each attacked transition, the deliveries of each issued
-    control with the sorted names of each control, and the moves enabled
-    at each plant state under each received control.  They are filled as
-    first needed and kept in the (converted) policy's memo under
-    ``("runs", plant, spec, passive, fragment_cap, actuator set)``, with
-    plant and spec compared by value, so every call on one set-up shares
-    them, one thread at a time.  Fragments are enumerated once per
-    distinct corruption automaton (keyed on its identity in the policy's
-    ``automata``) and then looked up per transition.  A run yields plain
-    records, (event, issued names, received names, fragment, safe) per
-    step; :meth:`trace` turns them into a :class:`Trace` only for a
-    caller that keeps one.
+    The run tables do not depend on the supervisor: the fragments the
+    attacker may emit on each attacked transition, the deliveries of each
+    issued control with the sorted names of each control, and the moves
+    enabled at each plant state under each received control.  They are
+    filled as first needed and kept in the set-up's ``runs``
+    (:class:`~descat.attacks._SetUp`), so every random or exhaustive run
+    on one set-up shares them.  Fragments are listed once per distinct
+    corruption automaton (by identity) and then looked up per
+    transition.  A run yields plain records, (event, issued names,
+    received names, fragment, safe) per step; :meth:`trace` turns them
+    into a :class:`Trace` only for a caller that keeps one.
     """
 
     def __init__(self, g, h, supervisor, policy_or_strategy, actuator_attackable, attacker, max_steps):
         if max_steps < 0:
             raise InputError("max_steps must be nonnegative")
-        g, h, policy = transition_based_setup(g, h, policy_or_strategy)
+        setup = _setup(g, h, policy_or_strategy)
+        g, h, policy = setup.plant, setup.spec, setup.policy
         ensure_deterministic(g)
         ensure_estimate_based(supervisor)
         self.g, self.h, self.policy, self.supervisor = g, h, policy, supervisor
@@ -226,8 +220,8 @@ class _PreparedRun:
                     "; ".join(f"fragment_cap {cap} admits no corruption word for transition {tr!r}" for tr in short)
                 )
         self.fragment_cap = max(map(self._cap, policy.automata), default=cap or 0)
-        memo, key = policy._memo, ("runs", g, h, attacker.kind == "none", cap, self.att)
-        tables = memo.get(key) or memo.setdefault(key, ({}, {}, {}, {}, {}))
+        key = (attacker.kind == "none", cap, self.att)
+        tables = setup.runs.get(key) or setup.runs.setdefault(key, ({}, {}, {}, {}, {}))
         self._fragments, self._words, self._names, self._plans, self._moves = tables
 
     def fragment_choices(self, tr: Transition) -> list[Word] | None:
@@ -594,21 +588,19 @@ def run_campaign(
 ) -> CampaignReport:
     """Run ``trials`` seeded simulations and aggregate safety and coverage.
 
-    Trial ``i`` uses seed ``base_seed + i`` (the attacker carries no seed
-    of its own); a single trial therefore reproduces :func:`simulate`
-    with ``base_seed``.  An exhaustive attacker ignores the trial count
-    (one deterministic search).  The supervisor must be estimate-based, as
-    for :func:`simulate`; the inputs are checked once, before the first
-    trial, and the attack is converted once per strategy and plant, across
-    calls.  The trials read the set-up's run tables, which
-    :func:`simulate` shares across calls, one thread at a time.  A trial is a run's plain records (see :class:`_PreparedRun`),
-    one memo lookup plus the fragment's table step each; its verdict is
-    read off the last record, and a :class:`Trace` is built only for a
-    trial whose plant string is a new violation, from the records it
-    already has, so no trial is run twice.  Coverage is the set of
-    observer states the runs stepped to, plus each run's last fragment
-    stepped once, counted as table numbers against the table's size, so
-    a campaign names no observer state.
+    Trial ``i`` uses seed ``base_seed + i`` (the attacker carries no seed of
+    its own); a single trial therefore reproduces :func:`simulate` with
+    ``base_seed``.  An exhaustive attacker ignores the trial count (one
+    deterministic search).  The supervisor must be estimate-based, as for
+    :func:`simulate`; the inputs are checked once, before the first trial,
+    and the trials share the set-up's run tables with :func:`simulate`.  A
+    trial is a run's plain records (see :class:`_PreparedRun`); its verdict
+    is read off the last record, and a :class:`Trace` is built only for a
+    trial whose plant string is a new violation, from the records it already
+    has, so no trial is run twice.  Coverage is the set of observer states
+    the runs stepped to, plus each run's last fragment stepped once, counted
+    as table numbers against the table's size, so a campaign names no
+    observer state.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")

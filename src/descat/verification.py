@@ -11,36 +11,20 @@ spec is decided on the fly.
 
 Each check is one breadth-first search over a finite arena.  The
 observability check's arena and the closed loop's pair a plant state
-with the set of observer states some attacked observation reaches, held
-as an int mask whose bit ``i`` is the observer's own state number ``i``
-(:class:`_ObserverStepRelation`), whose moves, plant's and spec's, are
-listed once per set-up (plant, policy) into a table on the policy: verify
-reads what the check listed, as repeat calls do.  The controllability and
-observability checks run on ``automata.breadth_first``.  Verify and
-:func:`large_language_automaton` walk the closed loop's arena in one
-private loop (:func:`_walk`) that tests each node before it steps its
-moves and rebuilds a string only for the node it stops at.  Verify's
-node carries no spec state: the spec is a sub-automaton of the
-deterministic plant, so its state is the node's plant state, and the
-spec's moves are checked against the plant's only at the states the
-walk visits.
+with the set of observer states some attacked observation reaches, an
+int mask over the observer's state numbers (:class:`_ObserverStepRelation`).
+The controllability and observability checks run on
+``automata.breadth_first``; verify and :func:`large_language_automaton`
+walk the closed loop's arena in one private loop (:func:`_walk`).  The
+supervisor's observer is read as its int table and its controls by
+table number, so only :func:`large_language_automaton` names observer
+states.
 
-The supervisor's observer is read as its int table
-(:class:`~descat.automata.SubsetTable`), and its controls by table
-number, so verify names no observer state: names are built only where
-:func:`large_language_automaton` names its states.  Verify walks the
-table's quotient by control and row (:func:`_quotient`), built when the
-walk first steps; the large-language product keeps the table.  The
-observability check steps the spec's CA-observer, the one memoised on
-the restricted policy (:func:`~descat.estimation._observer_walk`), whose
-rows are built in table order on first read: a check builds only a
-breadth-first prefix, which synthesis on the same spec and policy
-completes.  The numbering is fixed across calls, so the check keeps its
-step memos and disabled sets beside the set-up too, and a repeat check
-steps nothing again.  An attack is a policy or an
-observation-based strategy, set up on plant and spec by
-:func:`~descat.attacks.transition_based_setup`; every entry point
-validates the whole attack on the plant.
+An attack, a policy or an observation-based strategy, is validated whole
+on the plant and set up by :func:`~descat.attacks.transition_based_setup`.
+The searches keep the moves they list, and the check its step memos, on
+the set-up (:class:`~descat.attacks._SetUp`), so verify reads what the
+check listed and a repeat call lists nothing again.
 """
 
 from __future__ import annotations
@@ -51,12 +35,7 @@ from itertools import count
 from operator import itemgetter, methodcaller
 from typing import Iterable, Mapping
 
-from .attacks import (
-    ObservationAttackStrategy,
-    SensorAttackPolicy,
-    actuator_attack_set,
-    transition_based_setup,
-)
+from .attacks import ObservationAttackStrategy, SensorAttackPolicy, _setup, _SetUp, actuator_attack_set
 from .automata import Automaton, Word, _bits, _string_to, breadth_first, ensure_deterministic, ensure_plant_and_spec
 from .errors import InputError
 from .estimation import _observer_walk
@@ -143,28 +122,25 @@ def check_ca_observability_bounded(
     labels a positive answer ``holds-to-depth``, even when the arena runs
     out first; its verdicts carry the depth.
 
-    The spec's CA-observer is the one synthesis reads, stepped on demand:
-    the search builds its rows in table order up to the last one it
-    reads, a breadth-first prefix.  The whole attack is set up and
-    validated on the plant first, as verification does, and only then
-    restricted to the spec.  The spec's moves go into the set-up's move
-    table on the attack, which verify reads, and the per-kind step memos
-    and disabled sets are kept on the set-up policy per (plant, spec):
-    one thread per attack.
+    The spec's CA-observer is the one synthesis reads, stepped on demand,
+    so the search builds only a breadth-first prefix of its rows.  The
+    whole attack is set up and validated on the plant first, as verify
+    does, and only then restricted to the spec; the spec's moves and the
+    step memos are kept on the set-up (:class:`~descat.attacks._SetUp`).
     """
     if depth is not None and depth < 1:
         raise InputError("depth must be at least 1")
     ensure_plant_and_spec(g, h)
-    g, h, policy = transition_based_setup(g, h, attack)
-    walk = _observer_walk(h, policy.restricted_to(h)[0])
-    memo, key = policy._memo, ("check", g, h)
-    if key not in memo:  # the walk's numbers are fixed, so its step memos and disabled sets are kept
+    setup = _setup(g, h, attack)
+    g, h = setup.plant, setup.spec
+    walk = _observer_walk(h, setup.policy.restricted_to(h)[0])
+    if setup.check is None:  # the walk's numbers are fixed, so its step memos and disabled sets are kept
         # An event is disabled at a node iff every tracked state's estimate disables it (any event, if none is).
         disabled_at = cache(lambda i: disabled_set(walk.estimate(i), g, h.states))
         everything = frozenset(label for _, label, _ in h.transitions)
-        memo[key] = [], cache(lambda mask: everything.intersection(*map(disabled_at, _bits(mask))))
-    memos, disabled = memo[key]
-    relation = _ObserverStepRelation(g, walk, policy, h, memos)  # the spec's moves, from the plant's table
+        setup.check = [], cache(lambda mask: everything.intersection(*map(disabled_at, _bits(mask))))
+    memos, disabled = setup.check
+    relation = _ObserverStepRelation(setup, walk, memos)  # the spec's moves, from the plant's table
     spec_edges, spec_moves, step = relation.spec_edges, relation.spec_moves, relation.step
 
     def expand(node):
@@ -212,31 +188,27 @@ class _ObserverStepRelation:
     order up to each one read.  A set of observer states is an int mask,
     bit ``i`` standing for state ``i``, so the initial set is the mask 1.
 
-    The plant's moves come from a table on the policy per plant (by
-    value), one thread at a time: ``edges[q]`` lists the ``(event, dst,
-    k)`` moves out of ``q`` in the plant's order, and ``specs[spec][q]``
-    (``spec_edges[q]``) a sub-automaton's moves among them, each filled on
-    first read and never changed.  ``k`` numbers the move's *kind*,
-    ``sources[k]``: the event when unattacked, else the corruption
-    automaton (one object per value in a policy).  Per kind, the relation
-    keeps a ``{mask: mask}`` memo, ``memos[k]``, so a hit is one
-    ``memos[k].get(mask)``; a caller whose rows keep their numbers across
-    calls passes in ``memos`` it keeps, as the check does.  Under an
-    attacked kind an observer state steps to everything some corruption
-    word can drive it to (product reachability with the corruption
-    automaton, so infinite attack languages are exact, reading a row only
-    where the corruption goes on); under an event, by the event's
-    projection.  A mask steps to the OR of its members' steps, the steps
-    of their one-member masks, and the empty mask steps to itself.
+    The moves come from the set-up's table
+    (:class:`~descat.attacks._SetUp`): ``edges[q]`` lists the ``(event, dst,
+    k)`` moves out of ``q`` in the plant's order, and ``spec_edges[q]`` the
+    spec's moves among them, each filled on first read.  ``k`` numbers the
+    move's *kind*, ``sources[k]``: the event when unattacked, else the
+    corruption automaton.  Per kind, the relation keeps a ``{mask: mask}``
+    memo, ``memos[k]``; a caller whose rows keep their numbers across calls
+    passes in ``memos`` it keeps, as the check does.  Under an attacked kind
+    an observer state steps to everything some corruption word can drive it
+    to (product reachability with the corruption automaton, so infinite
+    attack languages are exact, reading a row only where the corruption goes
+    on); under an event, by the event's projection.  A mask steps to the OR
+    of its members' steps, the steps of their one-member masks, and the
+    empty mask steps to itself.
     """
 
-    __slots__ = ("plant", "rows", "entries", "edges", "sources", "kinds", "specs", "spec", "spec_edges", "memos")
+    __slots__ = ("plant", "spec", "rows", "entries", "edges", "sources", "kinds", "spec_edges", "memos")
 
-    def __init__(self, plant: Automaton, rows, policy: SensorAttackPolicy, spec: Automaton | None = None, memos=None):
-        memo, key = policy._memo, ("moves", plant)
-        self.edges, self.sources, self.kinds, self.specs = memo.get(key) or memo.setdefault(key, ({}, [], {}, {}))
-        self.plant, self.rows, self.entries, self.spec = plant, rows, policy.entries, spec
-        self.spec_edges = self.specs.get(spec, {})  # put in specs once a state has passed
+    def __init__(self, setup: _SetUp, rows, memos=None):
+        self.plant, self.spec, self.entries, self.rows = setup.plant, setup.spec, setup.policy.entries, rows
+        self.edges, self.sources, self.kinds, self.spec_edges = setup.edges, setup.sources, setup.kinds, setup.spec_edges
         self.memos: list[dict[int, int]] = [] if memos is None else memos
         self.memos += [{0: 0} for _ in self.sources[len(self.memos) :]]  # kinds listed since the memos were
 
@@ -266,8 +238,6 @@ class _ObserverStepRelation:
                 moves = [move for move in moves if move[:2] in mine]
                 if len(moves) != len(mine):  # the plant is deterministic: one move per event
                     raise InputError(_NOT_A_SUB_AUTOMATON)
-            if not self.spec_edges:
-                self.specs[self.spec] = self.spec_edges
             found = self.spec_edges[q] = moves, [event for event, _, _ in moves]
         return found
 
@@ -353,7 +323,8 @@ def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator
     """
     ensure_estimate_based(supervisor)
     ensure_deterministic(g)
-    g, h, policy = transition_based_setup(g, h, attack)
+    setup = _setup(g, h, attack)
+    g, h = setup.plant, setup.spec
     table, controls = supervisor.observer.table, supervisor.control_table
     reduced: list = []  # the quotient's classes, rows and controls, once the first step has built them
 
@@ -361,7 +332,7 @@ def _closed_loop(g: Automaton, h: Automaton | None, supervisor, attack, actuator
         reduced.extend(_quotient(table, controls))
         return reduced[1]
 
-    relation = _ObserverStepRelation(g, rows if quotient else table.rows, policy, h)
+    relation = _ObserverStepRelation(setup, rows if quotient else table.rows)
     free = g.alphabet.uncontrollable | actuator_attack_set(g.alphabet, actuator_attackable)
     return g, h, relation, lambda mask: free.union(*[(reduced[2] if reduced else controls)[i] for i in _bits(mask)])
 
@@ -413,7 +384,7 @@ def large_language_automaton(
 
     Its states are the nodes of the closed-loop arena (set-up plant state,
     tracked observer states), named ``q|{x,...}``; every node is marked.
-    Moves come from the set-up's move table on the attack: one thread per attack at a time.
+    Moves come from the set-up's move table (:class:`~descat.attacks._SetUp`).
     """
     g, _, relation, allowed = _closed_loop(g, None, supervisor, attack, actuator_attackable)
     state_names = supervisor.observer.table.names
@@ -467,7 +438,7 @@ def verify_large_language_equals(
     first listed; where it fails, or where the initial states differ,
     :class:`InputError` is raised, again on every call.  The spec may
     drop plant moves between its states.  Moves come from the set-up's
-    move table on the attack, which the check fills too: one thread per attack.
+    table (:class:`~descat.attacks._SetUp`), which the check fills too.
 
     The walk steps the supervisor observer's classes (:func:`_quotient`),
     built at its first step, so a verify failing at the initial node

@@ -6,8 +6,11 @@ CA-observer and the check's step memos beside it), so a repeat call must
 answer exactly as a call on a fresh, equal attack object does.
 """
 
+import copy
+import pickle
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from descat import (
     check_ca_observability_bounded,
     convert_observation_based,
     large_language_automaton,
+    load_model,
     run_campaign,
     simulate,
     synthesize_ca_supervisor,
@@ -33,6 +37,7 @@ from descat import (
     validate_strategy,
     verify_large_language_equals,
 )
+from descat.attacks import _setup
 from conftest import random_attack_automaton, random_model, random_spec, random_strategy, random_supervisor
 
 
@@ -429,14 +434,14 @@ class TestPreamble:
         assert outcomes[0][0] is InputError and "collide with existing states" in outcomes[0][1]
         assert outcomes == [outcomes[0]] * 4
         assert len(substituted) == 4 and closed == []
-        assert not [key for key in policy._memo if key[0] in ("observer", "check")]
+        assert not [key for key in policy._memo if key[0] == "observer"] and _setup(g, g, policy).check is None
 
 
 class TestOneObserver:
     """One spec observer per (spec, restricted policy): the check reads a prefix, synthesis completes it once.
 
     The walk is memoised under ``("observer", spec)``; the check's step
-    memos and disabled sets under ``("check", plant, spec)`` on the set-up policy.
+    memos and disabled sets in the set-up's ``check`` slot.
     """
 
     @staticmethod
@@ -567,7 +572,8 @@ class TestTracesOnDemand:
 class TestMoveTable:
     """A plant's moves are listed once per (plant, policy), in a table the closed-loop searches share.
 
-    The table is memoised on the policy as ``(edges, sources, kinds, specs)`` under ``("moves", plant)``.
+    The table is the set-up's ``edges``, ``sources`` and ``kinds``, shared by each spec's set-up on the plant,
+    and a spec's moves are its set-up's ``spec_edges``.
     """
 
     @pytest.fixture
@@ -630,9 +636,9 @@ class TestMoveTable:
                 assert verify_large_language_equals(plant, h, supervisor, policy) == verify_large_language_equals(
                     plant, h, supervisor, _fresh_policy(policy)
                 )
-                edges = policy._memo["moves", plant][0]
+                edges = _setup(plant, None, policy).edges
                 assert all([event for event, _, _ in edges[q]] == [e for e, _ in plant.outgoing(q)] for q in edges)
-            assert policy._memo["moves", g][0] is not policy._memo["moves", other][0]
+            assert _setup(g, None, policy).edges is not _setup(other, None, policy).edges
             checked += 1
 
     def test_check_then_two_verifies_list_each_state_once(self, listed, cycle_beta, cycle_strategy):
@@ -660,8 +666,8 @@ class TestMoveTable:
             verdict = verify_large_language_equals(g, h, supervisor, policy)
             if verdict.holds or verdict.counterexample.string:
                 continue
-            edges, _, _, specs = policy._memo["moves", g]
-            assert [q for _, q in listed] == list(edges) == list(specs[h]) == [g.initial]
+            setup = _setup(g, h, policy)
+            assert [q for _, q in listed] == list(setup.edges) == list(setup.spec_edges) == [g.initial]
             found += 1
 
     def test_a_spec_off_the_plant_raises_on_every_call(self, cycle_beta):
@@ -679,15 +685,14 @@ class TestMoveTable:
             with pytest.raises(InputError, match="must be a sub-automaton of the plant"):
                 verify_large_language_equals(g, redirected, supervisor, policy)
             assert verify_large_language_equals(g, spec, supervisor, policy).holds
-        specs = policy._memo["moves", g][3]
-        assert redirected not in specs and specs[spec]
+        assert not _setup(g, redirected, policy).spec_edges and _setup(g, spec, policy).spec_edges
 
 
 class TestRunTables:
     """A set-up's run tables are listed once and kept on the attack across simulations and campaigns.
 
-    They are memoised on the (converted) policy under ``("runs", plant, spec,
-    passive, fragment_cap, actuator set)``, with plant and spec compared by value.
+    They are the set-up's ``runs``, keyed by (passive, fragment_cap, actuator
+    set); a set-up is one per (attack, plant, spec), compared by value.
     """
 
     ATTACKERS = (
@@ -705,10 +710,9 @@ class TestRunTables:
         return trace.to_text(), trace.as_dict(), report.as_dict(), [t.to_text() for t in report.violating]
 
     @staticmethod
-    def tables(attack, g) -> dict:
-        """The run tables on ``attack``'s transition-based policy for ``g``, by key."""
-        policy = transition_based_setup(g, None, attack)[2]
-        return {key: value for key, value in policy._memo.items() if key[0] == "runs"}
+    def tables(attack, g, specs) -> dict:
+        """The run tables of ``attack``'s set-ups on ``g`` and each of ``specs``, by spec and key."""
+        return {(spec, key): value for spec in specs for key, value in _setup(g, spec, attack).runs.items()}
 
     def test_warm_tables_answer_as_cold_ones(self):
         rng = random.Random(2401)
@@ -755,10 +759,77 @@ class TestRunTables:
                 warm = self.runs(g, spec, supervisor, policy, attacker, actuator_attackable)
                 cold = self.runs(g, spec, supervisor, _fresh_policy(policy), attacker, actuator_attackable)
                 assert warm == cold
-            tables = self.tables(policy, g)
+            tables = self.tables(policy, g, (h, other_h))
             assert len(tables) == len(variants)
             assert len({id(value) for value in tables.values()}) == len(variants)
             # The exhaustive attacker reads the random attacker's tables.
             simulate(g, h, supervisor, policy, attacker=AttackerStrategy.exhaustive(), max_steps=5)
-            assert self.tables(policy, g) == tables
+            assert self.tables(policy, g, (h, other_h)) == tables
             checked += 1
+
+
+class TestSetUp:
+    """One set-up per (attack, plant, spec), plant and spec compared by value; the move table is the plant's."""
+
+    def test_equal_inputs_share_a_set_up_and_a_fresh_attack_gets_fresh_tables(self, cycle, cycle_beta, cycle_strategy):
+        corpus = [(model, _fresh_policy(model.policy)) for model in (cycle, cycle_beta)]
+        corpus.append((cycle_beta, _fresh_strategy(cycle_strategy)))
+        for model, attack in corpus:
+            g, h = model.plant, model.spec
+            setup = _setup(g, h, attack)
+            assert setup is _setup(_twin(g), _twin(h), attack) and setup is not _setup(g, None, attack)
+            assert (setup.plant, setup.spec, setup.policy) == transition_based_setup(_twin(g), h, attack)
+            bare = _setup(g, None, attack)
+            assert setup.edges is bare.edges and setup.sources is bare.sources and setup.kinds is bare.kinds
+            supervisor = synthesize_ca_supervisor(g, h, attack)
+            check_ca_observability_bounded(g, h, attack)
+            verify_large_language_equals(g, h, supervisor, attack)
+            simulate(g, h, supervisor, attack, max_steps=5, seed=1)
+            assert setup.edges and setup.spec_edges and setup.check is not None and setup.runs
+            fresh = _setup(g, h, _fresh_attack(attack))
+            assert (fresh.plant, fresh.spec, fresh.policy) == (setup.plant, setup.spec, setup.policy)
+            assert not (fresh.edges or fresh.sources or fresh.spec_edges or fresh.runs) and fresh.check is None
+
+
+class TestCopies:
+    """A copied or pickled attack, conversion or document is equal to the original and starts with an empty memo."""
+
+    MODELS = Path(__file__).resolve().parent.parent / "models"
+
+    @staticmethod
+    def copies(value) -> list:
+        return [copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+    @staticmethod
+    def answers(g, h, attack):
+        """The exact check's and verify's verdicts, on the attack's own supervisor."""
+        supervisor = synthesize_ca_supervisor(g, h, attack)
+        return check_ca_observability_bounded(g, h, attack), verify_large_language_equals(g, h, supervisor, attack)
+
+    def test_attacks_and_conversions(self, cycle, cycle_beta, cycle_strategy):
+        corpus = [(model.plant, model.spec, _fresh_policy(model.policy)) for model in (cycle, cycle_beta)]
+        strategy = _fresh_strategy(cycle_strategy)
+        corpus.append((cycle_beta.plant, cycle_beta.spec, strategy))
+        self.answers(cycle_beta.plant, cycle_beta.spec, strategy)  # fills the memos the copies must not carry
+        product, spec, _ = transition_based_setup(cycle_beta.plant, cycle_beta.spec, strategy)
+        conversion = convert_observation_based(cycle_beta.plant, strategy)
+        for duplicate in self.copies(conversion):
+            assert duplicate == conversion and duplicate.policy._memo == {}
+            assert list(duplicate.pairs.items()) == list(conversion.pairs.items())
+            assert self.answers(duplicate.product, spec, duplicate.policy) == self.answers(product, spec, conversion.policy)
+        for g, h, attack in corpus:
+            expected = self.answers(g, h, attack)
+            for duplicate in self.copies(attack):
+                assert duplicate == attack and duplicate._memo == {}
+                assert self.answers(g, h, duplicate) == expected
+
+    def test_documents(self):
+        for name in ("cycle.des", "cycle_obs.des"):
+            doc = load_model(str(self.MODELS / name))
+            g, h = doc.plant, doc.spec_automaton()
+            expected = self.answers(g, h, doc.attack)
+            for duplicate in self.copies(doc):
+                assert duplicate == doc and "_policy" not in vars(duplicate) and "_strategy" not in vars(duplicate)
+                assert duplicate.attack == doc.attack and duplicate.attack is not doc.attack
+                assert duplicate.attack._memo == {}
+                assert self.answers(duplicate.plant, duplicate.spec_automaton(), duplicate.attack) == expected

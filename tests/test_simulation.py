@@ -632,6 +632,20 @@ class TestFragmentCap:
         report = run_campaign(*args, attacker=attacker, trials=3, max_steps=10)
         assert report.violation_count == 0
 
+    @pytest.mark.parametrize("kind", ["none", "random", "exhaustive"])
+    def test_a_cap_is_none_or_a_nonnegative_int(self, cycle_beta, kind):
+        for cap in (-3, 1.5, "2", True):
+            with pytest.raises(InputError, match="fragment_cap must be None or a nonnegative int"):
+                AttackerStrategy(kind=kind, fragment_cap=cap)
+        # Cap 0 keeps the empty word, which f1 accepts.
+        policy = SensorAttackPolicy.from_transitions({("2", "lambda", "3"): cycle_beta.f1, ("3", "mu", "1"): cycle_beta.f1})
+        g, h = cycle_beta.plant, cycle_beta.spec
+        attacker = AttackerStrategy(kind=kind, fragment_cap=0)
+        trace = simulate(g, h, synthesize_ca_supervisor(g, h, policy), policy, attacker=attacker, max_steps=6, seed=1)
+        assert trace.fragment_cap == 0
+        attacked = [step for step in trace.steps if step.event in ("lambda", "mu")]
+        assert attacked and all(step.fragment == (() if kind != "none" else (step.event,)) for step in attacked)
+
     def test_cap_is_ignored_without_corruption(self, cycle_beta):
         policy = self.two_event_lambda(cycle_beta)
         g, h = cycle_beta.plant, cycle_beta.spec
