@@ -221,20 +221,21 @@ def _step(a: Automaton, states: frozenset[str], label: str) -> frozenset[str]:
     return unobservable_reach(a, hit)
 
 
-def breadth_first(start, expand):
+def breadth_first(start, expand, last: int | None = None):
     """Breadth-first search of the graph that ``expand`` spans from ``start``.
 
     ``expand(node)`` lists ``(label, successor)`` pairs in the order the
     caller wants ties broken (sorted by label, say), so nodes come out
     ordered by the least label string reaching them under that order.
     Yields ``(node, level, successors, string)``; ``string()`` rebuilds
-    that least string from parent pointers.
+    that least string from parent pointers.  Nodes at level ``last`` are
+    yielded unexpanded, with no successors, so none lies deeper.
     """
     parents = {start: None}
     queue = deque([(start, 0)])
     while queue:
         node, level = queue.popleft()
-        successors = expand(node)
+        successors = () if level == last else expand(node)
         for label, succ in successors:
             if succ not in parents:
                 parents[succ] = (node, label)

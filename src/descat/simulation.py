@@ -163,7 +163,9 @@ def simulate(
     not by a walk of the observation so far, and no state is named.
 
     ``seed`` is the only seed of the run's choices, the plant's and a
-    ``random`` attacker's.  Under ``exhaustive`` the run is deterministic
+    ``random`` attacker's: each draw is the index that
+    ``random.Random(seed).choice`` would pick on the listed order (see
+    :meth:`_PreparedRun.walk`).  Under ``exhaustive`` the run is deterministic
     and returns a shortest violating trace when one exists within the
     bound, otherwise the first run of the deepest level of a breadth-first
     search over (plant state, observation).  Both are found on the finite
@@ -300,9 +302,13 @@ class _PreparedRun:
         A ``random`` or passive run draws from ``random.Random(seed)`` in
         this order per step: a delivery of the issued control (not when
         passive), an enabled move, then a corruption word when the
-        transition is attacked, each by ``rng.choice`` on a list in a fixed
-        order, so a seed gives one run.  It stops at ``max_steps`` or when
-        no event is enabled.
+        transition is attacked, each on a list in a fixed order, so a seed
+        gives one run.  Each draw is the index ``random.Random(seed).choice``
+        would pick on that list, drawn inline as CPython 3.10-3.13 does:
+        ``n.bit_length()`` bits of ``getrandbits``, drawn again while not
+        below ``n``.  The observer steps by the table's rows, so a step
+        calls no library function.  It stops at ``max_steps`` or when no
+        event is enabled.
         """
         table = self.supervisor.observer.table
         x = table.initial
@@ -316,8 +322,8 @@ class _PreparedRun:
             return records, x, records[-1][3] if records else ()
         cover = (set() if visited is None else visited).add
         cover(x)
-        choice = random.Random(seed).choice
-        step, controls, default = table.step, self.supervisor.control_table, self.supervisor.default_control
+        getrandbits = random.Random(seed).getrandbits
+        rows, controls, default = table.rows, self.supervisor.control_table, self.supervisor.default_control
         plans, passive = self._plans, self.attacker.kind == "none"
         records: list[tuple] = []
         keep = records.append
@@ -325,18 +331,34 @@ class _PreparedRun:
         safe = q in self.h.states
         fragment: Word = ()
         for _ in range(self.max_steps):
-            x = step(x, fragment)
+            # The table's unknown-event check cannot fire here: a fragment is a corruption
+            # word, whose labels validate_policy checked to be observable events, or a
+            # plant event's projection.
+            for label in fragment:
+                if x is None:
+                    break
+                x = rows[x].get(label)
             cover(x)
             issued = default if x is None else controls[x]
             issued_names, deliveries = plans.get(issued) or self.plan(issued)
-            received, received_names, known = deliveries[0] if passive else choice(deliveries)
+            n = len(deliveries)
+            r = 0 if passive else n  # a passive run takes its one delivery without a draw
+            while r >= n:
+                r = getrandbits(n.bit_length())
+            received, received_names, known = deliveries[r]
             enabled = known[q] if q in known else self.moves(q, received, known)
             if not enabled:
                 fragment = ()
                 break
-            event, q, target_safe, fragment, choices = choice(enabled)
+            r = n = len(enabled)
+            while r >= n:
+                r = getrandbits(n.bit_length())
+            event, q, target_safe, fragment, choices = enabled[r]
             if choices is not None:
-                fragment = choice(choices)
+                r = n = len(choices)  # not 0: a corruption language is nonempty and its cap keeps a word
+                while r >= n:
+                    r = getrandbits(n.bit_length())
+                fragment = choices[r]
             safe = safe and target_safe
             keep((event, issued_names, received_names, fragment, safe))
         return records, x, fragment

@@ -148,10 +148,9 @@ def check_ca_observability_bounded(
         moves = (spec_edges.get(q) or spec_moves(q))[0]
         return [(event, (dst, memos[k].get(tracked) or step(k, tracked))) for event, dst, k in moves]
 
-    for (_, tracked), level, successors, string in breadth_first((h.initial, 1), expand):
-        if level == depth:
-            break
-        for event, _ in successors:
+    # The last level, depth - 1, is tested from its moves' events: its successors are never read.
+    for (q, tracked), _, _, string in breadth_first((h.initial, 1), expand, None if depth is None else depth - 1):
+        for event in (spec_edges.get(q) or spec_moves(q))[1]:
             if event in disabled(tracked):
                 witness = "every feasible observation yields an estimate that must disable the event"
                 return _fails(string(), event, witness, depth)

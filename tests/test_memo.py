@@ -494,6 +494,40 @@ class TestOneObserver:
             found += 1
         assert found >= 60 and smaller >= found * 3 // 4, (found, smaller)
 
+    def test_a_depth_limited_check_steps_no_successor_of_its_last_level(self, monkeypatch, cycle, cycle_beta):
+        """A cold depth-3 check misses the step memos only on levels 0 and 1: level 2 is tested by its events alone."""
+        relation = descat.verification._ObserverStepRelation
+        step, missed = relation.step, []
+
+        def counted(self, k, mask):
+            if mask not in self.memos[k]:
+                missed.append((k, mask))
+            return step(self, k, mask)
+
+        monkeypatch.setattr(relation, "step", counted)
+        corpus = [(model.plant, model.spec, model.policy) for model in (cycle, cycle_beta)]
+        corpus += [(g, h, policy) for _, g, h, policy in self.models(2505, 80)]
+        checked = unstepped = 0
+        for g, h, policy in corpus:
+            policy = _fresh_policy(policy)
+            missed.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if not check_ca_observability_bounded(g, h, policy, depth=3).holds:
+                    continue
+            setup = _setup(g, h, policy)
+            memos, levels = setup.check[0], [[(h.initial, 1)]]
+            seen = set(levels[0])
+            for _ in range(2):  # levels 1 and 2 through the memos the check filled
+                successors = [(dst, memos[k][mask]) for q, mask in levels[-1] for _, dst, k in setup.spec_edges[q][0]]
+                levels.append([node for node in dict.fromkeys(successors) if node not in seen])
+                seen.update(levels[-1])
+            stepped = {(k, mask) for q, mask in levels[0] + levels[1] for _, _, k in setup.spec_edges[q][0]}
+            assert set(missed) <= stepped
+            unstepped += any(mask not in memos[k] for q, mask in levels[2] for _, _, k in setup.spec_edges[q][0])
+            checked += 1
+        assert checked >= 40 and unstepped >= 10, (checked, unstepped)
+
     def test_each_spec_keeps_its_own_check_memos(self):
         seen = {"holds": 0, "fails": 0}
         for rng, g, h, policy in self.models(2504, 80):

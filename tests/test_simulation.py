@@ -8,7 +8,9 @@ import pytest
 
 from descat import (
     AttackerStrategy,
+    Automaton,
     CAObserver,
+    EventAlphabet,
     InputError,
     SensorAttackPolicy,
     SubsetTable,
@@ -18,10 +20,12 @@ from descat import (
     natural_projection,
     run_campaign,
     simulate,
+    sub_automaton,
     synthesize_ca_supervisor,
     synthesize_obs_based,
     verify_large_language_equals,
 )
+from descat.attacks import _setup
 from oracles import brute_force_large_language, campaign_by_rewalk, heights_by_ranking, simulate_by_rewalk
 from conftest import random_model, random_spec, random_strategy, random_supervisor
 
@@ -338,6 +342,24 @@ class TestIncrementalObserver:
         )
         assert len(trace.steps) == 8
         assert calls == []
+
+    def test_a_random_or_passive_step_calls_no_choice_and_no_table_step(self, cycle_beta, cycle_strategy, monkeypatch):
+        """Each trial steps the table once, for the coverage of its last fragment; draws bypass ``choice``."""
+        calls = {"choice": [], "step": []}
+        choice, step = random.Random.choice, SubsetTable.step
+        monkeypatch.setattr(random.Random, "choice", lambda *args: calls["choice"].append(1) or choice(*args))
+        monkeypatch.setattr(SubsetTable, "step", lambda *args: calls["step"].append(1) or step(*args))
+        g, h = cycle_beta.plant, cycle_beta.spec
+        for sup, attack in (
+            (corpus_supervisor(cycle_beta), cycle_beta.policy),
+            (synthesize_obs_based(g, h, cycle_strategy), cycle_strategy),
+        ):
+            for attacker in (AttackerStrategy.random_choices(), AttackerStrategy.none()):
+                for log in calls.values():
+                    log.clear()
+                report = run_campaign(g, h, sup, attack, trials=30, max_steps=40, base_seed=5, attacker=attacker)
+                assert report.observer_states_visited > 1
+                assert (len(calls["choice"]), len(calls["step"])) == (0, 30)
 
     def test_supervisor_without_observer_is_rejected(self, cycle_beta, cycle_strategy):
         class ControlOnly:
@@ -708,3 +730,78 @@ class TestPolicyValidatedOnce:
         sup = corpus_supervisor(cycle_beta)
         with pytest.raises(InputError, match="invalid sensor attack policy"):
             simulate(g, cycle_beta.spec, sup, SensorAttackPolicy.empty(), max_steps=5)
+
+
+class TestDrawOrder:
+    """Every seeded draw is the index ``random.Random(seed).choice`` picks, on lists of each short length.
+
+    The oracles draw by ``rng.choice``; the runs inline the draw.  On the
+    model below the enabled moves and the corruption words drawn from
+    have every length from 1 to 9, which covers a list of one and the
+    powers of two, where an out-of-range index is drawn again half the
+    time.  An actuator attacker delivers ``2**k`` controls for
+    ``k`` attackable events, so the deliveries have the lengths 1, 2, 4
+    and 8.
+    """
+
+    EVENTS = tuple(f"e{j}" for j in range(1, 10))
+
+    @classmethod
+    def language(cls, alphabet, n: int, chain: bool):
+        """``n`` corruption words: the empty word, then ``e1`` repeated 1 to n - 1 times if ``chain``, else n - 1 events."""
+        states = [f"c{i}" for i in range(n if chain else min(n, 2))]
+        if chain:
+            transitions = {(states[i], "e1", states[i + 1]) for i in range(n - 1)}
+        else:
+            transitions = {(states[0], event, states[1]) for event in cls.EVENTS[: n - 1]}
+        return Automaton(states=states, alphabet=alphabet, transitions=transitions, initial="c0", marked=states)
+
+    @classmethod
+    def model(cls):
+        """State ``qn`` has ``n`` moves, ``e1`` to ``en``; ``q1`` also moves by ``u`` to the unsafe ``x``.
+
+        The supervisor is synthesized for the whole plant, so runs reach ``x``.
+        """
+        events = cls.EVENTS + ("u",)
+        alphabet = EventAlphabet(
+            events=frozenset(events),
+            controllable=frozenset(cls.EVENTS[:6]),
+            observable=frozenset(events),
+            sensor_attackable=frozenset(cls.EVENTS[:8]),
+            actuator_attackable=frozenset(cls.EVENTS[:3]),
+        )
+        states = {f"q{n}" for n in range(1, 10)} | {"x"}
+        transitions = {(f"q{n}", cls.EVENTS[j], f"q{(n + j) % 9 + 1}") for n in range(1, 10) for j in range(n)}
+        transitions |= {("q1", "u", "x"), ("x", "u", "q1")}
+        g = Automaton(states=states, alphabet=alphabet, transitions=transitions, initial="q1")
+        entries = {
+            (q, event, dst): cls.language(alphabet, (int(q[1:]) + int(event[1:])) % 9 + 1, chain=int(q[1:]) % 2 == 0)
+            for q, event, dst in sorted(transitions)
+            if event in alphabet.sensor_attackable
+        }
+        policy = SensorAttackPolicy.from_transitions(entries)
+        return g, sub_automaton(g, states - {"x"}), synthesize_ca_supervisor(g, g, policy), policy
+
+    def test_runs_and_campaigns_match_the_choice_oracles(self):
+        g, h, sup, policy = self.model()
+        unsafe = 0
+        for seed in range(200):
+            att = self.EVENTS[: seed % 4]
+            for kind in ("none", "random"):
+                for cap in (None, 2):
+                    attacker = AttackerStrategy(kind=kind, fragment_cap=cap)
+                    trace = simulate(g, h, sup, policy, att, attacker, max_steps=30, seed=seed)
+                    assert trace == simulate_by_rewalk(g, h, sup, policy, att, attacker, max_steps=30, seed=seed)
+                    unsafe += not trace.safe
+                    if seed % 10 == 0:
+                        kwargs = dict(trials=5, max_steps=30, base_seed=seed, attacker=attacker)
+                        report = run_campaign(g, h, sup, policy, att, **kwargs)
+                        assert report == campaign_by_rewalk(g, h, sup, policy, att, **kwargs)
+        lengths = {"enabled": set(), "deliveries": set(), "fragments": set()}
+        for fragments, _, _, plans, moves in _setup(g, h, policy).runs.values():
+            lengths["enabled"] |= {len(enabled) for known in moves.values() for enabled in known.values()}
+            lengths["deliveries"] |= {len(deliveries) for _, deliveries in plans.values()}
+            lengths["fragments"] |= {len(words) for words in fragments.values() if words is not None}
+        assert lengths["enabled"] >= set(range(1, 10)) and lengths["fragments"] >= set(range(1, 10))
+        assert lengths["deliveries"] == {1, 2, 4, 8}
+        assert unsafe >= 100, unsafe
